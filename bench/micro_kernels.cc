@@ -260,6 +260,56 @@ BM_TransformerForward(benchmark::State& state)
 }
 BENCHMARK(BM_TransformerForward);
 
+// Model construction, the bulk of the serving benchmark's setup_s.
+// Both fills draw one 256x682 FFN matrix of its eval config; the Std
+// variant is the libstdc++ loop fill_gaussian reproduces bit for bit.
+void
+BM_FillGaussianStd(benchmark::State& state)
+{
+    std::mt19937 rng(8);
+    support::MatrixF w(256, 682);
+    for (auto _ : state) {
+        std::normal_distribution<float> dist(0.0f, 0.125f);
+        for (float& v : w.data()) {
+            v = dist(rng);
+        }
+        benchmark::DoNotOptimize(w.data().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * w.size());
+}
+BENCHMARK(BM_FillGaussianStd);
+
+void
+BM_FillGaussian(benchmark::State& state)
+{
+    support::Mt19937 rng(8);
+    support::MatrixF w(256, 682);
+    for (auto _ : state) {
+        support::fill_gaussian(w, rng, 0.0f, 0.125f);
+        benchmark::DoNotOptimize(w.data().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * w.size());
+}
+BENCHMARK(BM_FillGaussian);
+
+void
+BM_TransformerModelInit(benchmark::State& state)
+{
+    const model::ModelConfig config =
+        model::llama2_7b().scaled_for_eval(4, 256, 1024);
+    for (auto _ : state) {
+        const model::TransformerModel m(config, 7);
+        benchmark::DoNotOptimize(m.lm_head().data().data());
+    }
+    // Every weight drawn: the layers plus embedding and LM head.
+    const std::size_t weights =
+        config.weight_params() + 2 * config.vocab * config.d_model;
+    state.SetItemsProcessed(state.iterations() * weights);
+}
+BENCHMARK(BM_TransformerModelInit)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

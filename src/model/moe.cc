@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
-#include <random>
 
 #include "support/rng.h"
 
@@ -15,7 +14,7 @@ MoeFfn::MoeFfn(const MoeConfig& config, std::uint32_t seed)
     : config_(config), selection_counts_(config.num_experts, 0)
 {
     assert(config_.top_k >= 1 && config_.top_k <= config_.num_experts);
-    std::mt19937 rng(seed);
+    support::Mt19937 rng(seed);
     const float inv_sqrt_d =
         1.0f / std::sqrt(static_cast<float>(config_.d_model));
     const float inv_sqrt_ff =

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <random>
 #include <utility>
 
 #include "quant/group_quant.h"
@@ -15,8 +14,8 @@ namespace model {
 namespace {
 
 support::MatrixF
-gaussian_matrix(std::size_t rows, std::size_t cols, std::mt19937& rng,
-                float stddev)
+gaussian_matrix(std::size_t rows, std::size_t cols,
+                support::Mt19937& rng, float stddev)
 {
     support::MatrixF m(rows, cols);
     support::fill_gaussian(m, rng, 0.0f, stddev);
@@ -29,7 +28,7 @@ TransformerModel::TransformerModel(const ModelConfig& config,
                                    std::uint32_t seed)
     : config_(config), layer_hooks_(config.num_layers)
 {
-    std::mt19937 rng(seed);
+    support::Mt19937 rng(seed);
     const std::size_t d = config_.d_model;
     const std::size_t kv_dim = config_.num_kv_heads * config_.head_dim();
     // Variance-aware init: the pre-norm input is ~unit RMS, so a

@@ -60,9 +60,11 @@ struct LayerWeights {
 class TransformerModel {
   public:
     /**
-     * Build a model with seeded Gaussian weights (std 0.02, residual
+     * Build a model with seeded Gaussian weights (residual
      * projections scaled by 1/sqrt(2 * layers) as in GPT-2-style
-     * init, which keeps activations in a realistic range).
+     * init, which keeps activations in a realistic range).  The
+     * weights are a pure function of (config, seed), all drawn here
+     * before the constructor returns (DESIGN.md, "Model weights").
      */
     TransformerModel(const ModelConfig& config, std::uint32_t seed);
 

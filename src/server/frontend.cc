@@ -1,5 +1,6 @@
 #include "server/frontend.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <random>
@@ -104,6 +105,7 @@ Frontend::run()
 {
     for (;;) {
         const int fd = listener_.accept_fd(100);
+        std::vector<std::thread> exited;
         {
             support::MutexLock lock(mu_);
             if (stopping_) {
@@ -113,8 +115,27 @@ Frontend::run()
                 return;
             }
             if (fd >= 0) {
-                workers_.emplace_back(&Frontend::handle, this, fd);
+                workers_.emplace_back([this, fd] {
+                    handle(fd);
+                    support::MutexLock done(mu_);
+                    finished_.push_back(std::this_thread::get_id());
+                });
             }
+            // Reap: a worker that has marked itself finished is
+            // past its last use of the frontend and about to exit.
+            for (const std::thread::id id : finished_) {
+                const auto it = std::find_if(
+                    workers_.begin(), workers_.end(),
+                    [id](const std::thread& t) {
+                        return t.get_id() == id;
+                    });
+                exited.push_back(std::move(*it));
+                workers_.erase(it);
+            }
+            finished_.clear();
+        }
+        for (std::thread& worker : exited) {
+            worker.join();
         }
     }
 }

@@ -89,7 +89,9 @@ class Frontend {
     /**
      * Accept loop: serve until stop().  Call from the thread that
      * owns the frontend's lifetime (main, or a test's helper
-     * thread).
+     * thread).  Each connection gets its own worker thread, which
+     * the loop joins soon after its connection closes, so threads
+     * and their stacks stay bounded by the connections open at once.
      */
     void run();
 
@@ -132,7 +134,10 @@ class Frontend {
     /** Live uuid -> serve::Server request id (DELETE routing). */
     std::unordered_map<std::string, std::uint64_t> uuids_
         MUGI_GUARDED_BY(mu_);
+    /** Connection threads not yet joined. */
     std::vector<std::thread> workers_ MUGI_GUARDED_BY(mu_);
+    /** Workers whose handler returned; run() joins them. */
+    std::vector<std::thread::id> finished_ MUGI_GUARDED_BY(mu_);
     bool stopping_ MUGI_GUARDED_BY(mu_) = false;
 
     /** Per-process UUID seed (std::random_device at construction). */

@@ -904,12 +904,12 @@ TEST(Scheduler, EmptyPromptRetiresImmediatelyWithoutAsserts)
     ASSERT_EQ(finished.size(), 2u);
     const FinishedRequest& e =
         finished[0].id == empty_id ? finished[0] : finished[1];
-    EXPECT_EQ(e.generated, 0u);
+    EXPECT_EQ(e.generated, units::Tokens(0));
     EXPECT_TRUE(e.tokens.empty());
     EXPECT_EQ(e.ttft_s(), 0.0);
     const FinishedRequest& n =
         finished[0].id == empty_id ? finished[1] : finished[0];
-    EXPECT_EQ(n.generated, 2u);
+    EXPECT_EQ(n.generated, units::Tokens(2));
 #endif
 }
 
