@@ -107,7 +107,6 @@ run_decode(const serve::Engine& engine,
         std::vector<serve::Session> sessions =
             make_sessions(engine, config, batch, precision);
         serve::StepPlan plan;
-        plan.fused_decode = true;
         plan.threads = threads;
         for (serve::Session& s : sessions) {
             plan.decode_sessions.push_back(&s);
@@ -175,8 +174,8 @@ run_batch(const serve::Engine& engine,
 
 /**
  * One mixed prefill + decode iteration per thread count: the pooled
- * prefill fan-out (per-session chunks) must reproduce the serial
- * plan's logits-derived tokens exactly.
+ * forward pass over the decode rows and the chunks' rows must
+ * reproduce the serial plan's logits-derived tokens exactly.
  */
 bool
 mixed_step_identical(const serve::Engine& engine,
@@ -199,7 +198,6 @@ mixed_step_identical(const serve::Engine& engine,
                 static_cast<std::uint32_t>(2000 + i)));
         }
         serve::StepPlan plan;
-        plan.fused_decode = true;
         plan.threads = t;
         for (serve::Session& s : decoders) {
             plan.decode_sessions.push_back(&s);

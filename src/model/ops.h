@@ -38,9 +38,9 @@ void apply_rope(support::MatrixF& x, std::size_t num_heads,
 
 /**
  * RoPE rotation of a single [H*hd] row at position @p pos -- the
- * per-row body of apply_rope, exposed so the fused batched decode
- * path can rotate each batch row at its own session's position with
- * the exact float-op sequence of the sequential path.
+ * per-row body of apply_rope, exposed so the ragged-row decode path
+ * can rotate each row at its own position with apply_rope's exact
+ * float-op sequence.
  */
 void rope_rotate_row(float* row, std::size_t num_heads,
                      std::size_t head_dim, std::size_t pos);
@@ -66,10 +66,9 @@ void apply_activation(
 
 /**
  * Span form of apply_activation: one capture + one apply_batch over
- * @p values.  The batched decode path calls this per batch row so a
- * windowed approximator (whose sliding window is re-chosen per group
- * of mapping_rows inputs) sees exactly the per-request input stream
- * the sequential path feeds it.
+ * @p values.  The ragged-row decode path calls this once per row so
+ * a windowed approximator (whose sliding window is re-chosen per
+ * group of mapping_rows inputs) sees exactly one token's inputs.
  */
 void apply_activation_span(
     std::span<float> values, nonlinear::NonlinearOp op,

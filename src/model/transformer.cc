@@ -5,6 +5,7 @@
 #include <cmath>
 #include <utility>
 
+#include "nonlinear/reference.h"
 #include "quant/group_quant.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
@@ -20,6 +21,50 @@ gaussian_matrix(std::size_t rows, std::size_t cols,
     support::MatrixF m(rows, cols);
     support::fill_gaussian(m, rng, 0.0f, stddev);
     return m;
+}
+
+/**
+ * One row's cached attention for the @p count query heads from
+ * @p first on, which share one kv head: score each head of @p q_row
+ * against the first scores.size() gathered keys ([positions, hd]
+ * row-major), softmax the scores with @p softmax_exp (nullptr =
+ * exact), and accumulate the weighted values into @p out_row.  Dot
+ * products run in ascending dimension order and values in ascending
+ * position order, so the bytes depend only on the row's own prefix.
+ */
+void
+attend_heads(const float* q_row, const float* keys,
+             const float* values, std::span<float> scores,
+             std::size_t first, std::size_t count, std::size_t hd,
+             const nonlinear::NonlinearApproximator* softmax_exp,
+             float* out_row)
+{
+    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+    for (std::size_t h = first; h < first + count; ++h) {
+        const float* qrow = q_row + h * hd;
+        for (std::size_t s = 0; s < scores.size(); ++s) {
+            const float* krow = keys + s * hd;
+            float dot = 0.0f;
+            for (std::size_t i = 0; i < hd; ++i) {
+                dot += qrow[i] * krow[i];
+            }
+            scores[s] = dot * scale;
+        }
+        if (softmax_exp != nullptr) {
+            nonlinear::softmax_with(*softmax_exp, scores, scores);
+        } else {
+            nonlinear::softmax_ref(scores, scores);
+        }
+        float* orow = out_row + h * hd;
+        for (std::size_t s = 0; s < scores.size(); ++s) {
+            const float p = scores[s];
+            if (p == 0.0f) continue;
+            const float* vrow = values + s * hd;
+            for (std::size_t i = 0; i < hd; ++i) {
+                orow[i] += p * vrow[i];
+            }
+        }
+    }
 }
 
 }  // namespace
@@ -286,114 +331,13 @@ TransformerModel::embedding(int token) const
 support::MatrixF
 TransformerModel::decode_layer(std::size_t layer_idx,
                                const support::MatrixF& x,
-                               quant::KvCache& cache) const
-{
-    return decode_layer(layer_idx, x, cache, hooks_for(layer_idx));
-}
-
-void
-TransformerModel::attend_one(const float* q_row, const float* k_row,
-                             const float* v_row, quant::KvCache& cache,
-                             const NonlinearHooks& hooks,
-                             float* out_row) const
-{
-    const std::size_t kv_heads = config_.num_kv_heads;
-    const std::size_t hd = config_.head_dim();
-    const std::size_t group = config_.gqa_group();
-
-    // Reshape the new K/V row into per-head matrices and append.
-    support::MatrixF k_heads(kv_heads, hd);
-    support::MatrixF v_heads(kv_heads, hd);
-    for (std::size_t h = 0; h < kv_heads; ++h) {
-        for (std::size_t i = 0; i < hd; ++i) {
-            k_heads.at(h, i) = k_row[h * hd + i];
-            v_heads.at(h, i) = v_row[h * hd + i];
-        }
-    }
-    cache.append(k_heads, v_heads);
-    const std::size_t S = cache.length().value();
-
-    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-    // Batched KV gather: decode kv head kv_h's whole resident
-    // sequence into contiguous [S, hd] scratch once, and let every
-    // query head of its GQA group read it -- one block-table walk per
-    // kv head instead of one cache read per (head, position).  The
-    // per-vector decode is the arithmetic read_key/read_value ran, and
-    // a GQA group's query heads are consecutive, so the kv_h-outer
-    // order visits heads in the same ascending order as before and
-    // every score and output byte matches the per-position walk.
-    assert(config_.num_heads == kv_heads * group);
-    support::MatrixF k_scratch(S, hd);
-    support::MatrixF v_scratch(S, hd);
-    for (std::size_t kv_h = 0; kv_h < kv_heads; ++kv_h) {
-        cache.read_keys(kv_h, units::Positions(0), units::Positions(S),
-                        k_scratch.row_data(0));
-        cache.read_values(kv_h, units::Positions(0),
-                          units::Positions(S), v_scratch.row_data(0));
-        for (std::size_t g = 0; g < group; ++g) {
-            const std::size_t h = kv_h * group + g;
-            support::MatrixF scores(1, S, 0.0f);
-            const float* qrow = q_row + h * hd;
-            for (std::size_t s = 0; s < S; ++s) {
-                const float* krow = k_scratch.row_data(s);
-                float dot = 0.0f;
-                for (std::size_t i = 0; i < hd; ++i) {
-                    dot += qrow[i] * krow[i];
-                }
-                scores.at(0, s) = dot * scale;
-            }
-            softmax_rows(scores, hooks.softmax_exp);
-            float* orow = out_row + h * hd;
-            for (std::size_t s = 0; s < S; ++s) {
-                const float p = scores.at(0, s);
-                if (p == 0.0f) continue;
-                const float* vrow = v_scratch.row_data(s);
-                for (std::size_t i = 0; i < hd; ++i) {
-                    orow[i] += p * vrow[i];
-                }
-            }
-        }
-    }
-}
-
-support::MatrixF
-TransformerModel::decode_layer(std::size_t layer_idx,
-                               const support::MatrixF& x,
                                quant::KvCache& cache,
                                const NonlinearHooks& hooks) const
 {
     assert(x.rows() == 1);
-    const LayerWeights& w = layers_[layer_idx];
-    const std::size_t heads = config_.num_heads;
-    const std::size_t kv_heads = config_.num_kv_heads;
-    const std::size_t hd = config_.head_dim();
-    const std::size_t pos = cache.length().value();
-
-    support::MatrixF x_norm;
-    norm(x, w.norm1_gain, w.norm1_bias, x_norm);
-
-    support::MatrixF q = linear(x_norm, w.wq);
-    support::MatrixF k = linear(x_norm, w.wk);
-    support::MatrixF v = linear(x_norm, w.wv);
-    if (config_.uses_rope()) {
-        apply_rope(q, heads, hd, pos);
-        apply_rope(k, kv_heads, hd, pos);
-    }
-    support::MatrixF attn_out(1, config_.d_model, 0.0f);
-    attend_one(q.row_data(0), k.row_data(0), v.row_data(0), cache,
-               hooks, attn_out.row_data(0));
-
-    support::MatrixF out = linear(attn_out, w.wo);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        out.data()[i] += x.data()[i];
-    }
-
-    norm(out, w.norm2_gain, w.norm2_bias, x_norm);
-    const support::MatrixF f = ffn(layer_idx, x_norm, hooks);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        out.data()[i] += f.data()[i];
-    }
-    return out;
+    quant::KvCache* const caches[] = {&cache};
+    const NonlinearHooks* const hook_ptrs[] = {&hooks};
+    return decode_layer_batch(layer_idx, x, caches, hook_ptrs);
 }
 
 support::MatrixF
@@ -403,90 +347,145 @@ TransformerModel::decode_layer_batch(
     std::span<const NonlinearHooks* const> hooks,
     support::ThreadPool* pool) const
 {
-    const std::size_t batch = x.rows();
-    assert(caches.size() == batch && hooks.size() == batch);
+    const std::size_t rows = x.rows();
+    assert(caches.size() == rows && hooks.size() == rows);
     const LayerWeights& w = layers_[layer_idx];
-    const std::size_t d = config_.d_model;
-    const std::size_t heads = config_.num_heads;
     const std::size_t kv_heads = config_.num_kv_heads;
     const std::size_t hd = config_.head_dim();
-    // The profiling capture appends every row's nonlinear-input
-    // stream to caller state in batch-row order; keep that ordering
-    // by running captured layers serially.
+    const std::size_t group = config_.gqa_group();
+    assert(config_.num_heads == kv_heads * group);
+    // The profiling capture appends every row's activation input to
+    // caller state in row order; keep that order by running captured
+    // layers serially.
     if (capture_) {
         pool = nullptr;
     }
-    // Pooled stage helpers.  Every task writes a disjoint row range
-    // of a pre-zeroed output and runs the identical per-cell float-op
-    // sequence as the serial loop, so the parallel_for join (the
-    // stage barrier) reproduces the serial bytes exactly.
-    const auto for_row_ranges =
-        [&](const std::function<void(std::size_t, std::size_t)>& body) {
-            if (pool != nullptr && batch > 1) {
-                const auto ranges =
-                    support::split_ranges(batch, pool->num_threads());
-                pool->parallel_for(ranges.size(), [&](std::size_t t) {
-                    body(ranges[t].first, ranges[t].second);
-                });
-            } else {
-                body(0, batch);
+    // Pooled stages: every task writes a disjoint slice of a
+    // pre-zeroed output with the serial per-cell float-op sequence,
+    // so the parallel_for join (the stage barrier) reproduces the
+    // serial bytes exactly.  Serially each stage is one task.
+    using Ranges = std::vector<std::pair<std::size_t, std::size_t>>;
+    using Task = std::function<void(std::size_t)>;
+    const auto split = [&](std::size_t count) {
+        return pool != nullptr
+                   ? support::split_ranges(count, pool->num_threads())
+                   : Ranges{{0, count}};
+    };
+    const auto run = [&](std::size_t tasks, const Task& task) {
+        if (pool != nullptr) {
+            pool->parallel_for(tasks, task);
+        } else {
+            for (std::size_t t = 0; t < tasks; ++t) {
+                task(t);
             }
-        };
+        }
+    };
+    const Ranges row_ranges = split(rows);
+    const auto for_rows = [&](const Task& body) {
+        run(row_ranges.size(), [&](std::size_t t) {
+            for (std::size_t r = row_ranges[t].first;
+                 r < row_ranges[t].second; ++r) {
+                body(r);
+            }
+        });
+    };
     const auto gemm = [&](const support::MatrixF& a,
                           const support::MatrixF& b) {
-        support::MatrixF c(a.rows(), b.cols(), 0.0f);
-        if (pool != nullptr && a.rows() > 1) {
-            const auto ranges =
-                support::split_ranges(a.rows(), pool->num_threads());
-            pool->parallel_for(ranges.size(), [&](std::size_t t) {
-                linear_batched_range(a, b, ranges[t].first,
-                                     ranges[t].second, c);
-            });
-        } else {
-            linear_batched_range(a, b, 0, a.rows(), c);
-        }
+        support::MatrixF c(rows, b.cols(), 0.0f);
+        run(row_ranges.size(), [&](std::size_t t) {
+            linear_batched_range(a, b, row_ranges[t].first,
+                                 row_ranges[t].second, c);
+        });
         return c;
     };
+
+    // Ragged rows: row r takes its cache's next position after the
+    // earlier rows sharing that cache.  group_of[r] indexes the
+    // distinct caches in order of first appearance.
+    std::vector<std::size_t> pos(rows);
+    std::vector<std::size_t> group_of(rows);
+    std::vector<quant::KvCache*> group_cache;
+    std::vector<std::size_t> group_next;
+    for (std::size_t r = 0; r < rows; ++r) {
+        const auto it = std::find(group_cache.begin(),
+                                  group_cache.end(), caches[r]);
+        group_of[r] =
+            static_cast<std::size_t>(it - group_cache.begin());
+        if (it == group_cache.end()) {
+            group_cache.push_back(caches[r]);
+            group_next.push_back(caches[r]->length().value());
+        }
+        pos[r] = group_next[group_of[r]]++;
+    }
 
     support::MatrixF x_norm;
     norm(x, w.norm1_gain, w.norm1_bias, x_norm);
 
-    // One batched [B, d] x [d, out] GEMM per projection covers the
-    // whole stack; row r keeps its own q / k / v.  Pooled, the three
-    // projections fan out together as (projection x row-range) tasks.
-    support::MatrixF q(batch, w.wq.cols(), 0.0f);
-    support::MatrixF k(batch, w.wk.cols(), 0.0f);
-    support::MatrixF v(batch, w.wv.cols(), 0.0f);
-    {
-        support::MatrixF* const outs[3] = {&q, &k, &v};
-        const support::MatrixF* const weights[3] = {&w.wq, &w.wk,
-                                                    &w.wv};
-        if (pool != nullptr && batch > 1) {
-            const auto ranges = support::split_ranges(batch, pool->num_threads());
-            pool->parallel_for(3 * ranges.size(), [&](std::size_t t) {
-                const auto& range = ranges[t % ranges.size()];
-                const std::size_t proj = t / ranges.size();
-                linear_batched_range(x_norm, *weights[proj],
-                                     range.first, range.second,
-                                     *outs[proj]);
-            });
-        } else {
-            for (std::size_t proj = 0; proj < 3; ++proj) {
-                linear_batched_range(x_norm, *weights[proj], 0, batch,
-                                     *outs[proj]);
-            }
-        }
+    // One batched GEMM per projection covers every row; pooled, the
+    // three projections fan out together as (projection x row range)
+    // tasks.
+    support::MatrixF q(rows, w.wq.cols(), 0.0f);
+    support::MatrixF k(rows, w.wk.cols(), 0.0f);
+    support::MatrixF v(rows, w.wv.cols(), 0.0f);
+    support::MatrixF* const outs[3] = {&q, &k, &v};
+    const support::MatrixF* const weights[3] = {&w.wq, &w.wk, &w.wv};
+    run(3 * row_ranges.size(), [&](std::size_t t) {
+        const auto& range = row_ranges[t % row_ranges.size()];
+        const std::size_t proj = t / row_ranges.size();
+        linear_batched_range(x_norm, *weights[proj], range.first,
+                             range.second, *outs[proj]);
+    });
+    if (config_.uses_rope()) {
+        for_rows([&](std::size_t r) {
+            rope_rotate_row(q.row_data(r), config_.num_heads, hd,
+                            pos[r]);
+            rope_rotate_row(k.row_data(r), kv_heads, hd, pos[r]);
+        });
     }
-    support::MatrixF attn_out(batch, d, 0.0f);
-    for_row_ranges([&](std::size_t begin, std::size_t end) {
-        for (std::size_t r = begin; r < end; ++r) {
-            if (config_.uses_rope()) {
-                const std::size_t pos = caches[r]->length().value();
-                rope_rotate_row(q.row_data(r), heads, hd, pos);
-                rope_rotate_row(k.row_data(r), kv_heads, hd, pos);
+    // Append every row's K/V before any attention reads, so a row
+    // sees the earlier rows of its own cache.
+    support::MatrixF k_heads(kv_heads, hd);
+    support::MatrixF v_heads(kv_heads, hd);
+    for (std::size_t r = 0; r < rows; ++r) {
+        std::copy_n(k.row_data(r), k_heads.size(),
+                    k_heads.row_data(0));
+        std::copy_n(v.row_data(r), v_heads.size(),
+                    v_heads.row_data(0));
+        caches[r]->append(k_heads, v_heads);
+    }
+
+    // Attention, one task item per (cache, kv head): gather that kv
+    // head's resident sequence once into contiguous [positions, hd]
+    // scratch (KvCache::read_keys / read_values), then each row of
+    // the cache attends its own prefix with the query heads of the
+    // kv head's GQA group.
+    support::MatrixF attn_out(rows, config_.d_model, 0.0f);
+    const Ranges items = split(group_cache.size() * kv_heads);
+    run(items.size(), [&](std::size_t t) {
+        std::vector<float> keys, values, scores;
+        for (std::size_t item = items[t].first;
+             item < items[t].second; ++item) {
+            const std::size_t g = item / kv_heads;
+            const std::size_t kv_h = item % kv_heads;
+            const quant::KvCache& cache = *group_cache[g];
+            const units::Positions length = cache.length();
+            keys.resize(length.value() * hd);
+            values.resize(length.value() * hd);
+            scores.resize(length.value());
+            cache.read_keys(kv_h, units::Positions(0), length,
+                            keys.data());
+            cache.read_values(kv_h, units::Positions(0), length,
+                              values.data());
+            for (std::size_t r = 0; r < rows; ++r) {
+                if (group_of[r] == g) {
+                    attend_heads(q.row_data(r), keys.data(),
+                                 values.data(),
+                                 {scores.data(), pos[r] + 1},
+                                 kv_h * group, group, hd,
+                                 hooks[r]->softmax_exp,
+                                 attn_out.row_data(r));
+                }
             }
-            attend_one(q.row_data(r), k.row_data(r), v.row_data(r),
-                       *caches[r], *hooks[r], attn_out.row_data(r));
         }
     });
     support::MatrixF out = gemm(attn_out, w.wo);
@@ -495,88 +494,32 @@ TransformerModel::decode_layer_batch(
     }
 
     norm(out, w.norm2_gain, w.norm2_bias, x_norm);
-    // FFN: fused batched projections, per-row activation (each row
-    // must feed its own hooks exactly the per-request input stream
-    // the sequential path would -- see apply_activation_span).
+    // FFN: batched projections, per-row activation (each row feeds
+    // its own hooks exactly the input stream a one-row call would --
+    // see apply_activation_span).
     const auto capture = activation_capture(layer_idx);
     const std::size_t ff = config_.d_ff;
-    support::MatrixF f;
-    if (config_.gated_ffn()) {
-        support::MatrixF gate = gemm(x_norm, w.w_gate);
-        const support::MatrixF up = gemm(x_norm, w.w_up);
-        for_row_ranges([&](std::size_t begin, std::size_t end) {
-            for (std::size_t r = begin; r < end; ++r) {
-                float* grow = gate.row_data(r);
-                apply_activation_span(std::span<float>(grow, ff),
-                                      config_.activation(),
-                                      hooks[r]->activation, capture);
-                const float* urow = up.row_data(r);
-                for (std::size_t i = 0; i < ff; ++i) {
-                    grow[i] *= urow[i];
-                }
+    const bool gated = config_.gated_ffn();
+    support::MatrixF hidden = gemm(x_norm, gated ? w.w_gate : w.w_up);
+    const support::MatrixF up =
+        gated ? gemm(x_norm, w.w_up) : support::MatrixF();
+    for_rows([&](std::size_t r) {
+        float* hrow = hidden.row_data(r);
+        apply_activation_span(std::span<float>(hrow, ff),
+                              config_.activation(),
+                              hooks[r]->activation, capture);
+        if (gated) {
+            const float* urow = up.row_data(r);
+            for (std::size_t i = 0; i < ff; ++i) {
+                hrow[i] *= urow[i];
             }
-        });
-        f = gemm(gate, w.w_down);
-    } else {
-        support::MatrixF hidden = gemm(x_norm, w.w_up);
-        for_row_ranges([&](std::size_t begin, std::size_t end) {
-            for (std::size_t r = begin; r < end; ++r) {
-                apply_activation_span(
-                    std::span<float>(hidden.row_data(r), ff),
-                    config_.activation(), hooks[r]->activation,
-                    capture);
-            }
-        });
-        f = gemm(hidden, w.w_down);
-    }
+        }
+    });
+    const support::MatrixF f = gemm(hidden, w.w_down);
     for (std::size_t i = 0; i < out.size(); ++i) {
         out.data()[i] += f.data()[i];
     }
     return out;
-}
-
-DecodeSession::DecodeSession(const TransformerModel& model,
-                             quant::KvPrecision kv_precision)
-    : model_(model)
-{
-    const ModelConfig& config = model.config();
-    caches_.reserve(config.num_layers);
-    for (std::size_t l = 0; l < config.num_layers; ++l) {
-        caches_.emplace_back(config.num_kv_heads, config.head_dim(),
-                             kv_precision);
-    }
-}
-
-std::vector<float>
-DecodeSession::step(int token)
-{
-    const ModelConfig& config = model_.config();
-    support::MatrixF x(1, config.d_model);
-    const std::span<const float> e = model_.embedding(token);
-    std::copy(e.begin(), e.end(), x.row_data(0));
-    for (std::size_t l = 0; l < config.num_layers; ++l) {
-        x = model_.decode_layer(l, x, caches_[l]);
-    }
-    support::MatrixF x_norm;
-    if (config.uses_rmsnorm()) {
-        rmsnorm(x, model_.final_norm_gain(), x_norm);
-    } else {
-        std::vector<float> bias(config.d_model, 0.0f);
-        layernorm(x, model_.final_norm_gain(), bias, x_norm);
-    }
-    const support::MatrixF logits = linear(x_norm, model_.lm_head());
-    ++position_;
-    return logits.data();
-}
-
-std::size_t
-DecodeSession::kv_bytes() const
-{
-    std::size_t total = 0;
-    for (const quant::KvCache& cache : caches_) {
-        total += cache.memory_bytes().value();
-    }
-    return total;
 }
 
 }  // namespace model

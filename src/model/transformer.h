@@ -118,18 +118,10 @@ class TransformerModel {
     LayerWeights& mutable_layer(std::size_t i) { return layers_[i]; }
 
     /**
-     * One decode layer step against a KV cache holding the context.
-     * Exposed for DecodeSession; @p x is the [1, d] layer input.
-     */
-    support::MatrixF decode_layer(std::size_t layer_idx,
-                                  const support::MatrixF& x,
-                                  quant::KvCache& cache) const;
-
-    /**
-     * Same, with the nonlinear hooks supplied by the caller instead
-     * of the model's installed hooks.  This is the serving path
-     * (serve/session.h): each request carries its own per-layer
-     * window tuning, so the shared model stays immutable.
+     * One KV-cached layer step for a single row: decode_layer_batch
+     * over the [1, d] input @p x with one cache and the caller's
+     * hooks (each serving request carries its own per-layer window
+     * tuning, so the shared model stays immutable).
      */
     support::MatrixF decode_layer(std::size_t layer_idx,
                                   const support::MatrixF& x,
@@ -137,31 +129,35 @@ class TransformerModel {
                                   const NonlinearHooks& hooks) const;
 
     /**
-     * Fused batched decode layer: @p x stacks one token per batch
-     * row ([B, d]); each projection (Q/K/V, output, FFN) runs as one
-     * batched GEMM over the whole stack (linear_batched streams each
-     * weight row once per step instead of once per session), while
-     * RoPE, KV append, attention, softmax and the FFN activation run
-     * per row against row i's own cache (@p caches[i]) and nonlinear
-     * hooks (@p hooks[i]).  Weights are read live from the layer, so
-     * mutation between steps (apply_woq, mutable_layer) behaves
-     * exactly as in the sequential path.  Row i's output is
-     * bit-identical to decode_layer(layer_idx, x.row(i), *caches[i],
-     * *hooks[i]) -- the fused-step contract serve::Engine::step
-     * relies on (enforced by tests/serve/engine_test.cc).  Distinct
-     * sessions only: a session stepped twice in one batch must go
-     * through the sequential path so its second token sees the
-     * first.
+     * The KV-cached layer step over ragged rows: row r of @p x
+     * ([rows, d]) is the next token of the context in @p caches[r],
+     * run with @p hooks[r].  Rows that share a cache take its next
+     * positions in row order, wherever they sit, so a prefill chunk
+     * is T rows of one cache and a decode batch one row per cache.
      *
-     * With a non-null @p pool the layer's stages fan out across its
-     * workers -- per-projection row-range tasks for the batched GEMMs,
-     * per-row-range tasks for RoPE + attention and the FFN activation
-     * -- joining at each stage boundary.  Every task writes a disjoint
-     * row range and runs the identical per-cell float-op sequence, so
-     * the pooled result is bit-identical to pool == nullptr (pinned by
-     * tests/concurrency/pooled_step_test.cc).  When a profiling
-     * capture is installed the layer runs serially regardless (the
-     * capture stream is ordered by batch row).
+     * Each projection (Q/K/V, output, FFN) runs as one batched GEMM
+     * over all rows (linear_batched streams each weight row once per
+     * call), reading the layer's weights live, so mutation between
+     * steps (apply_woq, mutable_layer) is seen at once.  RoPE rotates
+     * each row at its own position, fixed before any append.  Every
+     * row's K/V is appended, in row order, before any attention; then
+     * each (cache, kv head) is gathered once into reused scratch and
+     * row r attends its cache's positions up to its own.  Softmax and
+     * the FFN activation run on each row's own span, because a
+     * windowed approximator picks its window per mapping_rows group.
+     * Row r's output is therefore bit-identical to feeding the rows
+     * one at a time through decode_layer
+     * (tests/serve/engine_test.cc).
+     *
+     * With a non-null @p pool the stages fan out across its workers
+     * -- row-range tasks for the GEMMs, RoPE and the activation,
+     * (cache, kv head) tasks for attention -- joining at each stage
+     * boundary; appends stay serial.  Every task writes disjoint
+     * outputs with the serial float-op sequence, so the result is
+     * bit-identical to pool == nullptr
+     * (tests/concurrency/pooled_step_test.cc).  With a profiling
+     * capture installed the layer runs serially, capturing each row's
+     * activation in row order.
      */
     support::MatrixF decode_layer_batch(
         std::size_t layer_idx, const support::MatrixF& x,
@@ -192,21 +188,6 @@ class TransformerModel {
         decode_layer_batch so both paths report identically. */
     std::function<void(std::span<const float>)>
     activation_capture(std::size_t layer_idx) const;
-    /**
-     * One token's cached attention: reshape-and-append the new K/V
-     * row, score the query against the cache, softmax with
-     * @p hooks.softmax_exp, and accumulate the weighted values into
-     * @p out_row (zero-initialized, [d_model]).  Shared by
-     * decode_layer and decode_layer_batch so both paths execute the
-     * identical float-op sequence.  KV reads are batched: each kv
-     * head's resident sequence is gathered into contiguous
-     * [positions, head_dim] scratch once (KvCache::read_keys /
-     * read_values) and reused by every query head of its GQA group,
-     * instead of decoding position-at-a-time per head.
-     */
-    void attend_one(const float* q_row, const float* k_row,
-                    const float* v_row, quant::KvCache& cache,
-                    const NonlinearHooks& hooks, float* out_row) const;
 
     ModelConfig config_;
     std::vector<LayerWeights> layers_;
@@ -217,30 +198,6 @@ class TransformerModel {
     support::MatrixF embedding_;       ///< [vocab, d]
     support::MatrixF lm_head_;         ///< [d, vocab]
     std::vector<float> final_norm_gain_, final_norm_bias_;
-};
-
-/**
- * Autoregressive decode session: maintains one KV cache per layer
- * (optionally KVQ-quantized) and produces logits token by token.
- */
-class DecodeSession {
-  public:
-    DecodeSession(const TransformerModel& model,
-                  quant::KvPrecision kv_precision);
-
-    /** Consume @p token, return logits for the next token. */
-    std::vector<float> step(int token);
-
-    /** Context length so far. */
-    std::size_t position() const { return position_; }
-
-    /** Total KV-cache footprint across layers, in bytes. */
-    std::size_t kv_bytes() const;
-
-  private:
-    const TransformerModel& model_;
-    std::vector<quant::KvCache> caches_;
-    std::size_t position_ = 0;
 };
 
 }  // namespace model

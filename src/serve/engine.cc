@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <numeric>
 #include <unordered_map>
 
 #include "model/ops.h"
@@ -30,46 +31,48 @@ gemm_charge(std::size_t n, std::size_t k, std::size_t b,
 }
 
 /**
- * Charge of decoding @p batch tokens' projections (all layers + LM
- * head).  @p fused runs each projection as one GEMM over the whole
- * batch -- the activations share the array's column tiles, so
- * cycles/sweeps amortize to ceil(batch / W) -- while the sequential
- * path pays each token's single-column GEMMs separately.
- * Subscriptions (the MAC-equivalent count) are identical either way.
+ * Charge of one ragged forward pass: every layer's projections as
+ * GEMMs over all @p rows -- the rows share the array's column tiles,
+ * so cycles/sweeps amortize to ceil(rows / W) -- plus the LM head
+ * over the @p head_rows consumed rows.
  */
 vlp::GemmStats
 projection_charge(const model::ModelConfig& config,
-                  const sim::DesignConfig& design, std::size_t batch,
-                  bool fused)
+                  const sim::DesignConfig& design, std::size_t rows,
+                  std::size_t head_rows)
 {
     const std::size_t d = config.d_model;
     const std::size_t kv = config.num_kv_heads * config.head_dim();
     const std::size_t ff = config.d_ff;
-    const std::size_t per_gemm_b = fused ? batch : 1;
-    const std::size_t repeats = fused ? 1 : batch;
 
     vlp::GemmStats layer;
-    layer += gemm_charge(d, d, per_gemm_b, design);   // wq
-    layer += gemm_charge(kv, d, per_gemm_b, design);  // wk
-    layer += gemm_charge(kv, d, per_gemm_b, design);  // wv
-    layer += gemm_charge(d, d, per_gemm_b, design);   // wo
+    layer += gemm_charge(d, d, rows, design);   // wq
+    layer += gemm_charge(kv, d, rows, design);  // wk
+    layer += gemm_charge(kv, d, rows, design);  // wv
+    layer += gemm_charge(d, d, rows, design);   // wo
     if (config.gated_ffn()) {
-        layer += gemm_charge(ff, d, per_gemm_b, design);  // gate
+        layer += gemm_charge(ff, d, rows, design);  // gate
     }
-    layer += gemm_charge(ff, d, per_gemm_b, design);  // up
-    layer += gemm_charge(d, ff, per_gemm_b, design);  // down
+    layer += gemm_charge(ff, d, rows, design);  // up
+    layer += gemm_charge(d, ff, rows, design);  // down
 
-    vlp::GemmStats step;
-    for (std::size_t l = 0; l < config.num_layers; ++l) {
-        step += layer;
-    }
-    step += gemm_charge(config.vocab, d, per_gemm_b, design);
     vlp::GemmStats total;
-    for (std::size_t r = 0; r < repeats; ++r) {
-        total += step;
+    for (std::size_t l = 0; l < config.num_layers; ++l) {
+        total += layer;
     }
+    total += gemm_charge(config.vocab, d, head_rows, design);
     return total;
 }
+
+/**
+ * Rows per pass through the layers.  A step may carry several
+ * 32-token chunks; passing them in blocks keeps each GEMM's output
+ * rows cache-resident and the step's activations small (a block's
+ * [rows, d_ff] FFN matrix is 87 KB on the perfbench model, where a
+ * 130-row pass raised peak RSS by a fifth).  32 ran fastest of 8-64
+ * rows there, on a shared 4-core Xeon.
+ */
+constexpr std::size_t kRowBlock = 32;
 
 }  // namespace
 
@@ -151,22 +154,68 @@ Engine::create_session(const SessionOptions& options) const
 }
 
 support::MatrixF
-Engine::final_norm_logits(const support::MatrixF& x,
-                          support::ThreadPool* pool) const
+Engine::forward_rows(const StepPlan& plan,
+                     support::ThreadPool* pool) const
 {
+    assert(model_ && "token stepping needs a functional model");
     const model::ModelConfig& config = *model_config_;
+    const std::size_t d = config.d_model;
+    // Rows in plan order: decode entries, then every chunk token.
+    // consumed lists the rows whose logits the caller reads.
+    std::vector<Session*> row_sessions = plan.decode_sessions;
+    std::vector<int> row_tokens = plan.decode_tokens;
+    std::vector<std::size_t> consumed(row_tokens.size());
+    std::iota(consumed.begin(), consumed.end(), std::size_t{0});
+    for (const StepPlan::PrefillEntry& entry : plan.prefills) {
+        assert(!entry.tokens.empty() &&
+               "functional prefill chunks carry their tokens");
+        row_sessions.insert(row_sessions.end(), entry.tokens.size(),
+                            entry.session);
+        row_tokens.insert(row_tokens.end(), entry.tokens.begin(),
+                          entry.tokens.end());
+        consumed.push_back(row_tokens.size() - 1);
+    }
+    const std::size_t rows = row_tokens.size();
+
+    // Blocks of rows run through the layers in row order.  A row's
+    // computation depends on other rows only through its cache, which
+    // earlier blocks have already extended, so the blocking changes
+    // no byte.
+    support::MatrixF last(consumed.size(), d);
+    std::size_t next = 0;
+    for (std::size_t begin = 0; begin < rows; begin += kRowBlock) {
+        const std::size_t n = std::min(kRowBlock, rows - begin);
+        support::MatrixF x(n, d);
+        std::vector<quant::KvCache*> caches(n);
+        std::vector<const model::NonlinearHooks*> hooks(n);
+        for (std::size_t r = 0; r < n; ++r) {
+            const std::span<const float> e =
+                model_->embedding(row_tokens[begin + r]);
+            std::copy(e.begin(), e.end(), x.row_data(r));
+        }
+        for (std::size_t l = 0; l < config.num_layers; ++l) {
+            for (std::size_t r = 0; r < n; ++r) {
+                caches[r] = &row_sessions[begin + r]->caches_[l];
+                hooks[r] = &row_sessions[begin + r]->hooks_for(l);
+            }
+            x = model_->decode_layer_batch(l, x, caches, hooks, pool);
+        }
+        for (; next < consumed.size() && consumed[next] < begin + n;
+             ++next) {
+            std::copy_n(x.row_data(consumed[next] - begin), d,
+                        last.row_data(next));
+        }
+    }
     support::MatrixF x_norm;
     if (config.uses_rmsnorm()) {
-        model::rmsnorm(x, model_->final_norm_gain(), x_norm);
+        model::rmsnorm(last, model_->final_norm_gain(), x_norm);
     } else {
-        std::vector<float> bias(config.d_model, 0.0f);
-        model::layernorm(x, model_->final_norm_gain(), bias, x_norm);
+        const std::vector<float> bias(d, 0.0f);
+        model::layernorm(last, model_->final_norm_gain(), bias,
+                         x_norm);
     }
-    // linear and linear_batched are bit-identical; the batched form
-    // streams the LM head once for the whole stack.  Pooled, the
-    // stack's rows split into disjoint ranges with the identical
-    // per-cell accumulation (linear_batched_range), so the bytes
-    // match the serial GEMM.
+    // Pooled, the rows split into disjoint ranges with the identical
+    // per-cell accumulation (linear_batched_range).
     const support::MatrixF& lm_head = model_->lm_head();
     support::MatrixF logits(x_norm.rows(), lm_head.cols(), 0.0f);
     if (pool != nullptr && x_norm.rows() > 1) {
@@ -184,64 +233,6 @@ Engine::final_norm_logits(const support::MatrixF& x,
     return logits;
 }
 
-std::vector<float>
-Engine::decode_token(Session& session, int token) const
-{
-    assert(model_ && "functional decode needs a loaded model");
-    const model::ModelConfig& config = *model_config_;
-    support::MatrixF x(1, config.d_model);
-    const std::span<const float> e = model_->embedding(token);
-    std::copy(e.begin(), e.end(), x.row_data(0));
-    for (std::size_t l = 0; l < config.num_layers; ++l) {
-        x = model_->decode_layer(l, x, session.caches_[l],
-                                 session.hooks_for(l));
-    }
-    return final_norm_logits(x).data();
-}
-
-void
-Engine::step_decode_fused(const StepPlan& plan, StepResult& result,
-                          support::ThreadPool* pool) const
-{
-    assert(model_);
-    const model::ModelConfig& config = *model_config_;
-    const std::size_t batch = plan.decode_sessions.size();
-
-    // Stack the batch's token embeddings into one activation matrix.
-    support::MatrixF x(batch, config.d_model);
-    for (std::size_t i = 0; i < batch; ++i) {
-        const std::span<const float> e =
-            model_->embedding(plan.decode_tokens[i]);
-        std::copy(e.begin(), e.end(), x.row_data(i));
-    }
-    std::vector<quant::KvCache*> caches(batch);
-    std::vector<const model::NonlinearHooks*> hooks(batch);
-    for (std::size_t l = 0; l < config.num_layers; ++l) {
-        for (std::size_t i = 0; i < batch; ++i) {
-            Session& session = *plan.decode_sessions[i];
-            caches[i] = &session.caches_[l];
-            hooks[i] = &session.hooks_for(l);
-        }
-        x = model_->decode_layer_batch(l, x, caches, hooks, pool);
-    }
-    const support::MatrixF logits = final_norm_logits(x, pool);
-
-    for (std::size_t i = 0; i < batch; ++i) {
-        Session& session = *plan.decode_sessions[i];
-        StepResult::SessionOutput out;
-        out.session_id = session.id();
-        const float* row = logits.row_data(i);
-        out.logits.assign(row, row + logits.cols());
-        out.next_token = static_cast<int>(std::distance(
-            out.logits.begin(),
-            std::max_element(out.logits.begin(), out.logits.end())));
-        session.position_ += 1;
-        session.tokens_generated_ += 1;
-        out.position = units::Positions(session.position_);
-        result.outputs.push_back(std::move(out));
-    }
-}
-
 StepResult
 Engine::step(std::span<Session* const> sessions,
              std::span<const int> tokens) const
@@ -257,10 +248,9 @@ StepResult
 Engine::step(const StepPlan& plan) const
 {
     assert(model_config_.has_value());
-    assert(plan.decode_tokens.empty() ||
-           plan.decode_tokens.size() == plan.decode_sessions.size());
-    assert((plan.decode_tokens.empty() || model_) &&
-           "token stepping needs a functional model");
+    assert(plan.decode_tokens.size() ==
+               (model_ ? plan.decode_sessions.size() : 0) &&
+           "functional engines step tokens, analytic ones positions");
     if (plan.empty()) {
         // A drained continuous batch: nothing ran, so return a zeroed
         // report instead of evaluating a 0-token workload (whose
@@ -278,32 +268,29 @@ Engine::step(const StepPlan& plan) const
     std::vector<std::size_t> contexts;
     contexts.reserve(D);
     std::unordered_map<const Session*, std::size_t> occurrences;
-    bool duplicate_sessions = false;
-    for (std::size_t i = 0; i < D; ++i) {
-        const std::size_t seen = occurrences[plan.decode_sessions[i]]++;
-        duplicate_sessions |= seen > 0;
-        contexts.push_back(
-            plan.decode_sessions[i]->position().value() + 1 + seen);
+    for (Session* session : plan.decode_sessions) {
+        contexts.push_back(session->position().value() + 1 +
+                           occurrences[session]++);
     }
     std::vector<model::PrefillChunk> chunks;
     chunks.reserve(plan.prefills.size());
+    std::size_t rows = D;
     for (const StepPlan::PrefillEntry& entry : plan.prefills) {
         chunks.push_back(
             {entry.session->position().value(), entry.size().value()});
+        rows += entry.size().value();
     }
     const model::Workload workload = model::build_mixed_step_workload(
         *model_config_, contexts, chunks);
 
     StepResult result;
     result.report = evaluate(workload);
-    result.outputs.reserve(D);
-    const bool functional_decode = !plan.decode_tokens.empty();
 
     // Pooled execution: hold the shared worker pool for the whole
     // functional region and meter its busy/task counters around it.
     // The pool only decides *when* disjoint-output tasks run, never
-    // what they compute, so every pooled path below is bit-identical
-    // to plan.threads == 0.
+    // what they compute, so the pooled pass is bit-identical to
+    // plan.threads == 0.
     std::shared_ptr<support::ThreadPool> pool;
     if (plan.threads > 0 && model_ != nullptr) {
         pool = worker_pool(plan.threads);
@@ -312,88 +299,37 @@ Engine::step(const StepPlan& plan) const
     const std::uint64_t busy_start = pool ? pool->busy_ns() : 0;
     const std::uint64_t tasks_start = pool ? pool->tasks_completed() : 0;
 
-    // Fused batched decode: one projection GEMM per layer over the
-    // stacked batch, bit-identical to per-session stepping.  A
-    // duplicated session is a data dependency (its second token must
-    // attend the first), so such batches take the sequential path --
-    // as does a batch of one, which has nothing to fuse (the charges
-    // agree exactly there, so the paths are indistinguishable).
-    if (functional_decode && plan.fused_decode && !duplicate_sessions &&
-        D > 1) {
-        step_decode_fused(plan, result, pool.get());
-        result.gemm +=
-            projection_charge(*model_config_, design_, D, true);
-    } else {
-        for (std::size_t i = 0; i < D; ++i) {
-            Session& session = *plan.decode_sessions[i];
-            StepResult::SessionOutput out;
-            out.session_id = session.id();
-            if (functional_decode) {
-                out.logits =
-                    decode_token(session, plan.decode_tokens[i]);
-                out.next_token = static_cast<int>(std::distance(
-                    out.logits.begin(),
-                    std::max_element(out.logits.begin(),
-                                     out.logits.end())));
-            }
-            session.position_ += 1;
-            session.tokens_generated_ += 1;
-            out.position = units::Positions(session.position_);
-            result.outputs.push_back(std::move(out));
-        }
-        if (functional_decode) {
-            result.gemm +=
-                projection_charge(*model_config_, design_, D, false);
-        }
+    support::MatrixF logits;
+    if (model_) {
+        logits = forward_rows(plan, pool.get());
+        result.gemm = projection_charge(*model_config_, design_, rows,
+                                        logits.rows());
     }
-    const std::size_t P = plan.prefills.size();
-    result.prefill_outputs.reserve(P);
-    // Per-chunk prefill tasks: each chunk streams its own session's
-    // tokens, so chunks over pairwise-distinct sessions that also
-    // don't appear among the decode entries are independent and fan
-    // out across the pool (outputs and charges are still assembled in
-    // plan order below, and each chunk runs the identical serial
-    // token loop -- bit-identical to the serial plan walk).
-    bool parallel_prefill = pool != nullptr && P > 1;
-    if (parallel_prefill) {
-        std::unordered_map<const Session*, std::size_t> prefill_seen;
-        for (const StepPlan::PrefillEntry& entry : plan.prefills) {
-            parallel_prefill &= !entry.tokens.empty();
-            parallel_prefill &= prefill_seen[entry.session]++ == 0;
-            parallel_prefill &=
-                occurrences.find(entry.session) == occurrences.end();
-        }
-    }
-    std::vector<std::vector<float>> chunk_logits(P);
-    if (parallel_prefill) {
-        pool->parallel_for(P, [&](std::size_t i) {
-            const StepPlan::PrefillEntry& entry = plan.prefills[i];
-            chunk_logits[i] =
-                prefill_chunk(*entry.session, entry.tokens);
-        });
-    }
-    for (std::size_t i = 0; i < P; ++i) {
-        const StepPlan::PrefillEntry& entry = plan.prefills[i];
-        Session& session = *entry.session;
+    // Outputs in plan order: logits row i is decode entry i, row
+    // D + j the last token of chunk j.
+    const auto output = [&](Session& session, std::size_t row) {
         StepResult::SessionOutput out;
         out.session_id = session.id();
-        if (!entry.tokens.empty()) {
-            out.logits = parallel_prefill
-                             ? std::move(chunk_logits[i])
-                             : prefill_chunk(session, entry.tokens);
-            out.next_token = static_cast<int>(std::distance(
-                out.logits.begin(),
-                std::max_element(out.logits.begin(),
-                                 out.logits.end())));
-            // Prefill decodes token by token: sequential charges.
-            result.gemm += projection_charge(*model_config_, design_,
-                                             entry.tokens.size(),
-                                             false);
-        } else {
-            advance_context(session, entry.analytic_tokens);
-        }
         out.position = units::Positions(session.position_);
-        result.prefill_outputs.push_back(std::move(out));
+        if (model_) {
+            const float* begin = logits.row_data(row);
+            const float* end = begin + logits.cols();
+            out.logits.assign(begin, end);
+            out.next_token = static_cast<int>(
+                std::max_element(begin, end) - begin);
+        }
+        return out;
+    };
+    for (std::size_t i = 0; i < D; ++i) {
+        Session& session = *plan.decode_sessions[i];
+        session.position_ += 1;
+        session.tokens_generated_ += 1;
+        result.outputs.push_back(output(session, i));
+    }
+    for (std::size_t j = 0; j < plan.prefills.size(); ++j) {
+        Session& session = *plan.prefills[j].session;
+        session.position_ += plan.prefills[j].size().value();
+        result.prefill_outputs.push_back(output(session, D + j));
     }
 
     if (pool) {
@@ -446,12 +382,14 @@ Engine::prefill_chunk(Session& session,
                       std::span<const int> tokens) const
 {
     assert(model_ && "chunked prefill needs a functional model");
-    std::vector<float> logits;
-    for (const int token : tokens) {
-        logits = decode_token(session, token);
-        session.position_ += 1;
+    if (tokens.empty()) {
+        return {};
     }
-    return logits;
+    StepPlan plan;
+    plan.prefills.push_back({&session, tokens});
+    const support::MatrixF logits = forward_rows(plan, nullptr);
+    session.position_ += tokens.size();
+    return logits.data();
 }
 
 void

@@ -17,10 +17,10 @@
  * a batch of heterogeneous sessions (different context lengths, KV
  * precisions, per-layer window tunings), builds a single mixed
  * Workload, runs the performance / cost / carbon / event-sim models
- * once, and -- when a functional model is loaded -- produces each
- * session's next-token logits through exactly the same numerical
- * path a standalone decode would take, so batched serving reproduces
- * single-request numerics bit-for-bit.
+ * once, and -- when a functional model is loaded -- runs every decode
+ * token and prefill-chunk token as one row of a single ragged forward
+ * pass (TransformerModel::decode_layer_batch), which reproduces
+ * single-request, token-by-token numerics bit-for-bit.
  *
  * Thread-safety: every member function is const and safe to call
  * concurrently, provided no Session appears in two concurrent step()
@@ -92,14 +92,14 @@ struct StepResult {
     SystemReport report;
     /**
      * Simulated Mugi-array charge of this step's *functional*
-     * projection GEMMs (QKV / output / FFN / LM head for every
-     * decoded or prefilled token), per the VLP cycle model
-     * (vlp::vlp_gemm_mugi_cycles).  The fused batched decode path
-     * runs each projection as one GEMM over the whole batch, so its
-     * column tiles -- and therefore cycles and sweeps -- amortize
-     * across the batch (ceil(B/W) instead of B tiles), while
-     * subscriptions (the MAC-equivalent count) are identical to the
-     * sequential charge.  Zero for analytic-only steps.
+     * projection GEMMs, per the VLP cycle model
+     * (vlp::vlp_gemm_mugi_cycles).  Each layer's QKV / output / FFN
+     * projection is one GEMM over all of the step's rows (decode
+     * tokens and prefill-chunk tokens alike), so its column tiles --
+     * and therefore cycles and sweeps -- amortize across the rows
+     * (ceil(R/W) instead of R tiles); the LM head runs only on the
+     * rows whose logits are consumed (one per decode entry, one per
+     * chunk).  Zero for analytic-only steps.
      */
     vlp::GemmStats gemm;
 
@@ -157,28 +157,14 @@ struct StepPlan {
     std::vector<PrefillEntry> prefills;
 
     /**
-     * Run the batch's functional decode through the fused path: the
-     * batch's embeddings stack into one [batch, d_model] activation
-     * matrix and each layer's QKV / output / FFN projections run as
-     * one batched GEMM (model::TransformerModel::decode_layer_batch),
-     * with per-session attention over each session's own KV cache.
-     * Bit-identical to the sequential path; StepResult::gemm charges
-     * the amortized fused cycle counts.  A batch listing the same
-     * session twice falls back to the sequential path (occurrence
-     * ordering is a data dependency the fused stack cannot honor),
-     * as does a batch of one (nothing to fuse; identical charge).
-     */
-    bool fused_decode = true;
-
-    /**
      * Worker threads to fan the step's functional work across
-     * (0 = serial, the pinned fallback).  Pooled execution partitions
-     * fused decode into per-projection row-range tasks and prefill
-     * into per-chunk tasks, joining at the existing layer barriers;
-     * every partition writes disjoint outputs and runs the identical
-     * float-op sequence, so results are bit-identical to threads == 0
-     * (pinned by tests/concurrency/pooled_step_test.cc).  Analytic
-     * engines ignore this field.
+     * (0 = serial).  Pooled execution splits each layer's stages of
+     * the ragged forward pass into row-range and (cache, kv head)
+     * tasks, joining at the layer's stage barriers; every task writes
+     * disjoint outputs with the identical float-op sequence, so
+     * results are bit-identical to threads == 0 (pinned by
+     * tests/concurrency/pooled_step_test.cc).  Analytic engines
+     * ignore this field.
      */
     std::size_t threads = 0;
 
@@ -242,11 +228,13 @@ class Engine {
     /**
      * One mixed serving iteration: every decode step and prefill
      * chunk in @p plan shares a single build_mixed_step_workload
-     * evaluation, and functional decode/prefill runs the exact
-     * single-request numerical path.  A session may appear more than
-     * once among the decode entries; occurrences behave as that many
-     * sequential steps (positions and modeled contexts advance per
-     * occurrence).
+     * evaluation, and a functional engine runs them all as one ragged
+     * forward pass, rows in plan order (decode entries, then each
+     * chunk's tokens), bit-identical to feeding the tokens one at a
+     * time.  A session may appear more than once; its rows take
+     * consecutive positions in that order, so occurrences behave as
+     * that many sequential steps (positions and modeled contexts
+     * advance per occurrence).
      */
     StepResult step(const StepPlan& plan) const;
 
@@ -259,11 +247,11 @@ class Engine {
 
     /**
      * Chunk-bounded prefill entry point (functional engines): feed
-     * one chunk of a prompt and return the logits after its last
-     * token.  Feeding a prompt chunk by chunk is bit-identical to one
-     * prefill() call -- both take the token-by-token decode path --
-     * which is the invariant that lets serve::Scheduler interleave
-     * prefill chunks with decode batches.
+     * one chunk of a prompt as rows of one forward pass and return
+     * the logits after its last token.  Feeding a prompt chunk by
+     * chunk is bit-identical to one prefill() call, and to feeding it
+     * token by token -- the invariant that lets serve::Scheduler
+     * interleave prefill chunks with decode batches.
      */
     std::vector<float> prefill_chunk(Session& session,
                                      std::span<const int> tokens) const;
@@ -329,13 +317,17 @@ class Engine {
     model::NonlinearHooks default_hooks() const;
 
   private:
-    std::vector<float> decode_token(Session& session, int token) const;
-    /** Fused batched decode of @p plan's distinct decode sessions. */
-    void step_decode_fused(const StepPlan& plan, StepResult& result,
-                           support::ThreadPool* pool) const;
-    support::MatrixF final_norm_logits(const support::MatrixF& x,
-                                       support::ThreadPool* pool =
-                                           nullptr) const;
+    /**
+     * The functional forward pass of @p plan: one row per decode
+     * entry, then one per prefill-chunk token, run through every
+     * layer as ragged rows in blocks of up to 32 (appending to the
+     * sessions' KV caches), then the final norm and LM head on the
+     * consumed rows only.  Returns their logits, [decode entries +
+     * chunks, vocab], in plan order.  Positions are the caller's to
+     * advance.
+     */
+    support::MatrixF forward_rows(const StepPlan& plan,
+                                  support::ThreadPool* pool) const;
     /**
      * The shared worker pool sized to @p threads, built lazily and
      * rebuilt when a plan asks for a different size.  Callers hold

@@ -97,6 +97,13 @@ class Session {
     void adopt_kv_prefix(const Session& donor,
                          units::Positions positions);
 
+    /** Layer @p layer's KV cache (functional sessions). */
+    const quant::KvCache&
+    kv_cache(std::size_t layer) const
+    {
+        return caches_[layer];
+    }
+
     /** KV blocks (summed over layers) shared with another session. */
     units::Blocks shared_kv_blocks() const;
 

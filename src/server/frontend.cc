@@ -1,12 +1,16 @@
 #include "server/frontend.h"
 
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <random>
+#include <system_error>
 #include <utility>
 
 #include "server/json.h"
+#include "support/fault.h"
 
 namespace mugi {
 namespace server {
@@ -106,6 +110,7 @@ Frontend::run()
     for (;;) {
         const int fd = listener_.accept_fd(100);
         std::vector<std::thread> exited;
+        int unserved = -1;
         {
             support::MutexLock lock(mu_);
             if (stopping_) {
@@ -115,11 +120,24 @@ Frontend::run()
                 return;
             }
             if (fd >= 0) {
-                workers_.emplace_back([this, fd] {
-                    handle(fd);
-                    support::MutexLock done(mu_);
-                    finished_.push_back(std::this_thread::get_id());
-                });
+                // A thread that cannot start (EAGAIN at the process's
+                // thread or memory limit) costs this connection, not
+                // the server: emplace_back leaves workers_ unchanged.
+                try {
+                    if (MUGI_FAULT_POINT("frontend.spawn")) {
+                        throw std::system_error(
+                            std::make_error_code(std::errc::
+                                resource_unavailable_try_again));
+                    }
+                    workers_.emplace_back([this, fd] {
+                        handle(fd);
+                        support::MutexLock done(mu_);
+                        finished_.push_back(
+                            std::this_thread::get_id());
+                    });
+                } catch (const std::system_error&) {
+                    unserved = fd;
+                }
             }
             // Reap: a worker that has marked itself finished is
             // past its last use of the frontend and about to exit.
@@ -136,6 +154,23 @@ Frontend::run()
         }
         for (std::thread& worker : exited) {
             worker.join();
+        }
+        if (unserved >= 0) {
+            // Answer from this thread.  The FIN follows the reply and
+            // input that already arrived is discarded without
+            // blocking, so the close does not reset the connection
+            // before the client has read the 503.
+            Connection connection(unserved);
+            connection.set_write_timeout(write_timeout_s_);
+            connection.write_response(
+                503, "application/json",
+                "{\"error\":\"no connection thread\"}",
+                {{"Retry-After", "1"}});
+            ::shutdown(unserved, SHUT_WR);
+            char discard[4096];
+            while (::recv(unserved, discard, sizeof(discard),
+                          MSG_DONTWAIT) > 0) {
+            }
         }
     }
 }

@@ -92,6 +92,8 @@ class Frontend {
      * thread).  Each connection gets its own worker thread, which
      * the loop joins soon after its connection closes, so threads
      * and their stacks stay bounded by the connections open at once.
+     * A connection whose thread cannot start gets 503 with
+     * Retry-After: 1 and is closed; the loop keeps accepting.
      */
     void run();
 

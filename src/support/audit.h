@@ -40,6 +40,18 @@
 namespace mugi {
 namespace support {
 
+/**
+ * Whether assert() is compiled in (no NDEBUG).  Tests branch on this
+ * at run time instead of `#ifdef NDEBUG`, so every test body compiles
+ * in both build types (tools/lint.py rejects NDEBUG conditionals
+ * under tests/).
+ */
+#ifdef NDEBUG
+inline constexpr bool kAssertsEnabled = false;
+#else
+inline constexpr bool kAssertsEnabled = true;
+#endif
+
 /** Report a failed invariant audit and abort. */
 [[noreturn]] inline void
 audit_failure(const char* where, const std::string& violation)

@@ -66,18 +66,19 @@ TEST(InvariantAuditor, CorruptedRefcountIsReported)
     EXPECT_EQ(pool.check_invariants(), "");
 }
 
-#if !defined(NDEBUG)
 TEST(InvariantAuditorDeathTest, CorruptedPoolAuditAborts)
 {
     // Debug builds: the abort-on-drift entry point (the one the
     // scheduler's automatic per-step audit uses) must die loudly.
+    if (!support::kAssertsEnabled) {
+        GTEST_SKIP() << "assert-enabled builds only";
+    }
     quant::BlockPool pool;
     const quant::BlockId block = pool.allocate(units::Bytes(64));
     pool.corrupt_refs_for_test(block, 5);
     EXPECT_DEATH_IF_SUPPORTED(pool.audit("test"),
                               "invariant audit failed");
 }
-#endif
 
 TEST(InvariantAuditor, AnalyticSchedulerStepsAuditClean)
 {

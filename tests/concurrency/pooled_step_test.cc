@@ -1,15 +1,15 @@
 /**
  * @file
  * Bit-identity of the pooled Engine::step (StepPlan::threads > 0)
- * against the pinned serial fallback (threads == 0): mixed
- * prefill-and-decode plans, mixed KV precisions (INT4 + float),
- * ragged contexts, fused and sequential decode, across 1/2/4-worker
- * pools -- every logit and token must match the serial run exactly,
- * since pooled partitioning only reorders *when* disjoint outputs are
- * computed, never what is computed (thread_pool.h's determinism
- * contract).  Run under TSan in CI: the per-projection row-range
- * tasks, per-chunk prefill tasks and the shared worker pool are
- * exactly the interleavings the sanitizer should see.
+ * against the serial pass (threads == 0): mixed prefill-and-decode
+ * plans, mixed KV precisions (INT4 + float), ragged contexts, and a
+ * single-session 32-token chunk, across 1/2/4-worker pools -- every
+ * logit and token must match the serial run exactly, since pooled
+ * partitioning only reorders *when* disjoint outputs are computed,
+ * never what is computed (thread_pool.h's determinism contract).
+ * Run under TSan in CI: the row-range and (cache, kv head) tasks and
+ * the shared worker pool are exactly the interleavings the sanitizer
+ * should see.
  */
 
 #include "serve/engine.h"
@@ -36,7 +36,9 @@ struct PlanOutputs {
 /**
  * Run @p steps mixed iterations at @p threads: 4 decode lanes with
  * alternating KV precision and ragged prompts, plus 2 prefill chunks
- * per iteration feeding two more sessions chunk by chunk.
+ * per iteration feeding two more sessions chunk by chunk; then one
+ * plan holding a single session's 32-token chunk, whose rows share
+ * one cache (one attention task per kv head).
  */
 PlanOutputs
 run_mixed(const Engine& engine, const model::ModelConfig& config,
@@ -80,9 +82,6 @@ run_mixed(const Engine& engine, const model::ModelConfig& config,
     for (std::size_t step = 0; step < steps; ++step) {
         StepPlan plan;
         plan.threads = threads;
-        // Alternate fused and sequential decode so both paths see
-        // the pool.
-        plan.fused_decode = step % 2 == 0;
         for (std::size_t i = 0; i < kDecode; ++i) {
             plan.decode_sessions.push_back(&decoders[i]);
             plan.decode_tokens.push_back(feed[i]);
@@ -106,6 +105,18 @@ run_mixed(const Engine& engine, const model::ModelConfig& config,
             out.logits.push_back(o.logits);
         }
     }
+
+    SessionOptions options;
+    options.kv_pool = pool;
+    Session single = engine.create_session(options);
+    const std::vector<int> chunk =
+        model::synthetic_tokens(32, config.vocab, 90);
+    StepPlan plan;
+    plan.threads = threads;
+    plan.prefills.push_back({&single, chunk});
+    const StepResult r = engine.step(plan);
+    out.tokens.push_back(r.prefill_outputs[0].next_token);
+    out.logits.push_back(r.prefill_outputs[0].logits);
     return out;
 }
 

@@ -125,9 +125,11 @@ TEST(Integration, WoqKvqVlpComposeWithoutCollapse)
     // clean FP model's next-token ranking on a short horizon.
     const model::ModelConfig config =
         model::llama2_70b().scaled_for_eval(2, 32, 64);
-    model::TransformerModel clean(config, 907);
-    model::TransformerModel lossy(config, 907);
-    lossy.apply_woq(16);
+    auto clean =
+        std::make_shared<model::TransformerModel>(config, 907);
+    auto lossy =
+        std::make_shared<model::TransformerModel>(config, 907);
+    lossy->apply_woq(16);
     const auto vlp_exp =
         vlp::make_vlp(nonlinear::NonlinearOp::kExp, 8, 4);
     vlp::VlpConfig silu_cfg;
@@ -138,17 +140,24 @@ TEST(Integration, WoqKvqVlpComposeWithoutCollapse)
     model::NonlinearHooks hooks;
     hooks.softmax_exp = vlp_exp.get();
     hooks.activation = &vlp_silu;
-    lossy.set_hooks(hooks);
 
-    model::DecodeSession clean_session(clean,
-                                       quant::KvPrecision::kFloat);
-    model::DecodeSession lossy_session(lossy,
-                                       quant::KvPrecision::kInt4);
+    // Clean: float KV, exact nonlinearities.  Lossy: INT4 KV, VLP.
+    const serve::Engine clean_engine(sim::make_mugi(64), clean);
+    const serve::Engine lossy_engine(sim::make_mugi(64), lossy);
+    serve::SessionOptions float_kv;
+    float_kv.kv_precision = quant::KvPrecision::kFloat;
+    serve::Session clean_session =
+        clean_engine.create_session(float_kv);
+    clean_session.set_hooks(model::NonlinearHooks{});
+    serve::Session lossy_session = lossy_engine.create_session();
+    lossy_session.set_hooks(hooks);
     const auto tokens = model::synthetic_tokens(10, config.vocab, 911);
     double cosine_sum = 0.0;
     for (const int t : tokens) {
-        const auto lc = clean_session.step(t);
-        const auto ll = lossy_session.step(t);
+        const auto lc =
+            clean_engine.step(clean_session, t).outputs[0].logits;
+        const auto ll =
+            lossy_engine.step(lossy_session, t).outputs[0].logits;
         double dot = 0.0, nc = 0.0, nl = 0.0;
         for (std::size_t v = 0; v < lc.size(); ++v) {
             dot += lc[v] * ll[v];

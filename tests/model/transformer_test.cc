@@ -8,6 +8,7 @@
 
 #include "model/accuracy.h"
 #include "model/profiler.h"
+#include "serve/engine.h"
 #include "support/rng.h"
 #include "vlp/vlp_approximator.h"
 
@@ -98,18 +99,34 @@ TEST(Transformer, BidirectionalFamilySeesFuture)
     EXPECT_TRUE(first_position_differs);
 }
 
+/** A serving session with @p precision KV and exact hooks. */
+serve::Session
+exact_session(const serve::Engine& engine,
+              quant::KvPrecision precision)
+{
+    serve::SessionOptions options;
+    options.kv_precision = precision;
+    serve::Session session = engine.create_session(options);
+    session.set_hooks(NonlinearHooks{});
+    return session;
+}
+
 TEST(Transformer, DecodeMatchesFullForward)
 {
     // Incremental KV-cached decode must reproduce the full forward
     // pass logits at every position (float cache).
     const ModelConfig config = tiny_llama();
-    const TransformerModel model(config, 23);
+    const auto model =
+        std::make_shared<const TransformerModel>(config, 23);
     const std::vector<int> tokens = {4, 8, 15, 16, 23};
-    const support::MatrixF full = model.forward_tokens(tokens);
+    const support::MatrixF full = model->forward_tokens(tokens);
 
-    DecodeSession session(model, quant::KvPrecision::kFloat);
+    const serve::Engine engine(sim::make_mugi(64), model);
+    serve::Session session =
+        exact_session(engine, quant::KvPrecision::kFloat);
     for (std::size_t t = 0; t < tokens.size(); ++t) {
-        const std::vector<float> logits = session.step(tokens[t]);
+        const std::vector<float> logits =
+            engine.step(session, tokens[t]).outputs[0].logits;
         ASSERT_EQ(logits.size(), config.vocab);
         for (std::size_t v = 0; v < config.vocab; ++v) {
             EXPECT_NEAR(logits[v], full.at(t, v), 2e-3f)
@@ -127,6 +144,7 @@ TEST(Transformer, BatchedDecodeLayerMatchesSequentialPerRow)
     for (const ModelConfig& config : {tiny_llama(), tiny_whisper()}) {
         const TransformerModel model(config, 99);
         const std::size_t batch = 3;
+        const NonlinearHooks hooks{};
         const quant::KvPrecision precisions[] = {
             quant::KvPrecision::kFloat, quant::KvPrecision::kInt4,
             quant::KvPrecision::kFloat};
@@ -149,12 +167,11 @@ TEST(Transformer, BatchedDecodeLayerMatchesSequentialPerRow)
                 support::MatrixF one(1, config.d_model);
                 support::fill_gaussian(one, rng, 0.0f, 1.0f);
                 // Same warm stream into both twins' caches.
-                model.decode_layer(0, one, batched_caches[i]);
-                model.decode_layer(0, one, seq_caches[i]);
+                model.decode_layer(0, one, batched_caches[i], hooks);
+                model.decode_layer(0, one, seq_caches[i], hooks);
             }
         }
 
-        const NonlinearHooks hooks{};
         std::vector<quant::KvCache*> cache_ptrs;
         std::vector<const NonlinearHooks*> hook_ptrs;
         for (std::size_t i = 0; i < batch; ++i) {
@@ -210,14 +227,18 @@ TEST(Transformer, BatchedDecodeSeesLiveWeightMutations)
 TEST(Transformer, KvqDecodeStaysClose)
 {
     const ModelConfig config = tiny_llama();
-    const TransformerModel model(config, 29);
+    const serve::Engine engine(
+        sim::make_mugi(64),
+        std::make_shared<const TransformerModel>(config, 29));
     const std::vector<int> tokens = {4, 8, 15, 16, 23, 42};
 
-    DecodeSession exact(model, quant::KvPrecision::kFloat);
-    DecodeSession kvq(model, quant::KvPrecision::kInt4);
+    serve::Session exact =
+        exact_session(engine, quant::KvPrecision::kFloat);
+    serve::Session kvq =
+        exact_session(engine, quant::KvPrecision::kInt4);
     for (const int t : tokens) {
-        const auto le = exact.step(t);
-        const auto lq = kvq.step(t);
+        const auto le = engine.step(exact, t).outputs[0].logits;
+        const auto lq = engine.step(kvq, t).outputs[0].logits;
         // KVQ perturbs logits but must stay in the same regime
         // (Sec. 2.3.3: ~0.02 PPL increase at model scale).
         double dot = 0.0, ne = 0.0, nq = 0.0;
@@ -236,8 +257,9 @@ TEST(Transformer, KvqDecodeStaysClose)
     const double expected_ratio =
         static_cast<double>(sizeof(float) * hd) /
         static_cast<double>((hd + 1) / 2 + 2);
-    const double ratio = static_cast<double>(exact.kv_bytes()) /
-                         static_cast<double>(kvq.kv_bytes());
+    const double ratio =
+        static_cast<double>(exact.kv_bytes().value()) /
+        static_cast<double>(kvq.kv_bytes().value());
     EXPECT_NEAR(ratio, expected_ratio, 0.01);
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/audit.h"
 #include "support/rng.h"
 
 namespace mugi {
@@ -371,9 +372,9 @@ TEST(KvCache, MovedFromOwnedPoolCacheOutlivesTheDestination)
     // the old code its pool_ would dangle into freed storage.
     EXPECT_EQ(source.length(), units::Positions(0));
     EXPECT_EQ(source.memory_bytes(), units::Bytes(0));
-#ifndef NDEBUG
-    EXPECT_DEATH(source.append(kv, kv), "moved-from");
-#endif
+    if (support::kAssertsEnabled) {
+        EXPECT_DEATH(source.append(kv, kv), "moved-from");
+    }
 }
 
 TEST(KvCache, ReusedBlocksComeBackZeroedForTheNibbleOrPath)

@@ -9,17 +9,51 @@
 
 #include "serve/engine.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "model/accuracy.h"
+#include "quant/block_allocator.h"
 
 namespace mugi {
 namespace serve {
 namespace {
+
+/** Greedy token of @p logits. */
+int
+argmax(const std::vector<float>& logits)
+{
+    return static_cast<int>(
+        std::max_element(logits.begin(), logits.end()) -
+        logits.begin());
+}
+
+/** Bits of every cached K and V vector of @p session, per layer. */
+std::vector<std::vector<std::uint32_t>>
+kv_bits(const Session& session, std::size_t layers)
+{
+    std::vector<std::vector<std::uint32_t>> bits(layers);
+    for (std::size_t l = 0; l < layers; ++l) {
+        const quant::KvCache& cache = session.kv_cache(l);
+        const units::Positions length = cache.length();
+        std::vector<float> kv(2 * length.value() * cache.head_dim());
+        for (std::size_t h = 0; h < cache.num_heads(); ++h) {
+            cache.read_keys(h, units::Positions(0), length, kv.data());
+            cache.read_values(h, units::Positions(0), length,
+                              kv.data() + kv.size() / 2);
+            for (const float f : kv) {
+                bits[l].push_back(std::bit_cast<std::uint32_t>(f));
+            }
+        }
+    }
+    return bits;
+}
 
 TEST(MixedWorkload, OpCountsMatchIndependentDecodes)
 {
@@ -65,8 +99,9 @@ TEST(MixedWorkload, DegenerateBatchMatchesSingleDecode)
 TEST(EngineStep, BatchedNumericsMatchIndependentSessions)
 {
     // N sessions with different context lengths stepped as one batch
-    // must produce bit-identical logits to N standalone
-    // model::DecodeSession streams with the same kernels.
+    // must produce bit-identical logits to N sessions of an
+    // independent engine and model, each stepped alone with the same
+    // kernels.
     const model::ModelConfig config =
         model::llama2_70b().scaled_for_eval(2, 32, 64);
     auto transformer =
@@ -88,17 +123,16 @@ TEST(EngineStep, BatchedNumericsMatchIndependentSessions)
         sessions.push_back(engine.create_session());
         engine.prefill(sessions.back(), prompts[i]);
     }
-    // Reference path: independent DecodeSessions over a model with
-    // the engine's default kernels installed.
-    model::TransformerModel reference(config, 1234);
-    reference.set_hooks(engine.default_hooks());
-    std::vector<model::DecodeSession> independent;
+    // Reference path: one session per prompt on an independent
+    // engine and model, with the first engine's kernels installed.
+    const Engine reference(
+        sim::make_mugi(64),
+        std::make_shared<model::TransformerModel>(config, 1234));
+    std::vector<Session> independent;
     for (std::size_t i = 0; i < prompts.size(); ++i) {
-        independent.emplace_back(reference,
-                                 quant::KvPrecision::kInt4);
-        for (const int token : prompts[i]) {
-            independent[i].step(token);
-        }
+        independent.push_back(reference.create_session());
+        independent[i].set_hooks(engine.default_hooks());
+        reference.prefill(independent[i], prompts[i]);
     }
 
     std::vector<Session*> batch;
@@ -109,7 +143,9 @@ TEST(EngineStep, BatchedNumericsMatchIndependentSessions)
         ASSERT_EQ(result.outputs.size(), batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i) {
             const std::vector<float> expected =
-                independent[i].step(tokens[i]);
+                reference.step(independent[i], tokens[i])
+                    .outputs[0]
+                    .logits;
             ASSERT_EQ(result.outputs[i].logits.size(),
                       expected.size());
             for (std::size_t v = 0; v < expected.size(); ++v) {
@@ -262,36 +298,122 @@ TEST(EngineStep, AnalyticSessionStepsPastModelMaxSeqLen)
 
 TEST(EngineStep, PrefillChunksAreBitIdenticalToFullPrefill)
 {
-    // The chunked-prefill invariant the scheduler relies on: feeding
-    // a prompt in chunks takes the same token-by-token path as one
-    // prefill() call.
+    // The chunked-prefill invariant the scheduler relies on: however
+    // a prompt is cut into chunks -- each chunk one ragged forward
+    // pass of T rows -- every chunk's logits, every layer's cached K
+    // and V, and the greedy continuation equal feeding the prompt one
+    // token at a time.  4-position KV blocks make chunks straddle
+    // block boundaries, the one-chunk schedule spans two of the
+    // engine's 32-row passes, and an adopter of a donor's mid-block
+    // prefix copies on write at its first append.
     const model::ModelConfig config =
         model::llama2_70b().scaled_for_eval(2, 32, 64);
     auto transformer =
         std::make_shared<model::TransformerModel>(config, 5150);
     const Engine engine(sim::make_mugi(64), transformer);
+    constexpr std::size_t kBlock = 4;
+    // VLP windows narrower than their LUTs, so each mapping group's
+    // window depends on its inputs: a softmax or activation span
+    // running across rows would change bits.
+    const auto narrow_kernel = [&](nonlinear::NonlinearOp op) {
+        vlp::VlpConfig vlp_config =
+            default_vlp_config(op, engine.design().array_rows);
+        vlp_config.window_size = 2;
+        return engine.kernels().get(vlp_config);
+    };
+    const auto exp_kernel =
+        narrow_kernel(nonlinear::NonlinearOp::kExp);
+    const auto act_kernel = narrow_kernel(config.activation());
+    const model::NonlinearHooks narrow{exp_kernel.get(),
+                                       act_kernel.get()};
     const std::vector<int> prompt =
-        model::synthetic_tokens(11, config.vocab, 23);
+        model::synthetic_tokens(37, config.vocab, 23);
     const std::span<const int> span(prompt);
 
-    Session whole = engine.create_session();
-    const std::vector<float> full = engine.prefill(whole, prompt);
+    const auto repeat = [&](std::size_t size) {
+        std::vector<std::size_t> sizes;
+        for (std::size_t fed = 0; fed < prompt.size(); fed += size) {
+            sizes.push_back(std::min(size, prompt.size() - fed));
+        }
+        return sizes;
+    };
+    // The first, all-ones schedule is the reference.
+    const std::vector<std::vector<std::size_t>> schedules = {
+        repeat(1), repeat(prompt.size()), {3, 5, prompt.size() - 8},
+        repeat(kBlock - 1), repeat(kBlock + 1)};
 
-    Session chunked = engine.create_session();
-    engine.prefill_chunk(chunked, span.subspan(0, 4));
-    engine.prefill_chunk(chunked, span.subspan(4, 4));
-    const std::vector<float> last =
-        engine.prefill_chunk(chunked, span.subspan(8));
+    struct Fed {
+        std::vector<std::vector<std::uint32_t>> kv;
+        std::vector<int> greedy;
+    };
+    // Feed prompt[start, ...) in chunks of @p sizes, checking each
+    // chunk's logits against the reference's at its last position
+    // (recording them on the reference run), then four greedy steps.
+    std::vector<std::vector<float>> logits_at(prompt.size());
+    const auto feed = [&](Session& session, std::size_t start,
+                          const std::vector<std::size_t>& sizes,
+                          const std::string& label) {
+        std::vector<float> logits;
+        for (const std::size_t size : sizes) {
+            logits = engine.prefill_chunk(session,
+                                          span.subspan(start, size));
+            start += size;
+            std::vector<float>& expected = logits_at[start - 1];
+            if (expected.empty()) {
+                expected = logits;
+            }
+            EXPECT_EQ(logits, expected)
+                << label << ", chunk ending at " << start;
+        }
+        EXPECT_EQ(session.position(),
+                  units::Positions(prompt.size()));
+        Fed fed{kv_bits(session, config.num_layers), {}};
+        int token = argmax(logits);
+        for (int i = 0; i < 4; ++i) {
+            token = engine.step(session, token).outputs[0].next_token;
+            fed.greedy.push_back(token);
+        }
+        return fed;
+    };
 
-    EXPECT_EQ(chunked.position(), whole.position());
-    ASSERT_EQ(last.size(), full.size());
-    for (std::size_t v = 0; v < full.size(); ++v) {
-        EXPECT_EQ(last[v], full[v]);
+    for (const quant::KvPrecision precision :
+         {quant::KvPrecision::kFloat, quant::KvPrecision::kInt4}) {
+        const std::string kv =
+            precision == quant::KvPrecision::kInt4 ? "int4" : "float";
+        quant::BlockPool pool(units::Bytes(0), units::Tokens(kBlock));
+        SessionOptions options;
+        options.kv_precision = precision;
+        options.kv_pool = &pool;
+        std::fill(logits_at.begin(), logits_at.end(),
+                  std::vector<float>{});
+
+        const auto open = [&] {
+            Session session = engine.create_session(options);
+            session.set_hooks(narrow);
+            return session;
+        };
+        std::vector<Session> sessions;
+        std::vector<Fed> runs;
+        for (std::size_t i = 0; i < schedules.size(); ++i) {
+            sessions.push_back(open());
+            const std::string label =
+                kv + " schedule " + std::to_string(i);
+            runs.push_back(
+                feed(sessions.back(), 0, schedules[i], label));
+            EXPECT_EQ(runs[i].kv, runs[0].kv) << label;
+            EXPECT_EQ(runs[i].greedy, runs[0].greedy) << label;
+        }
+
+        // Adopt 6 positions (mid-block) of the one-chunk run, then
+        // prefill the rest as one chunk.
+        Session adopter = open();
+        adopter.adopt_kv_prefix(sessions[1], units::Positions(6));
+        ASSERT_GT(adopter.shared_kv_blocks(), units::Blocks(0));
+        const Fed adopted =
+            feed(adopter, 6, {prompt.size() - 6}, kv + " adopter");
+        EXPECT_EQ(adopted.kv, runs[0].kv) << kv << " adopter";
+        EXPECT_EQ(adopted.greedy, runs[0].greedy) << kv << " adopter";
     }
-    // And the two sessions decode identically afterwards.
-    const StepResult a = engine.step(whole, 13);
-    const StepResult b = engine.step(chunked, 13);
-    EXPECT_EQ(a.outputs[0].next_token, b.outputs[0].next_token);
 }
 
 TEST(EngineStep, FusedDecodeBitIdenticalToSequentialWithMixedKv)
@@ -342,48 +464,46 @@ TEST(EngineStep, FusedDecodeBitIdenticalToSequentialWithMixedKv)
     std::vector<int> seq_tokens = fused_tokens;
     for (int step = 0; step < 3; ++step) {
         StepPlan fused_plan;
-        fused_plan.fused_decode = true;
-        StepPlan seq_plan;
-        seq_plan.fused_decode = false;
         for (std::size_t i = 0; i < 4; ++i) {
             fused_plan.decode_sessions.push_back(&fused_sessions[i]);
-            seq_plan.decode_sessions.push_back(&seq_sessions[i]);
         }
         fused_plan.decode_tokens = fused_tokens;
-        seq_plan.decode_tokens = seq_tokens;
         const StepResult fused = engine.step(fused_plan);
-        const StepResult seq = engine.step(seq_plan);
-        ASSERT_EQ(fused.outputs.size(), seq.outputs.size());
+        // The sequential side: each session stepped alone.
+        vlp::GemmStats seq_gemm;
         for (std::size_t i = 0; i < 4; ++i) {
+            const StepResult seq =
+                engine.step(seq_sessions[i], seq_tokens[i]);
+            seq_gemm += seq.gemm;
             EXPECT_EQ(fused.outputs[i].position,
-                      seq.outputs[i].position);
+                      seq.outputs[0].position);
             ASSERT_EQ(fused.outputs[i].logits.size(),
-                      seq.outputs[i].logits.size());
-            for (std::size_t v = 0; v < seq.outputs[i].logits.size();
+                      seq.outputs[0].logits.size());
+            for (std::size_t v = 0; v < seq.outputs[0].logits.size();
                  ++v) {
                 EXPECT_EQ(fused.outputs[i].logits[v],
-                          seq.outputs[i].logits[v])
+                          seq.outputs[0].logits[v])
                     << "session " << i << " step " << step
                     << " vocab " << v;
             }
             fused_tokens[i] = fused.outputs[i].next_token;
-            seq_tokens[i] = seq.outputs[i].next_token;
+            seq_tokens[i] = seq.outputs[0].next_token;
         }
         EXPECT_EQ(fused_tokens, seq_tokens) << "step " << step;
         // The fused charge amortizes column tiles across the batch:
         // strictly fewer cycles/sweeps for batch > array width
         // fraction, identical subscriptions (same MAC count).
-        EXPECT_LT(fused.gemm.cycles, seq.gemm.cycles);
-        EXPECT_LT(fused.gemm.sweeps, seq.gemm.sweeps);
-        EXPECT_EQ(fused.gemm.subscriptions, seq.gemm.subscriptions);
+        EXPECT_LT(fused.gemm.cycles, seq_gemm.cycles);
+        EXPECT_LT(fused.gemm.sweeps, seq_gemm.sweeps);
+        EXPECT_EQ(fused.gemm.subscriptions, seq_gemm.subscriptions);
         EXPECT_GT(fused.gemm.cycles, 0u);
     }
 }
 
 TEST(EngineStep, FusedBatchOfOneChargesLikeSequential)
 {
-    // A single-session batch has nothing to amortize: the fused and
-    // sequential charges must agree exactly.
+    // A single-session batch has nothing to amortize: its charge must
+    // equal the session stepped alone.
     const model::ModelConfig config =
         model::llama2_70b().scaled_for_eval(2, 32, 64);
     auto transformer =
@@ -397,11 +517,8 @@ TEST(EngineStep, FusedBatchOfOneChargesLikeSequential)
     StepPlan fused_plan;
     fused_plan.decode_sessions = {&a};
     fused_plan.decode_tokens = {5};
-    StepPlan seq_plan = fused_plan;
-    seq_plan.decode_sessions = {&b};
-    seq_plan.fused_decode = false;
     const StepResult fused = engine.step(fused_plan);
-    const StepResult seq = engine.step(seq_plan);
+    const StepResult seq = engine.step(b, 5);
     ASSERT_EQ(fused.outputs[0].logits.size(),
               seq.outputs[0].logits.size());
     for (std::size_t v = 0; v < seq.outputs[0].logits.size(); ++v) {
@@ -417,30 +534,29 @@ TEST(EngineStep, FusedDecodeTracksPostConstructionWeightMutation)
 {
     // examples/llm_inference applies WOQ to the transformer *after*
     // constructing the Engine.  The fused path must read the live
-    // weights (no load-time snapshot), so both paths see the
-    // mutation and stay bit-identical.
+    // weights (no load-time snapshot), so a fused batch and a session
+    // stepped alone both see the mutation and stay bit-identical.
     const model::ModelConfig config =
         model::llama2_70b().scaled_for_eval(2, 32, 64);
     auto transformer =
         std::make_shared<model::TransformerModel>(config, 2024);
     const Engine engine(sim::make_mugi(64), transformer);
     Session fused_s = engine.create_session();
+    Session neighbour = engine.create_session();
     Session seq_s = engine.create_session();
     const std::vector<int> prompt =
         model::synthetic_tokens(4, config.vocab, 7);
     engine.prefill(fused_s, prompt);
+    engine.prefill(neighbour, prompt);
     engine.prefill(seq_s, prompt);
 
     transformer->apply_woq(32);  // INT4 weights from here on.
 
     StepPlan fused_plan;
-    fused_plan.decode_sessions = {&fused_s};
-    fused_plan.decode_tokens = {9};
-    StepPlan seq_plan = fused_plan;
-    seq_plan.decode_sessions = {&seq_s};
-    seq_plan.fused_decode = false;
+    fused_plan.decode_sessions = {&fused_s, &neighbour};
+    fused_plan.decode_tokens = {9, 2};
     const StepResult fused = engine.step(fused_plan);
-    const StepResult seq = engine.step(seq_plan);
+    const StepResult seq = engine.step(seq_s, 9);
     ASSERT_EQ(fused.outputs[0].logits.size(),
               seq.outputs[0].logits.size());
     for (std::size_t v = 0; v < seq.outputs[0].logits.size(); ++v) {
@@ -547,14 +663,16 @@ TEST(EngineSession, PerLayerWindowTuningIsPerSession)
     const int tokens[] = {3, 3};
     const StepResult result = engine.step(batch, tokens);
 
-    model::TransformerModel reference(config, 4321);
-    reference.set_hooks(engine.default_hooks());
-    model::DecodeSession ref_session(reference,
-                                     quant::KvPrecision::kInt4);
-    for (const int token : prompt) {
-        ref_session.step(token);
-    }
-    const std::vector<float> expected = ref_session.step(3);
+    // Untuned reference: an independent engine and model, one
+    // session with the default kernels installed, stepped alone.
+    const Engine reference(
+        sim::make_mugi(64),
+        std::make_shared<model::TransformerModel>(config, 4321));
+    Session ref_session = reference.create_session();
+    ref_session.set_hooks(engine.default_hooks());
+    reference.prefill(ref_session, prompt);
+    const std::vector<float> expected =
+        reference.step(ref_session, 3).outputs[0].logits;
 
     bool differs = false;
     for (std::size_t v = 0; v < expected.size(); ++v) {

@@ -19,6 +19,7 @@
 
 #include "model/accuracy.h"
 #include "model/workload.h"
+#include "support/audit.h"
 
 namespace mugi {
 namespace serve {
@@ -881,10 +882,10 @@ TEST(Scheduler, EmptyPromptRetiresImmediatelyWithoutAsserts)
     // The assert-guarded branch in submit(): with asserts compiled
     // out (Release CI job), an empty functional prompt must retire
     // immediately instead of feeding token -1 into the model.
-#ifndef NDEBUG
-    GTEST_SKIP() << "assert-guarded path; exercised by the Release "
-                    "CI job";
-#else
+    if (support::kAssertsEnabled) {
+        GTEST_SKIP() << "assert-guarded path; exercised by the "
+                        "Release CI job";
+    }
     const model::ModelConfig config =
         model::llama2_70b().scaled_for_eval(2, 32, 64);
     auto transformer =
@@ -910,7 +911,6 @@ TEST(Scheduler, EmptyPromptRetiresImmediatelyWithoutAsserts)
     const FinishedRequest& n =
         finished[0].id == empty_id ? finished[1] : finished[0];
     EXPECT_EQ(n.generated, units::Tokens(2));
-#endif
 }
 
 // ---- Arrivals, clock and stats. ----

@@ -616,6 +616,31 @@ TEST_F(FrontendTest, InjectedSubmissionFaultYields429WithRetryAfter)
     EXPECT_EQ(ok->status, 200);
 }
 
+TEST_F(FrontendTest, UnstartableConnectionThreadYields503)
+{
+    // A connection whose worker thread cannot start is answered and
+    // closed by the accept loop, which keeps serving.
+    support::FaultPlan plan;
+    plan.seed = 5;
+    plan.sites = {{"frontend.spawn", 1.0, 1}};
+    support::ScopedFaultPlan armed(plan);
+    const std::optional<HttpResponse> refused =
+        roundtrip("GET", "/healthz");
+    ASSERT_TRUE(refused.has_value());
+    EXPECT_EQ(refused->status, 503);
+    ASSERT_EQ(refused->headers.count("retry-after"), 1u);
+    EXPECT_EQ(refused->headers.at("retry-after"), "1");
+    EXPECT_EQ(
+        support::FaultInjector::instance().fires("frontend.spawn"),
+        1u);
+
+    // The fault cap is spent: the next connection serves normally.
+    const std::optional<HttpResponse> health =
+        roundtrip("GET", "/healthz");
+    ASSERT_TRUE(health.has_value());
+    EXPECT_EQ(health->status, 200);
+}
+
 TEST_F(FrontendTest, MetricsExposeTheOverloadCounters)
 {
     const std::optional<HttpResponse> metrics =

@@ -22,6 +22,12 @@ Checks, each motivated by a concurrency-correctness contract:
    reason about -- the chaos gates assert invariants per site, so
    the contract each site simulates has to be written down.
 
+4. No ``#if`` / ``#ifdef`` / ``#ifndef`` on ``NDEBUG`` under
+   ``tests/``: a test body compiled in only one build type rots
+   unseen in the other (a Release-only test once broke the default
+   build for several changes).  Branch at run time on
+   ``support::kAssertsEnabled`` (support/audit.h) instead.
+
 Exit status 0 when clean; 1 with one ``file:line: message`` per
 violation otherwise.
 """
@@ -34,6 +40,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
+TESTS = REPO / "tests"
 
 # Global-state entropy/time calls banned from src/ (deterministic
 # replay + thread-safety).  Word-boundary so e.g. `runtime(` or
@@ -48,6 +55,10 @@ THREAD_SAFETY_DIRS = ("serve", "server", "quant", "support")
 THREAD_SAFETY_RE = re.compile(r"Thread-safety\s*:")
 
 FAULT_POINT_RE = re.compile(r'MUGI_FAULT_POINT\(\s*"([^"]+)"\s*\)')
+
+NDEBUG_CONDITIONAL_RE = re.compile(
+    r"^\s*#\s*(?:if|ifdef|ifndef|elif)\b.*\bNDEBUG\b"
+)
 
 
 def check_banned_calls(path: Path) -> list[str]:
@@ -100,6 +111,21 @@ def check_fault_sites_documented() -> list[str]:
     return problems
 
 
+def check_no_ndebug_conditionals(path: Path) -> list[str]:
+    problems = []
+    for lineno, line in enumerate(
+        path.read_text(encoding="utf-8").splitlines(), start=1
+    ):
+        if NDEBUG_CONDITIONAL_RE.search(line):
+            rel = path.relative_to(REPO)
+            problems.append(
+                f"{rel}:{lineno}: NDEBUG conditional in a test; branch "
+                "on support::kAssertsEnabled so the body compiles in "
+                "both build types"
+            )
+    return problems
+
+
 def main() -> int:
     problems: list[str] = []
 
@@ -113,6 +139,10 @@ def main() -> int:
             problems += check_thread_safety_contract(header)
 
     problems += check_fault_sites_documented()
+
+    for path in sorted(TESTS.rglob("*")):
+        if path.suffix in {".h", ".cc"}:
+            problems += check_no_ndebug_conditionals(path)
 
     if problems:
         print(f"tools/lint.py: {len(problems)} problem(s):")
