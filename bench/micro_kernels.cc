@@ -261,7 +261,7 @@ BM_TransformerForward(benchmark::State& state)
 BENCHMARK(BM_TransformerForward);
 
 // Model construction, the bulk of the serving benchmark's setup_s.
-// Both fills draw one 256x682 FFN matrix of its eval config; the Std
+// The fills draw one 256x682 FFN matrix of its eval config; the Std
 // variant is the libstdc++ loop fill_gaussian reproduces bit for bit.
 void
 BM_FillGaussianStd(benchmark::State& state)
@@ -280,19 +280,26 @@ BM_FillGaussianStd(benchmark::State& state)
 }
 BENCHMARK(BM_FillGaussianStd);
 
+// dispatched:0 draws through the scalar block kernel, dispatched:1
+// through the one fill_gaussian picks for this CPU (AVX-512F where it
+// has it); the engine refills the same way in both.
 void
 BM_FillGaussian(benchmark::State& state)
 {
+    const support::detail::PolarBlock block =
+        state.range(0) == 0 ? support::detail::polar_block_scalar
+                            : support::detail::polar_block();
     support::Mt19937 rng(8);
     support::MatrixF w(256, 682);
     for (auto _ : state) {
-        support::fill_gaussian(w, rng, 0.0f, 0.125f);
+        support::detail::fill_gaussian_with(block, w, rng, 0.0f,
+                                            0.125f);
         benchmark::DoNotOptimize(w.data().data());
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * w.size());
 }
-BENCHMARK(BM_FillGaussian);
+BENCHMARK(BM_FillGaussian)->ArgName("dispatched")->Arg(0)->Arg(1);
 
 void
 BM_TransformerModelInit(benchmark::State& state)

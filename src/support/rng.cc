@@ -1,0 +1,376 @@
+#include "support/rng.h"
+
+#include <cmath>
+
+#if defined(__x86_64__)
+// GCC 12's AVX-512 intrinsics make their "undefined" vectors by
+// self-initialization, which its own -Wuninitialized then reports
+// wherever they inline (GCC bug 105593, fixed in GCC 13).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+#include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+#endif
+
+namespace mugi {
+namespace support {
+namespace detail {
+namespace {
+
+constexpr std::size_t kN = kMtWords;
+constexpr std::size_t kM = 397;
+
+std::uint32_t
+twist(std::uint32_t word, std::uint32_t next, std::uint32_t far)
+{
+    const std::uint32_t y =
+        (word & 0x80000000u) | (next & 0x7FFFFFFFu);
+    return far ^ (y >> 1) ^ (0x9908B0DFu & (0u - (y & 1u)));
+}
+
+std::uint32_t
+temper(std::uint32_t y)
+{
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9D2C5680u;
+    y ^= (y << 15) & 0xEFC60000u;
+    return y ^ (y >> 18);
+}
+
+/**
+ * 2·generate_canonical<float>(u) − 1 for one 32-bit word, as
+ * libstdc++ computes it: float(u)·2⁻³², clamped below 1.  2·canon is
+ * exact, so the float subtraction rounds once, exactly as
+ * libstdc++'s double subtraction does when narrowed back to float.
+ */
+float
+polar_coordinate(std::uint32_t u)
+{
+    const float canon =
+        std::min(static_cast<float>(u) * 0x1p-32f, 0x1.fffffep-1f);
+    return 2.0f * canon - 1.0f;
+}
+
+}  // namespace
+
+void
+mt_refill_scalar(std::uint32_t* s, std::uint32_t* out)
+{
+    std::size_t i = 0;
+    // Three ranges so no index wraps: words past kN - kM read the
+    // already-twisted head of the block.
+    for (; i < kN - kM; ++i) {
+        s[i] = twist(s[i], s[i + 1], s[i + kM]);
+        out[i] = temper(s[i]);
+    }
+    for (; i < kN - 1; ++i) {
+        s[i] = twist(s[i], s[i + 1], s[i + kM - kN]);
+        out[i] = temper(s[i]);
+    }
+    s[kN - 1] = twist(s[kN - 1], s[0], s[kM - 1]);
+    out[kN - 1] = temper(s[kN - 1]);
+}
+
+std::size_t
+polar_block_scalar(const std::uint32_t* words, std::size_t attempts,
+                   float* out, float mean, float stddev)
+{
+    // Draw without branching on acceptance: each (y, x) pair is
+    // stored at the next free pair and only an accepted one advances,
+    // so the block compacts itself in place; kept <= j < attempts
+    // keeps every store inside the block.
+    std::size_t kept = 0;
+    for (std::size_t j = 0; j < attempts; ++j) {
+        const float x = polar_coordinate(words[2 * j]);
+        const float y = polar_coordinate(words[2 * j + 1]);
+        const float r2 = x * x + y * y;
+        out[2 * kept] = y;
+        out[2 * kept + 1] = x;
+        // libstdc++ rejects r² > 1 and r² = 0.
+        const bool accepted = r2 <= 1.0f && r2 != 0.0f;
+        kept += static_cast<std::size_t>(accepted);
+    }
+    for (std::size_t i = 0; i < kept; ++i) {
+        const float y = out[2 * i];
+        const float x = out[2 * i + 1];
+        const float r2 = x * x + y * y;
+        const float scale = std::sqrt(-2.0f * std::log(r2) / r2);
+        out[2 * i] = (y * scale) * stddev + mean;
+        out[2 * i + 1] = (x * scale) * stddev + mean;
+    }
+    return kept;
+}
+
+void
+fill_polar_pairs(PolarBlock block, float* out, std::size_t pairs,
+                 Mt19937& rng, float mean, float stddev)
+{
+    std::size_t done = 0;
+    while (done < pairs) {
+        const std::span<const std::uint32_t> words =
+            rng.take(2 * std::min(kPolarBlock, pairs - done));
+        const std::size_t attempts = words.size() / 2;
+        if (attempts > 0) {
+            done += block(words.data(), attempts, out + 2 * done,
+                          mean, stddev);
+        }
+        if (words.size() % 2 != 0) {
+            // The block ended mid-attempt, so take() returned fewer
+            // words than asked and at least one pair is still
+            // needed.  Copy the last word before rng() refills.
+            const std::uint32_t x = words.back();
+            const std::uint32_t split[2] = {x, rng()};
+            done += block(split, 1, out + 2 * done, mean, stddev);
+        }
+    }
+}
+
+#if defined(__x86_64__)
+
+#define MUGI_AVX512 __attribute__((target("avx512f")))
+
+bool
+cpu_has_avx512f()
+{
+    static const bool has = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx512f") != 0;
+    }();
+    return has;
+}
+
+namespace {
+
+/** The low @p n of 16 lanes. */
+__mmask16
+low_lanes(std::size_t n)
+{
+    return static_cast<__mmask16>((1u << n) - 1u);
+}
+
+MUGI_AVX512 __m512i
+splat(std::uint32_t v)
+{
+    return _mm512_set1_epi32(static_cast<int>(v));
+}
+
+MUGI_AVX512 __m512i
+twist16(__m512i word, __m512i next, __m512i far)
+{
+    const __m512i y =
+        _mm512_or_si512(_mm512_and_si512(word, splat(0x80000000u)),
+                        _mm512_and_si512(next, splat(0x7FFFFFFFu)));
+    const __m512i odd_a =
+        _mm512_maskz_mov_epi32(_mm512_test_epi32_mask(y, splat(1u)),
+                               splat(0x9908B0DFu));
+    return _mm512_xor_si512(
+        _mm512_xor_si512(far, _mm512_srli_epi32(y, 1)), odd_a);
+}
+
+MUGI_AVX512 __m512i
+temper16(__m512i y)
+{
+    y = _mm512_xor_si512(y, _mm512_srli_epi32(y, 11));
+    y = _mm512_xor_si512(
+        y, _mm512_and_si512(_mm512_slli_epi32(y, 7),
+                            splat(0x9D2C5680u)));
+    y = _mm512_xor_si512(
+        y, _mm512_and_si512(_mm512_slli_epi32(y, 15),
+                            splat(0xEFC60000u)));
+    return _mm512_xor_si512(y, _mm512_srli_epi32(y, 18));
+}
+
+/**
+ * Twist and temper the @p lanes words from @p i, reading the far
+ * words from @p far.
+ */
+MUGI_AVX512 void
+twist_lanes(std::uint32_t* s, std::uint32_t* out, std::size_t i,
+            std::size_t far, __mmask16 lanes)
+{
+    const __m512i word = _mm512_maskz_loadu_epi32(lanes, s + i);
+    const __m512i next = _mm512_maskz_loadu_epi32(lanes, s + i + 1);
+    const __m512i far_words =
+        _mm512_maskz_loadu_epi32(lanes, s + far);
+    const __m512i twisted = twist16(word, next, far_words);
+    _mm512_mask_storeu_epi32(s + i, lanes, twisted);
+    _mm512_mask_storeu_epi32(out + i, lanes, temper16(twisted));
+}
+
+/** (a, b) → (b, a) in every pair of lanes. */
+MUGI_AVX512 __m512
+swap_pairs(__m512 v)
+{
+    return _mm512_permute_ps(v, 0xB1);
+}
+
+/**
+ * The attempts in the @p lanes words at @p words (a pair of lanes per
+ * attempt): compress the accepted (y, x) pairs to @p pairs and their
+ * r² to @p r2s, and return how many were accepted.  With all 16 lanes
+ * the stores are whole vectors, 16 floats at @p pairs and 8 at
+ * @p r2s; otherwise they write only the accepted ones.
+ */
+MUGI_AVX512 std::size_t
+keep_attempts(const std::uint32_t* words, __mmask16 lanes,
+              float* pairs, float* r2s)
+{
+    const __m512 one = _mm512_set1_ps(1.0f);
+    // polar_coordinate lane by lane: vcvtudq2ps rounds as float(u).
+    const __m512 u = _mm512_cvtepu32_ps(
+        _mm512_maskz_loadu_epi32(lanes, words));
+    const __m512 canon =
+        _mm512_min_ps(_mm512_mul_ps(u, _mm512_set1_ps(0x1p-32f)),
+                      _mm512_set1_ps(0x1.fffffep-1f));
+    const __m512 xy = _mm512_sub_ps(
+        _mm512_mul_ps(_mm512_set1_ps(2.0f), canon), one);
+    // x² + y² in both lanes of a pair: IEEE addition commutes.
+    const __m512 sq = _mm512_mul_ps(xy, xy);
+    const __m512 r2 = _mm512_add_ps(sq, swap_pairs(sq));
+    // libstdc++ rejects r² > 1 and r² = 0; a pair's lanes agree.
+    const __mmask16 keep = _mm512_mask_cmp_ps_mask(
+        _mm512_mask_cmp_ps_mask(lanes, r2, one, _CMP_LE_OQ), r2,
+        _mm512_setzero_ps(), _CMP_NEQ_OQ);
+    const __m512 kept_pairs =
+        _mm512_maskz_compress_ps(keep, swap_pairs(xy));
+    // One r² per kept pair: the even lane's.
+    const auto keep_even = static_cast<__mmask16>(keep & 0x5555u);
+    const __m512 kept_r2 = _mm512_maskz_compress_ps(keep_even, r2);
+    const std::size_t count =
+        static_cast<std::size_t>(__builtin_popcount(keep)) / 2;
+    if (lanes == 0xFFFFu) {
+        _mm512_storeu_ps(pairs, kept_pairs);
+        _mm256_storeu_ps(r2s, _mm512_castps512_ps256(kept_r2));
+    } else {
+        _mm512_mask_storeu_ps(pairs, low_lanes(2 * count),
+                              kept_pairs);
+        _mm512_mask_storeu_ps(r2s, low_lanes(count), kept_r2);
+    }
+    return count;
+}
+
+}  // namespace
+
+MUGI_AVX512 void
+mt_refill_avx512(std::uint32_t* s, std::uint32_t* out)
+{
+    // The scalar ranges 16 words at a time.  A group loads its next
+    // words before a later group twists them, and its far words are
+    // either kM ahead (not yet twisted) or kN - kM > 16 behind
+    // (twisted by an earlier group), as in the scalar order.
+    std::size_t i = 0;
+    for (; i + 16 <= kN - kM; i += 16) {
+        twist_lanes(s, out, i, i + kM, 0xFFFFu);
+    }
+    twist_lanes(s, out, i, i + kM, low_lanes(kN - kM - i));
+    for (i = kN - kM; i + 16 <= kN - 1; i += 16) {
+        twist_lanes(s, out, i, i + kM - kN, 0xFFFFu);
+    }
+    twist_lanes(s, out, i, i + kM - kN, low_lanes(kN - 1 - i));
+    s[kN - 1] = twist(s[kN - 1], s[0], s[kM - 1]);
+    out[kN - 1] = temper(s[kN - 1]);
+}
+
+MUGI_AVX512 std::size_t
+polar_block_avx512(const std::uint32_t* words, std::size_t attempts,
+                   float* out, float mean, float stddev)
+{
+    alignas(64) float r2s[kPolarBlock] = {};
+    alignas(64) float logs[kPolarBlock] = {};
+    // Eight attempts per 16 words.  kept <= j and j + 8 <= attempts,
+    // so a whole-vector store at pair kept stays inside the block.
+    std::size_t kept = 0;
+    std::size_t j = 0;
+    for (; j + 8 <= attempts; j += 8) {
+        kept += keep_attempts(words + 2 * j, 0xFFFFu, out + 2 * kept,
+                              r2s + kept);
+    }
+    if (j < attempts) {
+        kept += keep_attempts(words + 2 * j,
+                              low_lanes(2 * (attempts - j)),
+                              out + 2 * kept, r2s + kept);
+    }
+    // glibc's logf, one call per kept pair: its results are not
+    // correctly rounded, so no vector log may stand in.  Clear the
+    // upper halves first: with them dirty, each call's SSE code pays
+    // a state transition.
+    _mm256_zeroupper();
+    for (std::size_t i = 0; i < kept; ++i) {
+        logs[i] = std::log(r2s[i]);
+    }
+    // sqrt(-2·log(r²) / r²), then y·scale·stddev + mean, rounded op
+    // by op in the scalar order; each pair's log and r² go to both
+    // of its lanes.
+    const __m512i dup = _mm512_set_epi32(7, 7, 6, 6, 5, 5, 4, 4, 3, 3,
+                                         2, 2, 1, 1, 0, 0);
+    const __m512 one = _mm512_set1_ps(1.0f);
+    for (std::size_t i = 0; i < kept; i += 8) {
+        const std::size_t n = std::min<std::size_t>(8, kept - i);
+        const __mmask16 pair_lanes = low_lanes(n);
+        const __mmask16 lanes = low_lanes(2 * n);
+        const __m512 log_r2 = _mm512_permutexvar_ps(
+            dup, _mm512_maskz_loadu_ps(pair_lanes, logs + i));
+        const __m512 r2 = _mm512_permutexvar_ps(
+            dup, _mm512_mask_loadu_ps(one, pair_lanes, r2s + i));
+        const __m512 scale = _mm512_sqrt_ps(_mm512_div_ps(
+            _mm512_mul_ps(_mm512_set1_ps(-2.0f), log_r2), r2));
+        const __m512 yx = _mm512_maskz_loadu_ps(lanes, out + 2 * i);
+        const __m512 sample = _mm512_add_ps(
+            _mm512_mul_ps(_mm512_mul_ps(yx, scale),
+                          _mm512_set1_ps(stddev)),
+            _mm512_set1_ps(mean));
+        _mm512_mask_storeu_ps(out + 2 * i, lanes, sample);
+    }
+    return kept;
+}
+
+#undef MUGI_AVX512
+
+#else  // !__x86_64__: no AVX-512 kernels; the scalar ones always run.
+
+bool
+cpu_has_avx512f()
+{
+    return false;
+}
+
+void
+mt_refill_avx512(std::uint32_t* s, std::uint32_t* out)
+{
+    mt_refill_scalar(s, out);
+}
+
+std::size_t
+polar_block_avx512(const std::uint32_t* words, std::size_t attempts,
+                   float* out, float mean, float stddev)
+{
+    return polar_block_scalar(words, attempts, out, mean, stddev);
+}
+
+#endif  // __x86_64__
+
+void
+mt_refill(std::uint32_t* s, std::uint32_t* out)
+{
+    if (cpu_has_avx512f()) {
+        mt_refill_avx512(s, out);
+    } else {
+        mt_refill_scalar(s, out);
+    }
+}
+
+PolarBlock
+polar_block()
+{
+    return cpu_has_avx512f() ? polar_block_avx512
+                             : polar_block_scalar;
+}
+
+}  // namespace detail
+}  // namespace support
+}  // namespace mugi

@@ -9,7 +9,8 @@
  * Mt19937 and fill_gaussian reproduce std::mt19937 and libstdc++'s
  * std::normal_distribution<float> bit for bit, faster, and without
  * depending on which standard library built them (DESIGN.md, "Model
- * weights").
+ * weights").  Both run AVX-512F kernels where the CPU has them and
+ * scalar ones elsewhere, with the same bits (src/support/rng.cc).
  *
  * Thread-safety: externally serialized.  An engine is a plain value,
  * and fill_gaussian mutates both the caller's engine and the target
@@ -19,20 +20,39 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "support/matrix.h"
 
 namespace mugi {
 namespace support {
+namespace detail {
+
+/** Words in one Mersenne Twister block (the state size). */
+inline constexpr std::size_t kMtWords = 624;
+
+/** Whether this CPU runs the AVX-512F kernels; asked once. */
+bool cpu_has_avx512f();
+
+/**
+ * Twist the 624-word @p state in place and temper it into @p out.
+ * The scalar form is the reference; the AVX-512F form (callable only
+ * where cpu_has_avx512f()) works 16 words at a time, bit for bit
+ * equal; mt_refill runs the one this CPU supports.
+ */
+void mt_refill_scalar(std::uint32_t* state, std::uint32_t* out);
+void mt_refill_avx512(std::uint32_t* state, std::uint32_t* out);
+void mt_refill(std::uint32_t* state, std::uint32_t* out);
+
+}  // namespace detail
 
 /**
  * The 32-bit Mersenne Twister, a UniformRandomBitGenerator whose
  * sequence equals std::mt19937's for every seed.  Each refill twists
- * and tempers the whole 624-word block in one branch-free pass;
- * operator() then hands out the tempered words.
+ * and tempers the whole 624-word block in one pass; operator() then
+ * hands out the tempered words one by one, and take() in place.
  */
 class Mt19937 {
   public:
@@ -61,45 +81,32 @@ class Mt19937 {
         return out_[next_++];
     }
 
+    /**
+     * Draw up to @p n words in place: a view of the next
+     * min(n, words left in the block) words, refilling first if the
+     * block is used up.  They count as drawn, exactly as that many
+     * operator() calls would have returned them; the view stays
+     * valid until the next draw that refills.
+     */
+    std::span<const result_type>
+    take(std::size_t n)
+    {
+        if (next_ == kN) {
+            refill();
+        }
+        const std::size_t count = std::min(n, kN - next_);
+        const result_type* words = out_.data() + next_;
+        next_ += count;
+        return {words, count};
+    }
+
   private:
-    static constexpr std::size_t kN = 624;
-    static constexpr std::size_t kM = 397;
+    static constexpr std::size_t kN = detail::kMtWords;
 
-    static std::uint32_t
-    twist(std::uint32_t word, std::uint32_t next, std::uint32_t far)
-    {
-        const std::uint32_t y =
-            (word & 0x80000000u) | (next & 0x7FFFFFFFu);
-        return far ^ (y >> 1) ^ (0x9908B0DFu & (0u - (y & 1u)));
-    }
-
-    static std::uint32_t
-    temper(std::uint32_t y)
-    {
-        y ^= y >> 11;
-        y ^= (y << 7) & 0x9D2C5680u;
-        y ^= (y << 15) & 0xEFC60000u;
-        return y ^ (y >> 18);
-    }
-
-    /** Twist the next block in place and temper it into out_. */
     void
     refill()
     {
-        std::uint32_t* s = state_.data();
-        std::size_t i = 0;
-        // Three ranges so no index wraps: words past kN - kM read
-        // the already-twisted head of the block.
-        for (; i < kN - kM; ++i) {
-            s[i] = twist(s[i], s[i + 1], s[i + kM]);
-            out_[i] = temper(s[i]);
-        }
-        for (; i < kN - 1; ++i) {
-            s[i] = twist(s[i], s[i + 1], s[i + kM - kN]);
-            out_[i] = temper(s[i]);
-        }
-        s[kN - 1] = twist(s[kN - 1], s[0], s[kM - 1]);
-        out_[kN - 1] = temper(s[kN - 1]);
+        detail::mt_refill(state_.data(), out_.data());
         next_ = 0;
     }
 
@@ -114,64 +121,75 @@ namespace detail {
 inline constexpr std::size_t kPolarBlock = 256;
 
 /**
- * 2·generate_canonical<float>(u) − 1 for one 32-bit word, as
- * libstdc++ computes it: float(u)·2⁻³², clamped below 1.  2·canon is
- * exact, so the float subtraction rounds once, exactly as
- * libstdc++'s double subtraction does when narrowed back to float.
+ * One block of polar attempts: attempt j takes (x, y) from words 2j
+ * and 2j + 1; the accepted ones are written to @p out as (y, x)
+ * pairs, in order, each coordinate times its scale, times stddev,
+ * plus mean.  Returns how many were accepted.  @p attempts is at
+ * most kPolarBlock, and @p out has room for that many pairs: a
+ * kernel may scribble on the pairs past the ones it returns.
+ *
+ * The scalar kernel is the reference.  The AVX-512F one, callable
+ * only where cpu_has_avx512f(), writes the same bits; polar_block()
+ * is the one this CPU supports.
  */
-inline float
-polar_coordinate(std::uint32_t u)
-{
-    const float canon =
-        std::min(static_cast<float>(u) * 0x1p-32f, 0x1.fffffep-1f);
-    return 2.0f * canon - 1.0f;
-}
+using PolarBlock = std::size_t (*)(const std::uint32_t* words,
+                                   std::size_t attempts, float* out,
+                                   float mean, float stddev);
+std::size_t polar_block_scalar(const std::uint32_t* words,
+                               std::size_t attempts, float* out,
+                               float mean, float stddev);
+std::size_t polar_block_avx512(const std::uint32_t* words,
+                               std::size_t attempts, float* out,
+                               float mean, float stddev);
+PolarBlock polar_block();
 
 /**
- * Write @p pairs accepted polar samples to @p out as (y, x) pairs,
- * each coordinate times its scale, times stddev, plus mean.
- *
- * A block of attempts is drawn without branching on acceptance: each
- * (y, x) pair is stored at the next free pair and only an accepted
- * one advances, so the block compacts itself in place; a second pass
- * turns the kept pairs into samples.  No block draws more attempts
- * than pairs still needed, so the engine stops right after the last
- * accepted attempt, as libstdc++'s does.
+ * Write @p pairs accepted polar samples to @p out through @p block,
+ * drawing each block's words one by one from @p rng.  No block draws
+ * more attempts than pairs still needed, so the engine stops right
+ * after the last accepted attempt, as libstdc++'s does.
  */
 template <typename Engine>
 void
-fill_polar_pairs(float* out, std::size_t pairs, Engine& rng,
-                 float mean, float stddev)
+fill_polar_pairs(PolarBlock block, float* out, std::size_t pairs,
+                 Engine& rng, float mean, float stddev)
 {
+    std::uint32_t words[2 * kPolarBlock] = {};
     std::size_t done = 0;
     while (done < pairs) {
         const std::size_t attempts =
             std::min(kPolarBlock, pairs - done);
-        // kept <= j < attempts <= pairs - done: every store lands in
-        // a pair not yet filled.
-        float* pair = out + 2 * done;
-        std::size_t kept = 0;
-        for (std::size_t j = 0; j < attempts; ++j) {
-            const float x =
-                polar_coordinate(static_cast<std::uint32_t>(rng()));
-            const float y =
-                polar_coordinate(static_cast<std::uint32_t>(rng()));
-            const float r2 = x * x + y * y;
-            pair[2 * kept] = y;
-            pair[2 * kept + 1] = x;
-            // libstdc++ rejects r² > 1 and r² = 0.
-            const bool accepted = r2 <= 1.0f && r2 != 0.0f;
-            kept += static_cast<std::size_t>(accepted);
+        for (std::size_t w = 0; w < 2 * attempts; ++w) {
+            words[w] = static_cast<std::uint32_t>(rng());
         }
-        for (std::size_t i = 0; i < kept; ++i) {
-            const float y = pair[2 * i];
-            const float x = pair[2 * i + 1];
-            const float r2 = x * x + y * y;
-            const float scale = std::sqrt(-2.0f * std::log(r2) / r2);
-            pair[2 * i] = (y * scale) * stddev + mean;
-            pair[2 * i + 1] = (x * scale) * stddev + mean;
-        }
-        done += kept;
+        done += block(words, attempts, out + 2 * done, mean, stddev);
+    }
+}
+
+/**
+ * The same for Mt19937, reading its tempered words in place: a block
+ * never spans a refill, and only an attempt whose two words a refill
+ * splits is copied.
+ */
+void fill_polar_pairs(PolarBlock block, float* out, std::size_t pairs,
+                      Mt19937& rng, float mean, float stddev);
+
+/** fill_gaussian through the kernel @p block. */
+template <typename Engine>
+void
+fill_gaussian_with(PolarBlock block, MatrixF& m, Engine& rng,
+                   float mean, float stddev)
+{
+    static_assert(Engine::min() == 0 && Engine::max() == 0xFFFFFFFFu,
+                  "fill_gaussian draws 32-bit words: the engine's "
+                  "range must be [0, 2^32 - 1]");
+    float* out = m.data().data();
+    const std::size_t n = m.size();
+    fill_polar_pairs(block, out, n / 2, rng, mean, stddev);
+    if (n % 2 != 0) {
+        float last[2] = {};
+        fill_polar_pairs(block, last, 1, rng, mean, stddev);
+        out[n - 1] = last[0];
     }
 }
 
@@ -191,17 +209,8 @@ void
 fill_gaussian(MatrixF& m, Engine& rng, float mean = 0.0f,
               float stddev = 1.0f)
 {
-    static_assert(Engine::min() == 0 && Engine::max() == 0xFFFFFFFFu,
-                  "fill_gaussian draws 32-bit words: the engine's "
-                  "range must be [0, 2^32 - 1]");
-    float* out = m.data().data();
-    const std::size_t n = m.size();
-    detail::fill_polar_pairs(out, n / 2, rng, mean, stddev);
-    if (n % 2 != 0) {
-        float last[2] = {};
-        detail::fill_polar_pairs(last, 1, rng, mean, stddev);
-        out[n - 1] = last[0];
-    }
+    detail::fill_gaussian_with(detail::polar_block(), m, rng, mean,
+                               stddev);
 }
 
 }  // namespace support

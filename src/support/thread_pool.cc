@@ -134,17 +134,16 @@ ThreadPool::parallel_for(std::size_t count,
         assert(!shutdown_ && "parallel_for() on a pool being destroyed");
         for (std::size_t i = 0; i < count; ++i) {
             queue_.push_back([state, &fn, i] {
-                std::exception_ptr error;
+                // The error moves into state or dies here, before the
+                // count-down: once the caller may run, this task must
+                // hold no reference to an exception it could rethrow.
                 try {
                     fn(i);
                 } catch (...) {
-                    error = std::current_exception();
-                }
-                if (error) {
                     MutexLock elock(state->mu);
                     if (i < state->first_error) {
                         state->first_error = i;
-                        state->error = error;
+                        state->error = std::current_exception();
                     }
                 }
                 // acq_rel: the caller's acquire load of zero must see
@@ -203,10 +202,13 @@ ThreadPool::parallel_for(std::size_t count,
         state->mu.unlock();
         break;
     }
+    // Moved, not copied: a worker may still own the last reference to
+    // state, and its ~State must not release the exception rethrown
+    // here.
     std::exception_ptr error;
     {
         MutexLock lock(state->mu);
-        error = state->error;
+        error = std::move(state->error);
     }
     if (error) {
         std::rethrow_exception(error);

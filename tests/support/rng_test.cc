@@ -5,15 +5,21 @@
  * std::normal_distribution<float> bit for bit and leaves the engine
  * exactly where libstdc++ would, so a model's later tensors continue
  * the same stream.  TransformerModel's weights are therefore the ones
- * the std path built, tensor by tensor.
+ * the std path built, tensor by tensor.  The fill cases run once per
+ * block kernel, scalar and AVX-512F, and the engine's AVX-512F refill
+ * is checked against the scalar one.
  */
 
 #include "support/rng.h"
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <random>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -48,6 +54,80 @@ TEST(Mt19937, TenThousandthWordIsTheStandardsCheckValue)
         word = engine();
     }
     EXPECT_EQ(word, 4123659995u);
+}
+
+TEST(Mt19937, TakeHandsOutWhatOperatorCallReturns)
+{
+    for (const std::size_t skip : {0, 1, 623}) {
+        SCOPED_TRACE(::testing::Message() << "skip " << skip);
+        support::Mt19937 engine(42);
+        support::Mt19937 expected(42);
+        for (std::size_t i = 0; i < skip; ++i) {
+            engine();
+            expected();
+        }
+        std::size_t drawn = skip;
+        for (const std::size_t n :
+             {1, 2, 511, 512, 624, 1000, 3, 512, 512, 512, 700}) {
+            const std::span<const std::uint32_t> words =
+                engine.take(n);
+            ASSERT_GE(words.size(), 1u);
+            ASSERT_LE(words.size(), n);
+            drawn += words.size();
+            if (words.size() < n) {
+                // Only a block end cuts a request short.
+                EXPECT_EQ(drawn % 624, 0u) << "n " << n;
+            }
+            for (const std::uint32_t word : words) {
+                ASSERT_EQ(word, expected()) << "n " << n;
+            }
+        }
+        EXPECT_EQ(engine(), expected());
+    }
+}
+
+TEST(Mt19937, Avx512RefillMatchesScalar)
+{
+    if (!support::detail::cpu_has_avx512f()) {
+        GTEST_SKIP() << "CPU lacks avx512f";
+    }
+    using State =
+        std::array<std::uint32_t, support::detail::kMtWords>;
+    // Refills @p state both ways; leaves the scalar result in it.
+    const auto expect_same_refill = [](State& state) {
+        State vector_state = state;
+        State scalar_out{};
+        State vector_out{};
+        support::detail::mt_refill_scalar(state.data(),
+                                          scalar_out.data());
+        support::detail::mt_refill_avx512(vector_state.data(),
+                                          vector_out.data());
+        EXPECT_EQ(vector_state, state);
+        EXPECT_EQ(vector_out, scalar_out);
+    };
+    for (const std::uint32_t seed :
+         {0u, 1u, 7u, 5489u, 0xFFFFFFFFu}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        // The standard's seeding, then three blocks in a row.
+        State state{};
+        state[0] = seed;
+        for (std::uint32_t i = 1; i < state.size(); ++i) {
+            const std::uint32_t prev = state[i - 1];
+            state[i] = 1812433253u * (prev ^ (prev >> 30)) + i;
+        }
+        for (int block = 0; block < 3; ++block) {
+            expect_same_refill(state);
+        }
+    }
+    support::Mt19937 words(2024);
+    for (int trial = 0; trial < 1000; ++trial) {
+        SCOPED_TRACE(::testing::Message() << "state " << trial);
+        State state{};
+        for (std::uint32_t& word : state) {
+            word = words();
+        }
+        expect_same_refill(state);
+    }
 }
 
 TEST(FillGaussian, SamplesHaveTheRequestedMoments)
@@ -93,7 +173,55 @@ same_bits(const support::MatrixF& a, const support::MatrixF& b)
                         a.size() * sizeof(float)) == 0);
 }
 
-TEST(FillGaussian, MatchesLibstdcxxAndStopsWhereItDoes)
+/** A polar block kernel, and whether it needs AVX-512F. */
+struct KernelPath {
+    const char* name;
+    support::detail::PolarBlock block;
+    bool needs_avx512f;
+};
+
+/** A failing case names its kernel, not the struct's bytes. */
+void
+PrintTo(const KernelPath& path, std::ostream* os)
+{
+    *os << path.name;
+}
+
+const KernelPath kKernelPaths[] = {
+    {"scalar", support::detail::polar_block_scalar, false},
+    {"avx512", support::detail::polar_block_avx512, true},
+};
+
+/** Each case runs once per kernel; fill() goes through it. */
+class FillGaussianKernel
+    : public ::testing::TestWithParam<KernelPath> {
+  protected:
+    void
+    SetUp() override
+    {
+        if (GetParam().needs_avx512f &&
+            !support::detail::cpu_has_avx512f()) {
+            GTEST_SKIP() << "CPU lacks avx512f";
+        }
+    }
+
+    template <typename Engine>
+    void
+    fill(support::MatrixF& m, Engine& rng, float mean,
+         float stddev) const
+    {
+        support::detail::fill_gaussian_with(GetParam().block, m, rng,
+                                            mean, stddev);
+    }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, FillGaussianKernel, ::testing::ValuesIn(kKernelPaths),
+    [](const ::testing::TestParamInfo<KernelPath>& info) {
+        return std::string(info.param.name);
+    });
+
+TEST_P(FillGaussianKernel, MatchesLibstdcxxAndStopsWhereItDoes)
 {
     struct Params {
         float mean;
@@ -123,10 +251,8 @@ TEST(FillGaussian, MatchesLibstdcxxAndStopsWhereItDoes)
                 support::MatrixF with_mt(1, n);
                 fill_gaussian_std(expected, reference, p.mean,
                                   p.stddev);
-                support::fill_gaussian(with_std, std_engine, p.mean,
-                                       p.stddev);
-                support::fill_gaussian(with_mt, engine, p.mean,
-                                       p.stddev);
+                fill(with_std, std_engine, p.mean, p.stddev);
+                fill(with_mt, engine, p.mean, p.stddev);
                 SCOPED_TRACE(::testing::Message()
                              << "n " << n << ", mean " << p.mean
                              << ", stddev " << p.stddev << ", skip "
@@ -162,7 +288,7 @@ class ScriptedEngine {
     std::size_t drawn_ = 0;
 };
 
-TEST(FillGaussian, MatchesLibstdcxxOnBoundaryWords)
+TEST_P(FillGaussianKernel, MatchesLibstdcxxOnBoundaryWords)
 {
     // (x, y) word pairs that random draws almost never reach.
     std::vector<std::uint32_t> words = {
@@ -187,19 +313,64 @@ TEST(FillGaussian, MatchesLibstdcxxOnBoundaryWords)
             v = dist(reference);
         }
         support::MatrixF got(1, n);
-        support::fill_gaussian(got, engine, -1.25f, 0.3f);
+        fill(got, engine, -1.25f, 0.3f);
         EXPECT_TRUE(same_bits(got, expected));
         EXPECT_EQ(engine.drawn(), reference.drawn());
+    }
+}
+
+TEST_P(FillGaussianKernel, MatchesLibstdcxxOnBoundaryWordsInEveryLane)
+{
+    // The boundary (x, y) pairs above.  The AVX-512F kernel takes 16
+    // words, 8 attempts, at a time from the start of a block; pair b
+    // goes to slot `slot` of vector b, so each pair meets each slot.
+    const std::uint32_t boundary[][2] = {
+        {0x80000000u, 0x80000000u},  // r² = 0, rejected.
+        {0x00000000u, 0x80000000u},  // r² = 1, accepted.
+        {0xFFFFFFFFu, 0x80000000u},  // x clamps below 1: accepted.
+        {0xFFFFFF80u, 0x7FFFFFFFu},  // float(u) rounds to 2^32, 2^31.
+        {0x00000000u, 0x00000000u},  // r² = 2, rejected.
+    };
+    constexpr std::size_t kScripted = 8 * std::size(boundary);
+    for (std::size_t slot = 0; slot < 8; ++slot) {
+        support::Mt19937 random(100 + slot);
+        std::vector<std::uint32_t> words(2 * (kScripted + 96));
+        for (std::uint32_t& word : words) {
+            word = random();
+        }
+        for (std::size_t b = 0; b < std::size(boundary); ++b) {
+            const std::size_t attempt = 8 * b + slot;
+            words[2 * attempt] = boundary[b][0];
+            words[2 * attempt + 1] = boundary[b][1];
+        }
+        // Each first block holds every scripted attempt.
+        for (const std::size_t n :
+             {2 * kScripted, 2 * kScripted + 1, 2 * kScripted + 16}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "slot " << slot << ", n " << n);
+            ScriptedEngine reference(words);
+            ScriptedEngine engine(words);
+            std::normal_distribution<float> dist(-1.25f, 0.3f);
+            support::MatrixF expected(1, n);
+            for (float& v : expected.data()) {
+                v = dist(reference);
+            }
+            support::MatrixF got(1, n);
+            fill(got, engine, -1.25f, 0.3f);
+            EXPECT_TRUE(same_bits(got, expected));
+            EXPECT_EQ(engine.drawn(), reference.drawn());
+        }
     }
 }
 
 /**
  * Rebuild @p config's weights with the std path, tensor by tensor in
  * the constructor's order, and require every one to match the model's
- * bytewise.
+ * bytewise, and the same draw through @p block too.
  */
 void
-expect_weights_match_std_path(const model::ModelConfig& config,
+expect_weights_match_std_path(support::detail::PolarBlock block,
+                              const model::ModelConfig& config,
                               std::uint32_t seed)
 {
     SCOPED_TRACE(::testing::Message()
@@ -207,10 +378,17 @@ expect_weights_match_std_path(const model::ModelConfig& config,
                  << ", seed " << seed);
     const model::TransformerModel model(config, seed);
     std::mt19937 rng(seed);
-    const auto draw = [&rng](std::size_t rows, std::size_t cols,
-                             float stddev) {
+    support::Mt19937 engine(seed);
+    const auto draw = [&rng, &engine, block](std::size_t rows,
+                                             std::size_t cols,
+                                             float stddev) {
         support::MatrixF m(rows, cols);
         fill_gaussian_std(m, rng, 0.0f, stddev);
+        support::MatrixF with_block(rows, cols);
+        support::detail::fill_gaussian_with(block, with_block, engine,
+                                            0.0f, stddev);
+        EXPECT_TRUE(same_bits(with_block, m))
+            << rows << "x" << cols << " stddev " << stddev;
         return m;
     };
     const std::size_t d = config.d_model;
@@ -258,18 +436,19 @@ expect_weights_match_std_path(const model::ModelConfig& config,
     }
 }
 
-TEST(FillGaussian, TransformerWeightsMatchTheStdPath)
+TEST_P(FillGaussianKernel, TransformerWeightsMatchTheStdPath)
 {
     // Small configs of both FFN shapes, then the two functional
     // serving configs: the serving benchmark's and mugi_server's.
+    const support::detail::PolarBlock block = GetParam().block;
     expect_weights_match_std_path(
-        model::llama2_7b().scaled_for_eval(2, 32, 64), 99);
+        block, model::llama2_7b().scaled_for_eval(2, 32, 64), 99);
     expect_weights_match_std_path(
-        model::whisper_tiny().scaled_for_eval(2, 48, 96), 3);
+        block, model::whisper_tiny().scaled_for_eval(2, 48, 96), 3);
     expect_weights_match_std_path(
-        model::llama2_7b().scaled_for_eval(4, 256, 1024), 7);
+        block, model::llama2_7b().scaled_for_eval(4, 256, 1024), 7);
     expect_weights_match_std_path(
-        model::llama2_7b().scaled_for_eval(4, 128, 512), 11);
+        block, model::llama2_7b().scaled_for_eval(4, 128, 512), 11);
 }
 
 #endif  // __GLIBCXX__
