@@ -9,6 +9,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 #include <vector>
 
@@ -300,6 +301,47 @@ BM_FillGaussian(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * w.size());
 }
 BENCHMARK(BM_FillGaussian)->ArgName("dispatched")->Arg(0)->Arg(1);
+
+// The fill's log over one block's worth of kept r²: form:0 is the C
+// library's logf, form:1 the scalar polar_log, form:2 the form this
+// CPU's block kernel runs (8 lanes at once where it has AVX-512F).
+// Items are logs, so 1 / items_per_second is the time per log.
+void
+BM_PolarLog(benchmark::State& state)
+{
+    support::Mt19937 rng(8);
+    std::vector<float> r2s;
+    while (r2s.size() < support::detail::kPolarBlock) {
+        const float x = support::detail::polar_coordinate(rng());
+        const float y = support::detail::polar_coordinate(rng());
+        const float r2 = x * x + y * y;
+        if (r2 <= 1.0f && r2 != 0.0f) {
+            r2s.push_back(r2);
+        }
+    }
+    std::vector<float> logs(r2s.size());
+    const auto form = state.range(0);
+    const bool lanes =
+        form == 2 && support::detail::cpu_has_avx512f();
+    for (auto _ : state) {
+        if (form == 0) {
+            for (std::size_t i = 0; i < r2s.size(); ++i) {
+                logs[i] = std::log(r2s[i]);
+            }
+        } else if (lanes) {
+            support::detail::polar_log_avx512(r2s.data(), r2s.size(),
+                                              logs.data());
+        } else {
+            for (std::size_t i = 0; i < r2s.size(); ++i) {
+                logs[i] = support::detail::polar_log(r2s[i]);
+            }
+        }
+        benchmark::DoNotOptimize(logs.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * r2s.size());
+}
+BENCHMARK(BM_PolarLog)->ArgName("form")->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_TransformerModelInit(benchmark::State& state)

@@ -296,7 +296,7 @@ TransformerModel::run_layers(support::MatrixF x) const
             x.data()[i] += f.data()[i];
         }
     }
-    norm(x, final_norm_gain_, final_norm_bias_, x_norm);
+    final_norm(x, x_norm);
     return linear(x_norm, lm_head_);
 }
 

@@ -165,9 +165,11 @@ class TransformerModel {
         std::span<const NonlinearHooks* const> hooks,
         support::ThreadPool* pool = nullptr) const;
 
-    const std::vector<float>& final_norm_gain() const
+    /** The norm before the LM head: @p out is @p in normed by row. */
+    void final_norm(const support::MatrixF& in,
+                    support::MatrixF& out) const
     {
-        return final_norm_gain_;
+        norm(in, final_norm_gain_, final_norm_bias_, out);
     }
     const support::MatrixF& lm_head() const { return lm_head_; }
 

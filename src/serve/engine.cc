@@ -207,13 +207,7 @@ Engine::forward_rows(const StepPlan& plan,
         }
     }
     support::MatrixF x_norm;
-    if (config.uses_rmsnorm()) {
-        model::rmsnorm(last, model_->final_norm_gain(), x_norm);
-    } else {
-        const std::vector<float> bias(d, 0.0f);
-        model::layernorm(last, model_->final_norm_gain(), bias,
-                         x_norm);
-    }
+    model_->final_norm(last, x_norm);
     // Pooled, the rows split into disjoint ranges with the identical
     // per-cell accumulation (linear_batched_range).
     const support::MatrixF& lm_head = model_->lm_head();

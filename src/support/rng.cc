@@ -1,5 +1,6 @@
 #include "support/rng.h"
 
+#include <bit>
 #include <cmath>
 
 #if defined(__x86_64__)
@@ -42,21 +43,67 @@ temper(std::uint32_t y)
     return y ^ (y >> 18);
 }
 
-/**
- * 2·generate_canonical<float>(u) − 1 for one 32-bit word, as
- * libstdc++ computes it: float(u)·2⁻³², clamped below 1.  2·canon is
- * exact, so the float subtraction rounds once, exactly as
- * libstdc++'s double subtraction does when narrowed back to float.
- */
+// The main path of glibc's logf (2.28 and later), which comes from
+// ARM's optimized-routines (math/logf.c): its 16-entry table,
+// glibc's __logf_data, and its polynomial.
+constexpr std::uint32_t kLogOff = 0x3f330000u;
+constexpr double kLogInvC[16] = {
+    0x1.661ec79f8f3bep+0, 0x1.571ed4aaf883dp+0, 0x1.49539f0f010b0p+0,
+    0x1.3c995b0b80385p+0, 0x1.30d190c8864a5p+0, 0x1.25e227b0b8ea0p+0,
+    0x1.1bb4a4a1a343fp+0, 0x1.12358f08ae5bap+0, 0x1.0953f419900a7p+0,
+    0x1.0000000000000p+0, 0x1.e608cfd9a47acp-1, 0x1.ca4b31f026aa0p-1,
+    0x1.b2036576afce6p-1, 0x1.9c2d163a1aa2dp-1, 0x1.886e6037841edp-1,
+    0x1.767dcf5534862p-1,
+};
+constexpr double kLogC[16] = {
+    -0x1.57bf7808caadep-2, -0x1.2bef0a7c06ddbp-2,
+    -0x1.01eae7f513a67p-2, -0x1.b31d8a68224e9p-3,
+    -0x1.6574f0ac07758p-3, -0x1.1aa2bc79c8100p-3,
+    -0x1.a4e76ce8c0e5ep-4, -0x1.1973c5a611cccp-4,
+    -0x1.252f438e10c1ep-5, 0x0.0p+0,
+    0x1.aa5aa5df25984p-5,  0x1.c5e53aa362eb4p-4,
+    0x1.526e57720db08p-3,  0x1.bc2860d224770p-3,
+    0x1.1058bc8a07ee1p-2,  0x1.4043057b6ee09p-2,
+};
+constexpr double kLn2 = 0x1.62e42fefa39efp-1;
+constexpr double kLogA0 = -0x1.00ea348b88334p-2;
+constexpr double kLogA1 = 0x1.5575b0be00b6ap-2;
+constexpr double kLogA2 = -0x1.ffffef20a4123p-2;
+
+}  // namespace
+
 float
 polar_coordinate(std::uint32_t u)
 {
+    // 2·canon is exact, so the float subtraction rounds once,
+    // exactly as libstdc++'s double subtraction does when narrowed
+    // to float.
     const float canon =
         std::min(static_cast<float>(u) * 0x1p-32f, 0x1.fffffep-1f);
     return 2.0f * canon - 1.0f;
 }
 
-}  // namespace
+float
+polar_log(float r2)
+{
+    // r2 = 2^k·z exactly, with z in [0x1.66p-1, 0x1.66p+0) (the
+    // floats kLogOff and twice it), and z in table interval i, whose
+    // entry c is near its center: log(r2) is log1p(z/c − 1) + log(c)
+    // + k·ln 2.  A kept r² is a normal positive float, so glibc's
+    // special cases never arise.
+    const std::uint32_t ix = std::bit_cast<std::uint32_t>(r2);
+    const std::uint32_t tmp = ix - kLogOff;
+    const std::size_t i = (tmp >> 19) & 15u;
+    const int k = static_cast<std::int32_t>(tmp) >> 23;
+    const double z = std::bit_cast<float>(ix - (tmp & 0xff800000u));
+    const double r = z * kLogInvC[i] - 1.0;
+    const double y0 = kLogC[i] + k * kLn2;
+    const double rr = r * r;
+    double y = kLogA1 * r + kLogA2;
+    y = kLogA0 * rr + y;
+    y = y * rr + (y0 + r);
+    return static_cast<float>(y);
+}
 
 void
 mt_refill_scalar(std::uint32_t* s, std::uint32_t* out)
@@ -99,7 +146,7 @@ polar_block_scalar(const std::uint32_t* words, std::size_t attempts,
         const float y = out[2 * i];
         const float x = out[2 * i + 1];
         const float r2 = x * x + y * y;
-        const float scale = std::sqrt(-2.0f * std::log(r2) / r2);
+        const float scale = std::sqrt(-2.0f * polar_log(r2) / r2);
         out[2 * i] = (y * scale) * stddev + mean;
         out[2 * i + 1] = (x * scale) * stddev + mean;
     }
@@ -254,7 +301,58 @@ keep_attempts(const std::uint32_t* words, __mmask16 lanes,
     return count;
 }
 
+/**
+ * polar_log of the low 8 of @p r2's 16 lanes, in 8 double lanes: the
+ * same IEEE operations in the same order, so the same bits.
+ * vpermt2pd looks up each lane's entry of a 16-entry table held in
+ * two registers; it reads only an index's low 4 bits, so the & 15 is
+ * implied.
+ */
+MUGI_AVX512 __m256
+polar_log8(__m512 r2)
+{
+    const __m512i ix = _mm512_castps_si512(r2);
+    const __m512i tmp = _mm512_sub_epi32(ix, splat(kLogOff));
+    const __m512i index = _mm512_cvtepu32_epi64(
+        _mm512_castsi512_si256(_mm512_srli_epi32(tmp, 19)));
+    const __m512d k = _mm512_cvtepi32_pd(
+        _mm512_castsi512_si256(_mm512_srai_epi32(tmp, 23)));
+    const __m512i iz = _mm512_sub_epi32(
+        ix, _mm512_and_si512(tmp, splat(0xff800000u)));
+    const __m512d z = _mm512_cvtps_pd(
+        _mm512_castps512_ps256(_mm512_castsi512_ps(iz)));
+    const __m512d invc =
+        _mm512_permutex2var_pd(_mm512_loadu_pd(kLogInvC), index,
+                               _mm512_loadu_pd(kLogInvC + 8));
+    const __m512d logc = _mm512_permutex2var_pd(
+        _mm512_loadu_pd(kLogC), index, _mm512_loadu_pd(kLogC + 8));
+    const __m512d r =
+        _mm512_sub_pd(_mm512_mul_pd(z, invc), _mm512_set1_pd(1.0));
+    const __m512d y0 =
+        _mm512_add_pd(logc, _mm512_mul_pd(k, _mm512_set1_pd(kLn2)));
+    const __m512d rr = _mm512_mul_pd(r, r);
+    __m512d y =
+        _mm512_add_pd(_mm512_mul_pd(_mm512_set1_pd(kLogA1), r),
+                      _mm512_set1_pd(kLogA2));
+    y = _mm512_add_pd(_mm512_mul_pd(_mm512_set1_pd(kLogA0), rr), y);
+    y = _mm512_add_pd(_mm512_mul_pd(y, rr), _mm512_add_pd(y0, r));
+    return _mm512_cvtpd_ps(y);
+}
+
 }  // namespace
+
+MUGI_AVX512 void
+polar_log_avx512(const float* r2, std::size_t n, float* out)
+{
+    for (std::size_t i = 0; i < n; i += 8) {
+        const __mmask16 lanes =
+            low_lanes(std::min<std::size_t>(8, n - i));
+        const __m256 logs = polar_log8(_mm512_mask_loadu_ps(
+            _mm512_set1_ps(1.0f), lanes, r2 + i));
+        _mm512_mask_storeu_ps(out + i, lanes,
+                              _mm512_castps256_ps512(logs));
+    }
+}
 
 MUGI_AVX512 void
 mt_refill_avx512(std::uint32_t* s, std::uint32_t* out)
@@ -281,7 +379,6 @@ polar_block_avx512(const std::uint32_t* words, std::size_t attempts,
                    float* out, float mean, float stddev)
 {
     alignas(64) float r2s[kPolarBlock] = {};
-    alignas(64) float logs[kPolarBlock] = {};
     // Eight attempts per 16 words.  kept <= j and j + 8 <= attempts,
     // so a whole-vector store at pair kept stays inside the block.
     std::size_t kept = 0;
@@ -295,17 +392,10 @@ polar_block_avx512(const std::uint32_t* words, std::size_t attempts,
                               low_lanes(2 * (attempts - j)),
                               out + 2 * kept, r2s + kept);
     }
-    // glibc's logf, one call per kept pair: its results are not
-    // correctly rounded, so no vector log may stand in.  Clear the
-    // upper halves first: with them dirty, each call's SSE code pays
-    // a state transition.
-    _mm256_zeroupper();
-    for (std::size_t i = 0; i < kept; ++i) {
-        logs[i] = std::log(r2s[i]);
-    }
-    // sqrt(-2·log(r²) / r²), then y·scale·stddev + mean, rounded op
-    // by op in the scalar order; each pair's log and r² go to both
-    // of its lanes.
+    // polar_log of the kept r², 8 at once (a masked-off lane logs
+    // 1), then sqrt(-2·log(r²) / r²) and y·scale·stddev + mean,
+    // rounded op by op in the scalar order; each pair's log and r² go
+    // to both of its lanes.
     const __m512i dup = _mm512_set_epi32(7, 7, 6, 6, 5, 5, 4, 4, 3, 3,
                                          2, 2, 1, 1, 0, 0);
     const __m512 one = _mm512_set1_ps(1.0f);
@@ -313,10 +403,11 @@ polar_block_avx512(const std::uint32_t* words, std::size_t attempts,
         const std::size_t n = std::min<std::size_t>(8, kept - i);
         const __mmask16 pair_lanes = low_lanes(n);
         const __mmask16 lanes = low_lanes(2 * n);
+        const __m512 pair_r2 =
+            _mm512_mask_loadu_ps(one, pair_lanes, r2s + i);
         const __m512 log_r2 = _mm512_permutexvar_ps(
-            dup, _mm512_maskz_loadu_ps(pair_lanes, logs + i));
-        const __m512 r2 = _mm512_permutexvar_ps(
-            dup, _mm512_mask_loadu_ps(one, pair_lanes, r2s + i));
+            dup, _mm512_castps256_ps512(polar_log8(pair_r2)));
+        const __m512 r2 = _mm512_permutexvar_ps(dup, pair_r2);
         const __m512 scale = _mm512_sqrt_ps(_mm512_div_ps(
             _mm512_mul_ps(_mm512_set1_ps(-2.0f), log_r2), r2));
         const __m512 yx = _mm512_maskz_loadu_ps(lanes, out + 2 * i);
@@ -343,6 +434,14 @@ void
 mt_refill_avx512(std::uint32_t* s, std::uint32_t* out)
 {
     mt_refill_scalar(s, out);
+}
+
+void
+polar_log_avx512(const float* r2, std::size_t n, float* out)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        out[i] = polar_log(r2[i]);
+    }
 }
 
 std::size_t

@@ -8,9 +8,10 @@
  *
  * Mt19937 and fill_gaussian reproduce std::mt19937 and libstdc++'s
  * std::normal_distribution<float> bit for bit, faster, and without
- * depending on which standard library built them (DESIGN.md, "Model
- * weights").  Both run AVX-512F kernels where the CPU has them and
- * scalar ones elsewhere, with the same bits (src/support/rng.cc).
+ * depending on which standard library built them or which C library
+ * is linked: the fill's log is glibc's logf, transcribed (DESIGN.md,
+ * "Model weights").  Both run AVX-512F kernels where the CPU has them
+ * and scalar ones elsewhere, with the same bits (src/support/rng.cc).
  *
  * Thread-safety: externally serialized.  An engine is a plain value,
  * and fill_gaussian mutates both the caller's engine and the target
@@ -119,6 +120,26 @@ namespace detail {
 
 /** Attempts the polar fill draws between two transform passes. */
 inline constexpr std::size_t kPolarBlock = 256;
+
+/**
+ * 2·generate_canonical<float>(u) − 1 for one 32-bit word, as
+ * libstdc++ computes it: float(u)·2⁻³², clamped below 1.  Every
+ * nonzero value is at least 2⁻²⁴ in magnitude, so a kept r², in
+ * (0, 1], is at least 2⁻⁴⁸.
+ */
+float polar_coordinate(std::uint32_t u);
+
+/**
+ * log(r²) for a kept r², equal bit for bit to glibc's logf on every
+ * float of [2⁻⁵⁰, 1]: the main path of that logf (from ARM's
+ * optimized-routines), written as one unfused op sequence, so the
+ * weights do not depend on the libm linked.  polar_log_avx512,
+ * callable only where cpu_has_avx512f(), writes the logs of the
+ * @p n floats at @p r2 to @p out, 8 double lanes at a time, with the
+ * same bits.
+ */
+float polar_log(float r2);
+void polar_log_avx512(const float* r2, std::size_t n, float* out);
 
 /**
  * One block of polar attempts: attempt j takes (x, y) from words 2j

@@ -7,15 +7,20 @@
  * the same stream.  TransformerModel's weights are therefore the ones
  * the std path built, tensor by tensor.  The fill cases run once per
  * block kernel, scalar and AVX-512F, and the engine's AVX-512F refill
- * is checked against the scalar one.
+ * is checked against the scalar one.  The fill's own log is checked
+ * against the C library's logf, in both forms, over the floats a
+ * kept r² can be.
  */
 
 #include "support/rng.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <ios>
 #include <ostream>
 #include <random>
 #include <span>
@@ -129,6 +134,138 @@ TEST(Mt19937, Avx512RefillMatchesScalar)
         expect_same_refill(state);
     }
 }
+
+TEST(PolarLog, SmallestNonzeroCoordinateIsTwoToTheMinus24)
+{
+    // polar_coordinate does not decrease as the word grows, so the
+    // nonzero values nearest zero lie next to the words that give
+    // zero.  The window holds all of those and nonzero words on both
+    // sides of them.
+    const auto coordinate = support::detail::polar_coordinate;
+    constexpr std::uint32_t kMid = 0x80000000u;
+    constexpr std::uint32_t kHalfWidth = 4096;
+    ASSERT_LT(coordinate(kMid - kHalfWidth), 0.0f);
+    ASSERT_GT(coordinate(kMid + kHalfWidth), 0.0f);
+    float smallest = 1.0f;
+    for (std::uint32_t u = kMid - kHalfWidth; u < kMid + kHalfWidth;
+         ++u) {
+        ASSERT_LE(coordinate(u), coordinate(u + 1)) << "word " << u;
+        if (coordinate(u) != 0.0f) {
+            smallest = std::min(smallest, std::abs(coordinate(u)));
+        }
+    }
+    EXPECT_EQ(smallest, 0x1p-24f);
+    // So a kept r² is at least 2⁻⁴⁸: the log cases below cover
+    // [2⁻⁵⁰, 1].
+    EXPECT_EQ(smallest * smallest, 0x1p-48f);
+}
+
+// polar_log is glibc's logf transcribed: another C library's logf
+// rounds some of these floats the other way.
+#ifdef __GLIBC__
+
+void
+scalar_logs(const float* r2, std::size_t n, float* out)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        out[i] = support::detail::polar_log(r2[i]);
+    }
+}
+
+/** A form of polar_log: writes the logs of the n floats at r2. */
+struct LogForm {
+    const char* name;
+    void (*logs)(const float* r2, std::size_t n, float* out);
+};
+
+const LogForm kScalarLog = {"scalar", scalar_logs};
+const LogForm kAvx512Log = {"avx512",
+                             support::detail::polar_log_avx512};
+
+/**
+ * Require every form in @p forms to give std::log's bits on every
+ * @p stride-th float from @p first up to, not past, @p last (both
+ * positive).
+ */
+void
+expect_matches_libm(std::span<const LogForm> forms, float first,
+                    float last, std::uint32_t stride)
+{
+    constexpr std::size_t kChunk = 4096;
+    std::vector<float> r2(kChunk);
+    std::vector<float> expected(kChunk);
+    std::vector<float> logs(kChunk);
+    std::vector<std::uint64_t> mismatches(forms.size());
+    std::uint64_t bits = std::bit_cast<std::uint32_t>(first);
+    const std::uint64_t end = std::bit_cast<std::uint32_t>(last);
+    while (bits <= end) {
+        std::size_t n = 0;
+        for (; n < kChunk && bits <= end; ++n, bits += stride) {
+            r2[n] = std::bit_cast<float>(
+                static_cast<std::uint32_t>(bits));
+            expected[n] = std::log(r2[n]);
+        }
+        for (std::size_t f = 0; f < forms.size(); ++f) {
+            forms[f].logs(r2.data(), n, logs.data());
+            for (std::size_t i = 0; i < n; ++i) {
+                if (std::bit_cast<std::uint32_t>(logs[i]) ==
+                    std::bit_cast<std::uint32_t>(expected[i])) {
+                    continue;
+                }
+                if (mismatches[f]++ < 8) {
+                    ADD_FAILURE() << forms[f].name << std::hexfloat
+                                  << ": log(" << r2[i] << ") = "
+                                  << logs[i] << ", libm "
+                                  << expected[i];
+                }
+            }
+        }
+    }
+    for (std::size_t f = 0; f < forms.size(); ++f) {
+        EXPECT_EQ(mismatches[f], 0u)
+            << forms[f].name << std::hexfloat << " over [" << first
+            << ", " << last << "], stride " << stride;
+    }
+}
+
+/**
+ * Every float of [0.5, 1], which holds all 16 table intervals and
+ * 1.0, then every 97th float of [2⁻⁵⁰, 0.5).
+ */
+void
+expect_matches_libm_on_sample(const LogForm& form)
+{
+    expect_matches_libm({&form, 1}, 0.5f, 1.0f, 1);
+    expect_matches_libm({&form, 1}, 0x1p-50f,
+                        std::nextafter(0.5f, 0.0f), 97);
+}
+
+TEST(PolarLog, ScalarMatchesLibm)
+{
+    expect_matches_libm_on_sample(kScalarLog);
+}
+
+TEST(PolarLog, Avx512MatchesLibm)
+{
+    if (!support::detail::cpu_has_avx512f()) {
+        GTEST_SKIP() << "CPU lacks avx512f";
+    }
+    expect_matches_libm_on_sample(kAvx512Log);
+}
+
+// All 419,430,401 floats, each form against one libm call per float:
+// a few seconds in Release.  CI's Release entry runs it with
+// --gtest_also_run_disabled_tests.
+TEST(PolarLog, DISABLED_MatchesLibmOnEveryFloatOfTheDomain)
+{
+    std::vector<LogForm> forms = {kScalarLog};
+    if (support::detail::cpu_has_avx512f()) {
+        forms.push_back(kAvx512Log);
+    }
+    expect_matches_libm(forms, 0x1p-50f, 1.0f, 1);
+}
+
+#endif  // __GLIBC__
 
 TEST(FillGaussian, SamplesHaveTheRequestedMoments)
 {
