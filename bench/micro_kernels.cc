@@ -39,6 +39,18 @@ random_values(std::size_t n, float lo, float hi, std::uint32_t seed)
     return v;
 }
 
+/** An n x 32 matrix of INT4 codes drawn uniformly from [-7, 7]. */
+vlp::Int4Matrix
+random_codes(std::size_t n, std::mt19937& rng)
+{
+    std::uniform_int_distribution<int> dist(-7, 7);
+    vlp::Int4Matrix w(n, 32);
+    for (numerics::Int4& code : w.data()) {
+        code = numerics::Int4::from_int(dist(rng));
+    }
+    return w;
+}
+
 void
 BM_ExactExp(benchmark::State& state)
 {
@@ -102,14 +114,8 @@ BM_TemporalGemm(benchmark::State& state)
 {
     const std::size_t n = state.range(0);
     std::mt19937 rng(5);
-    std::uniform_int_distribution<int> wdist(-7, 7);
-    vlp::Int4Matrix w(n, 32);
+    const vlp::Int4Matrix w = random_codes(n, rng);
     support::MatrixF x(32, 8);
-    for (std::size_t i = 0; i < w.rows(); ++i) {
-        for (std::size_t j = 0; j < w.cols(); ++j) {
-            w.at(i, j) = numerics::Int4::from_int(wdist(rng));
-        }
-    }
     support::fill_gaussian(x, rng, 0.0f, 1.0f);
     for (auto _ : state) {
         const vlp::VlpGemmResult r = vlp::vlp_gemm_mugi(w, x, 64, 8);
@@ -127,14 +133,8 @@ BM_TemporalGemmBaseline(benchmark::State& state)
     // the kernel win bench/gemm_throughput gates on.
     const std::size_t n = state.range(0);
     std::mt19937 rng(5);
-    std::uniform_int_distribution<int> wdist(-7, 7);
-    vlp::Int4Matrix w(n, 32);
+    const vlp::Int4Matrix w = random_codes(n, rng);
     support::MatrixF x(32, 8);
-    for (std::size_t i = 0; i < w.rows(); ++i) {
-        for (std::size_t j = 0; j < w.cols(); ++j) {
-            w.at(i, j) = numerics::Int4::from_int(wdist(rng));
-        }
-    }
     support::fill_gaussian(x, rng, 0.0f, 1.0f);
     for (auto _ : state) {
         const vlp::VlpGemmResult r =
@@ -145,71 +145,35 @@ BM_TemporalGemmBaseline(benchmark::State& state)
 }
 BENCHMARK(BM_TemporalGemmBaseline)->Arg(64)->Arg(256);
 
-/** Shared setup for the subscription-sweep executor A/B pair. */
-struct SubscribedSetup {
-    vlp::SubscriptionLists subs;
-    support::MatrixF acts;
-    support::MatrixF out;
-
-    explicit SubscribedSetup(std::size_t n)
-    {
-        std::mt19937 rng(5);
-        std::uniform_int_distribution<int> wdist(-7, 7);
-        vlp::Int4Matrix w(n, 32);
-        for (std::size_t i = 0; i < w.rows(); ++i) {
-            for (std::size_t j = 0; j < w.cols(); ++j) {
-                w.at(i, j) = numerics::Int4::from_int(wdist(rng));
-            }
-        }
-        subs = vlp::SubscriptionLists(w);
-        acts = support::MatrixF(32, 8);
-        support::fill_gaussian(acts, rng, 0.0f, 1.0f);
-        out = support::MatrixF(n, 8, 0.0f);
-    }
-};
-
 void
-BM_SubscribedSweep(benchmark::State& state)
+BM_SweepGemm(benchmark::State& state)
 {
-    // The u32 cycle-major executor the packed form replaced; the gap
-    // to BM_SubscribedSweepPacked is the u16 tile-packing win.
-    SubscribedSetup setup(state.range(0));
+    // The sweep executor alone, straight over the INT4 codes: the
+    // accumulator tables plus every row's walk, without the result
+    // allocation and counters vlp_gemm_mugi adds around it.
+    const std::size_t n = state.range(0);
+    std::mt19937 rng(5);
+    const vlp::Int4Matrix w = random_codes(n, rng);
+    support::MatrixF acts(32, 8);
+    support::fill_gaussian(acts, rng, 0.0f, 1.0f);
+    support::MatrixF out(n, 8, 0.0f);
     for (auto _ : state) {
-        std::fill(setup.out.data().begin(), setup.out.data().end(),
-                  0.0f);
-        vlp::vlp_gemm_subscribed(setup.subs, setup.acts, 0,
-                                 setup.subs.cols(), setup.out);
-        benchmark::DoNotOptimize(setup.out.data().data());
+        std::fill(out.data().begin(), out.data().end(), 0.0f);
+        vlp::vlp_gemm_sweep(w, acts, 0, w.cols(), out);
+        benchmark::DoNotOptimize(out.data().data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * state.range(0) * 32 *
-                            8);
+    state.SetItemsProcessed(state.iterations() * n * 32 * 8);
 }
-BENCHMARK(BM_SubscribedSweep)->Arg(64)->Arg(256)->Arg(4096);
-
-void
-BM_SubscribedSweepPacked(benchmark::State& state)
-{
-    // The shipped tile-local u16 executor: half-width entries, zero
-    // bucket pre-dropped, bit-identical output to BM_SubscribedSweep.
-    SubscribedSetup setup(state.range(0));
-    for (auto _ : state) {
-        std::fill(setup.out.data().begin(), setup.out.data().end(),
-                  0.0f);
-        vlp::vlp_gemm_subscribed_packed(setup.subs, setup.acts, 0,
-                                        setup.subs.cols(), setup.out);
-        benchmark::DoNotOptimize(setup.out.data().data());
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0) * 32 *
-                            8);
-}
-BENCHMARK(BM_SubscribedSweepPacked)->Arg(64)->Arg(256)->Arg(4096);
+BENCHMARK(BM_SweepGemm)->Arg(64)->Arg(256)->Arg(4096);
 
 void
 BM_PreparedGemm(benchmark::State& state)
 {
     // The serving WOQ path: quantize once, GEMM many times over the
-    // cached subscription schedule.  Counters surface the simulated
-    // work a single run charges (GemmRun carries all three).
+    // handle's shared INT4 codes and scales.  Counters surface the
+    // simulated work a single run charges (GemmRun carries all
+    // three).
     std::mt19937 rng(9);
     support::MatrixF weights(256, 256);
     support::MatrixF acts(256, 8);

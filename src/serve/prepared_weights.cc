@@ -8,11 +8,9 @@ namespace serve {
 
 PreparedWeights::PreparedWeights(const support::MatrixF& weights,
                                  std::size_t group_size)
+    : q_(std::make_shared<const quant::QuantizedMatrix>(
+          quant::quantize_int4(weights, group_size)))
 {
-    auto impl = std::make_shared<Impl>();
-    impl->q = quant::quantize_int4(weights, group_size);
-    impl->subs = vlp::SubscriptionLists(impl->q.values);
-    impl_ = std::move(impl);
 }
 
 GemmRun
@@ -21,7 +19,6 @@ run_prepared_gemm(const PreparedWeights& weights,
                   std::size_t array_rows, std::size_t array_cols)
 {
     const quant::QuantizedMatrix& q = weights.quantized();
-    const vlp::SubscriptionLists& subs = weights.subscriptions();
     const std::size_t group_size = q.group_size;
     const std::size_t rows = q.rows();
     const std::size_t b_total = activations.cols();
@@ -33,10 +30,10 @@ run_prepared_gemm(const PreparedWeights& weights,
     // The temporal array computes per-group partial sums in INT4 x
     // BF16; the vector array applies the per-group scale during
     // dequantization (Sec. 4.2).  The sweep-accumulator kernel runs
-    // straight over the handle's cached schedule -- each group is a
-    // consecutive k-run, so no weight or activation submatrices are
-    // materialized -- and the partial buffer is folded into the
-    // output with the group's scale in one pass.
+    // straight over the handle's codes -- each group is a consecutive
+    // k-run, so no weight or activation submatrices are materialized
+    // -- and the partial buffer is folded into the output with the
+    // group's scale in one pass.
     const std::uint64_t tiles =
         ((rows + array_rows - 1) / array_rows) *
         ((b_total + array_cols - 1) / array_cols);
@@ -48,8 +45,8 @@ run_prepared_gemm(const PreparedWeights& weights,
         const std::size_t end =
             std::min(begin + group_size, q.cols());
         std::fill(partial.data().begin(), partial.data().end(), 0.0f);
-        vlp::vlp_gemm_subscribed_packed(subs, activations, begin, end,
-                                        partial);
+        vlp::vlp_gemm_sweep(q.values, activations, begin, end,
+                            partial);
         for (std::size_t r = 0; r < rows; ++r) {
             const float scale = q.scales.at(r, g);
             const float* prow = partial.row_data(r);

@@ -8,22 +8,19 @@
  * The removed MugiSystem facade re-ran quant::quantize_int4 on
  * every call -- a per-request cost for state that never changes.  A
  * PreparedWeights handle performs the INT4 group quantization
- * (Sec. 2.3.2) exactly once at load time, and additionally builds the
- * temporal-subscription schedule (vlp::SubscriptionLists) of the
- * codes: per reduction column k, the rows bucketed by their magnitude
- * firing cycle, laid out contiguously with quantization groups as
- * consecutive k-runs (the group-major packed layout).  Every
- * subsequent GEMM against the handle runs the sweep-accumulator
- * kernel directly over that schedule -- no per-group weight or
- * activation copies -- and folds each group's scale into the output
- * in one pass.  Handles are cheap to copy (shared immutable storage).
+ * (Sec. 2.3.2) exactly once at load time and holds nothing else: the
+ * codes are the temporal array's whole schedule, so every GEMM
+ * against the handle runs the sweep-accumulator kernel
+ * (vlp::vlp_gemm_sweep) straight over them, one consecutive k-run per
+ * quantization group -- no per-group weight or activation copies --
+ * and folds each group's scale into the output in one pass.  Handles
+ * are cheap to copy (shared immutable storage).
  *
- * Thread-safety: immutable after construction -- the codes, scales
- * and subscription schedule behind a handle are built once and never
- * mutated, so one PreparedWeights may back GEMMs on any number of
- * threads concurrently
- * (tests/concurrency/engine_step_stress_test.cc races exactly that
- * under TSan).
+ * Thread-safety: immutable after construction -- the codes and scales
+ * behind a handle are built once and never mutated, so one
+ * PreparedWeights may back GEMMs on any number of threads
+ * concurrently (tests/concurrency/engine_step_stress_test.cc races
+ * exactly that under TSan).
  */
 
 #include <cstdint>
@@ -59,40 +56,22 @@ class PreparedWeights {
     PreparedWeights(const support::MatrixF& weights,
                     std::size_t group_size);
 
-    bool valid() const { return impl_ != nullptr; }
-    std::size_t rows() const { return impl_->q.rows(); }
-    std::size_t cols() const { return impl_->q.cols(); }
-    std::size_t group_size() const { return impl_->q.group_size; }
+    bool valid() const { return q_ != nullptr; }
+    std::size_t rows() const { return q_->rows(); }
+    std::size_t cols() const { return q_->cols(); }
+    std::size_t group_size() const { return q_->group_size; }
 
     /** The INT4 codes + scales shared by every GEMM on this handle. */
-    const quant::QuantizedMatrix& quantized() const { return impl_->q; }
-
-    /**
-     * The precomputed sweep schedule of the codes (built once at
-     * construction, shared by every GEMM on this handle).
-     */
-    const vlp::SubscriptionLists&
-    subscriptions() const
-    {
-        return impl_->subs;
-    }
+    const quant::QuantizedMatrix& quantized() const { return *q_; }
 
     /**
      * Packed INT4 + BF16-scale storage footprint in bytes -- the
      * device-resident weight bytes WOQ's 4x compression is about.
-     * Deliberately excludes the host-side SubscriptionLists (about
-     * 4 bytes per weight): that schedule only exists to accelerate
-     * the *simulation*; the temporal array subscribes natively and
-     * stores nothing beyond the codes.
      */
-    std::size_t byte_size() const { return impl_->q.byte_size(); }
+    std::size_t byte_size() const { return q_->byte_size(); }
 
   private:
-    struct Impl {
-        quant::QuantizedMatrix q;
-        vlp::SubscriptionLists subs;
-    };
-    std::shared_ptr<const Impl> impl_;
+    std::shared_ptr<const quant::QuantizedMatrix> q_;
 };
 
 /**

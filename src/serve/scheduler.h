@@ -450,7 +450,7 @@ class Scheduler {
          * plus -- after a preemption -- the tokens generated before
          * eviction, replayed to rebuild the KV cache bit-identically.
          */
-        std::vector<int> feed;
+        std::vector<int> feed{};
         /** Effective prompt length (analytic: prompt + replayed). */
         units::Tokens feed_tokens{0};
         units::Tokens prompt_fed{0};
@@ -474,7 +474,7 @@ class Scheduler {
          * Chain keys of this request's shareable prompt-block runs
          * -- the prefix-index entries it owns while resident.
          */
-        std::vector<std::uint64_t> prefix_keys;
+        std::vector<std::uint64_t> prefix_keys{};
         /**
          * Leading prefix_keys this *analytic* request holds
          * refcounted reservations for (each key's block-group bytes

@@ -386,7 +386,10 @@ ObjectWriter::field(const std::string& key, double value)
 ObjectWriter&
 ObjectWriter::field(const std::string& key, const std::string& value)
 {
-    return field_raw(key, "\"" + escape(value) + "\"");
+    std::string quoted(1, '"');
+    quoted += escape(value);
+    quoted += '"';
+    return field_raw(key, quoted);
 }
 
 ObjectWriter&

@@ -1,7 +1,9 @@
 #include "vlp/vlp_gemm.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <cstring>
 
 namespace mugi {
 namespace vlp {
@@ -9,6 +11,58 @@ namespace {
 
 constexpr int kMagnitudeBits = numerics::kInt4MagnitudeBits;
 constexpr std::uint32_t kSweep = 1u << kMagnitudeBits;
+/** Reduction columns whose sweep tables are built at once. */
+constexpr std::size_t kBlock = 32;
+/** Value columns of one panel (the array's width). */
+constexpr std::size_t kLanes = 8;
+/** Rows whose independent add chains are stepped together. */
+constexpr std::size_t kRowGroup = 4;
+
+/**
+ * Four float lanes added as plain IEEE single-precision adds: one SSE
+ * register on any x86-64 (GCC/Clang vector extension).
+ */
+using Vec = float __attribute__((vector_size(4 * sizeof(float))));
+/** Vecs per panel row of kLanes floats. */
+constexpr std::size_t kVecs = kLanes / 4;
+
+/** A block's signed sweep states, [k][sign-magnitude code]. */
+using SweepTables = Vec[kBlock][2 * kSweep][kVecs];
+
+/**
+ * Adds the block [k0, k0 + kn) of the sweep to kRows consecutive
+ * rows from @p r, over the panel of @p lanes value columns at @p c0.
+ * Each row walks its own codes in ascending k, so every cell gets
+ * the literal scan's add sequence; rows own disjoint cells, so
+ * stepping several rows together -- their add chains overlap in the
+ * pipeline -- changes no bit.
+ */
+template <std::size_t kRows>
+void
+walk_rows(const Int4Matrix& temporal, const SweepTables& states,
+          std::size_t r, std::size_t k0, std::size_t kn,
+          std::size_t c0, std::size_t lanes, support::MatrixF& out)
+{
+    const numerics::Int4* codes[kRows] = {};
+    Vec cell[kRows][kVecs] = {};
+    for (std::size_t i = 0; i < kRows; ++i) {
+        codes[i] = temporal.row_data(r + i) + k0;
+        std::memcpy(cell[i], out.row_data(r + i) + c0,
+                    lanes * sizeof(float));
+    }
+    for (std::size_t kk = 0; kk < kn; ++kk) {
+        for (std::size_t i = 0; i < kRows; ++i) {
+            const Vec* state = states[kk][codes[i][kk].encode()];
+            for (std::size_t v = 0; v < kVecs; ++v) {
+                cell[i][v] += state[v];
+            }
+        }
+    }
+    for (std::size_t i = 0; i < kRows; ++i) {
+        std::memcpy(out.row_data(r + i) + c0, cell[i],
+                    lanes * sizeof(float));
+    }
+}
 
 std::uint64_t
 tile_count(std::size_t total, int tile)
@@ -38,8 +92,7 @@ sweep_gemm(const Int4Matrix& temporal, const support::MatrixF& values,
     VlpGemmResult result;
     result.out = support::MatrixF(r_total, c_total, 0.0f);
 
-    const SubscriptionLists subs(temporal);
-    vlp_gemm_subscribed_packed(subs, values, 0, k_total, result.out);
+    vlp_gemm_sweep(temporal, values, 0, k_total, result.out);
 
     const std::uint64_t tiles = tile_count(r_total, array_rows) *
                                 tile_count(c_total, array_cols);
@@ -52,165 +105,53 @@ sweep_gemm(const Int4Matrix& temporal, const support::MatrixF& values,
 
 }  // namespace
 
-SubscriptionLists::SubscriptionLists(const Int4Matrix& weights)
-    : rows_(weights.rows()), cols_(weights.cols()),
-      tiles_((rows_ + kTileRows - 1) / kTileRows)
-{
-    entries_.resize(rows_ * cols_);
-    offsets_.assign(cols_ * (static_cast<std::size_t>(kBuckets) + 1),
-                    0);
-    std::size_t counts[kBuckets];
-    for (std::size_t k = 0; k < cols_; ++k) {
-        for (std::uint32_t m = 0; m < kBuckets; ++m) {
-            counts[m] = 0;
-        }
-        for (std::size_t r = 0; r < rows_; ++r) {
-            ++counts[weights.at(r, k).magnitude];
-        }
-        const std::size_t base =
-            k * (static_cast<std::size_t>(kBuckets) + 1);
-        offsets_[base] = k * rows_;
-        for (std::uint32_t m = 0; m < kBuckets; ++m) {
-            offsets_[base + m + 1] = offsets_[base + m] + counts[m];
-            counts[m] = offsets_[base + m];
-        }
-        for (std::size_t r = 0; r < rows_; ++r) {
-            const numerics::Int4 w = weights.at(r, k);
-            entries_[counts[w.magnitude]++] =
-                (static_cast<std::uint32_t>(r) << 4) | w.encode();
-        }
-    }
-
-    // Packed form: re-bucket each column's non-zero entries by row
-    // tile, keeping the cycle-major order within a tile (a stable
-    // single pass over the column).  Entries become tile-local u16:
-    // 12 bits of local row + the sign-magnitude nibble.
-    packed_begin_.assign(cols_ * tiles_ + 1, 0);
-    packed_.reserve(entries_.size());
-    std::vector<std::vector<std::uint16_t>> per_tile(tiles_);
-    for (std::size_t k = 0; k < cols_; ++k) {
-        const std::size_t zero_rows = bucket(k, 0).size();
-        const std::span<const std::uint32_t> col = column(k);
-        for (std::size_t e = zero_rows; e < col.size(); ++e) {
-            const std::uint32_t entry = col[e];
-            const std::size_t row = entry >> 4;
-            per_tile[row / kTileRows].push_back(
-                static_cast<std::uint16_t>(((row % kTileRows) << 4) |
-                                           (entry & 0xFu)));
-        }
-        for (std::size_t tile = 0; tile < tiles_; ++tile) {
-            packed_.insert(packed_.end(), per_tile[tile].begin(),
-                           per_tile[tile].end());
-            packed_begin_[k * tiles_ + tile + 1] = packed_.size();
-            per_tile[tile].clear();
-        }
-    }
-}
-
 void
-vlp_gemm_subscribed(const SubscriptionLists& subs,
-                    const support::MatrixF& values, std::size_t k_begin,
-                    std::size_t k_end, support::MatrixF& out)
+vlp_gemm_sweep(const Int4Matrix& temporal,
+               const support::MatrixF& values, std::size_t k_begin,
+               std::size_t k_end, support::MatrixF& out)
 {
-    assert(k_end <= subs.cols() && k_begin <= k_end);
+    assert(k_begin <= k_end && k_end <= temporal.cols());
     assert(k_end <= values.rows());
-    assert(out.rows() == subs.rows() && out.cols() == values.cols());
+    assert(out.rows() == temporal.rows() &&
+           out.cols() == values.cols());
+    const std::size_t rows = temporal.rows();
     const std::size_t c_total = values.cols();
-    if (c_total == 0 || subs.rows() == 0) {
-        return;
-    }
 
-    // The 2^mb accumulator states of one sweep, for every column at
-    // once: accs[m][c] = m * values[k][c], built by the same
-    // incremental additions the per-column temporal accumulator
-    // performs cycle by cycle.  Rows kSweep..2*kSweep-1 hold the
-    // sign-applied states (-accs[m][c]; IEEE negation is exact), so
-    // each subscription is one branchless table lookup + add.
-    support::MatrixF accs(2 * kSweep, c_total, 0.0f);
-    const float* state[2 * kSweep];
-    for (std::uint32_t m = 0; m < kSweep; ++m) {
-        state[m] = accs.row_data(m);
-        state[kSweep + m] = accs.row_data(kSweep + m);
-    }
-    for (std::size_t k = k_begin; k < k_end; ++k) {
-        const float* act = values.row_data(k);
-        for (std::uint32_t m = 1; m < kSweep; ++m) {
-            const float* prev = accs.row_data(m - 1);
-            float* cur = accs.row_data(m);
-            float* neg = accs.row_data(kSweep + m);
-            for (std::size_t c = 0; c < c_total; ++c) {
-                cur[c] = prev[c] + act[c];
-                neg[c] = -cur[c];
-            }
-        }
-        // Visit each row at its firing cycle, exactly once, in the
-        // cycle-major order the sweep fires them.  Rows accumulate
-        // disjoint output cells, so any visit order matches the
-        // cycle-by-row scan bit for bit -- which also lets the
-        // magnitude-0 bucket (the column head) be skipped outright:
-        // its subscriptions add sign(0.0f), and no accumulated cell
-        // can hold -0.0f (x + y == -0 requires x == y == -0, and
-        // every cell starts at +0), so those adds never change bits.
-        const std::span<const std::uint32_t> column = subs.column(k);
-        const std::size_t zero_rows = subs.bucket(k, 0).size();
-        for (std::size_t e = zero_rows; e < column.size(); ++e) {
-            const std::uint32_t entry = column[e];
-            const float* av = state[entry & 0xFu];
-            float* orow = out.row_data(entry >> 4);
-            for (std::size_t c = 0; c < c_total; ++c) {
-                orow[c] += av[c];
-            }
-        }
-    }
-}
-
-void
-vlp_gemm_subscribed_packed(const SubscriptionLists& subs,
-                           const support::MatrixF& values,
-                           std::size_t k_begin, std::size_t k_end,
-                           support::MatrixF& out)
-{
-    assert(k_end <= subs.cols() && k_begin <= k_end);
-    assert(k_end <= values.rows());
-    assert(out.rows() == subs.rows() && out.cols() == values.cols());
-    const std::size_t c_total = values.cols();
-    if (c_total == 0 || subs.rows() == 0) {
-        return;
-    }
-
-    // Identical accumulator-state construction as the u32 executor;
-    // only the subscription walk differs (tile-local u16 entries,
-    // zero bucket already dropped at build time).  Rows accumulate
-    // disjoint output cells, so the tile-major visit order matches
-    // the cycle-major walk bit for bit.
-    support::MatrixF accs(2 * kSweep, c_total, 0.0f);
-    const float* state[2 * kSweep];
-    for (std::uint32_t m = 0; m < kSweep; ++m) {
-        state[m] = accs.row_data(m);
-        state[kSweep + m] = accs.row_data(kSweep + m);
-    }
-    const std::size_t tiles = subs.tile_count();
-    for (std::size_t k = k_begin; k < k_end; ++k) {
-        const float* act = values.row_data(k);
-        for (std::uint32_t m = 1; m < kSweep; ++m) {
-            const float* prev = accs.row_data(m - 1);
-            float* cur = accs.row_data(m);
-            float* neg = accs.row_data(kSweep + m);
-            for (std::size_t c = 0; c < c_total; ++c) {
-                cur[c] = prev[c] + act[c];
-                neg[c] = -cur[c];
-            }
-        }
-        for (std::size_t tile = 0; tile < tiles; ++tile) {
-            const std::size_t base_row =
-                tile * SubscriptionLists::kTileRows;
-            for (const std::uint16_t entry :
-                 subs.packed_tile(k, tile)) {
-                const float* av = state[entry & 0xFu];
-                float* orow = out.row_data(base_row + (entry >> 4));
-                for (std::size_t c = 0; c < c_total; ++c) {
-                    orow[c] += av[c];
+    // The sweep tables of kBlock reduction columns over one panel of
+    // kLanes value columns: states[kk][m] = m * act by the same
+    // incremental additions the temporal accumulator performs cycle
+    // by cycle, and states[kk][kSweep + m] their exact (IEEE)
+    // negations, so a row's sign-magnitude code indexes exactly what
+    // the literal scan adds on the row's firing cycle -- +0 or -0 for
+    // magnitude 0.  Skipping those adds would change no bit either:
+    // a sum is -0 only if both addends are, and every caller's cells
+    // start at +0.  Lanes past c_total sweep zeros, never stored.
+    SweepTables states = {};
+    for (std::size_t c0 = 0; c0 < c_total; c0 += kLanes) {
+        const std::size_t lanes = std::min(kLanes, c_total - c0);
+        for (std::size_t k0 = k_begin; k0 < k_end; k0 += kBlock) {
+            const std::size_t kn = std::min(kBlock, k_end - k0);
+            for (std::size_t kk = 0; kk < kn; ++kk) {
+                Vec act[kVecs] = {};
+                std::memcpy(act, values.row_data(k0 + kk) + c0,
+                            lanes * sizeof(float));
+                for (std::size_t v = 0; v < kVecs; ++v) {
+                    Vec acc = {};
+                    for (std::uint32_t m = 0; m < kSweep; ++m) {
+                        states[kk][m][v] = acc;
+                        states[kk][kSweep + m][v] = -acc;
+                        acc += act[v];
+                    }
                 }
+            }
+            std::size_t r = 0;
+            for (; r + kRowGroup <= rows; r += kRowGroup) {
+                walk_rows<kRowGroup>(temporal, states, r, k0, kn, c0,
+                                     lanes, out);
+            }
+            for (; r < rows; ++r) {
+                walk_rows<1>(temporal, states, r, k0, kn, c0, lanes,
+                             out);
             }
         }
     }

@@ -24,18 +24,18 @@
  * table* instead of literally replaying every cycle.  Per (k, column)
  * the 2^mb accumulator states of a sweep are materialized once by
  * incremental addition (the identical float-op sequence the temporal
- * accumulator produces), and a precomputed per-k magnitude
- * subscription list (SubscriptionLists) visits each row exactly once
- * at its firing cycle -- O(nh + 2^mb) work per sweep instead of the
- * O(nh * 2^mb) cycle-by-row scan.  Outputs and all counters are
+ * accumulator produces) next to their exact negations, and every row
+ * adds the one state its sign-magnitude INT4 code indexes -- the
+ * cycle at which its subscription fires, read straight from the
+ * codes (vlp_gemm_sweep) -- O(nh + 2^mb) work per sweep instead of
+ * the O(nh * 2^mb) cycle-by-row scan.  Outputs and all counters are
  * bit-identical to the literal simulation, which is retained as
  * vlp_gemm_mugi_baseline / vlp_gemm_carat_baseline and pinned by
  * tests (tests/vlp/vlp_gemm_test.cc).
  */
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "numerics/int4.h"
 #include "support/matrix.h"
@@ -77,159 +77,27 @@ struct VlpGemmResult {
 };
 
 /**
- * Precomputed temporal-subscription schedule of an INT4 matrix.
- *
- * For every reduction column k, the matrix rows are bucketed by their
- * 3-bit magnitude -- the cycle of the sweep at which the row's
- * subscription fires -- in row order within a bucket.  Each row
- * appears exactly once per k, so a sweep executor visits
- * O(rows + 2^mb) entries instead of scanning every row on every
- * cycle, and reads the codes from a contiguous per-k layout instead
- * of striding through the row-major matrix once per cycle.
- *
- * The schedule is immutable and independent of the activations, so
- * serving-path holders (serve::PreparedWeights) build it once at load
- * time and reuse it for every GEMM against the same codes.
- *
- * Alongside the u32 entries, the schedule carries a *packed* form:
- * rows are split into tiles of kTileRows and each (k, tile) stores
- * tile-local u16 entries -- (local_row << 4) | nibble, local_row <
- * 2^12 -- with the magnitude-0 bucket omitted outright (its
- * subscriptions add a signed zero to cells that are never -0.0f, so
- * they cannot change bits; see vlp_gemm.cc).  Half-width entries and
- * the dropped zero bucket shrink the inner loop's working set, and
- * the fixed 16-bit stride is what a SIMD gather wants.  The packed
- * executor (vlp_gemm_subscribed_packed) is bit-identical to the u32
- * one, pinned across the ragged-shape matrix by
- * tests/vlp/vlp_gemm_test.cc.
- */
-class SubscriptionLists {
-  public:
-    /**
-     * Rows per packed tile: local row indices must fit the 12 bits a
-     * u16 entry has left of its sign-magnitude nibble.
-     */
-    static constexpr std::size_t kTileRows = 1u << 12;
-
-    SubscriptionLists() = default;
-
-    /** Build the per-k magnitude buckets of @p weights. */
-    explicit SubscriptionLists(const Int4Matrix& weights);
-
-    std::size_t rows() const { return rows_; }
-    std::size_t cols() const { return cols_; }
-
-    /** Row tiles the packed form splits [0, rows) into. */
-    std::size_t tile_count() const { return tiles_; }
-
-    /** Row index of a packed entry. */
-    static std::uint32_t
-    entry_row(std::uint32_t entry)
-    {
-        return entry >> 4;
-    }
-
-    /** Sign bit of a packed entry (true = negative weight). */
-    static bool
-    entry_sign(std::uint32_t entry)
-    {
-        return (entry & 0x8u) != 0;
-    }
-
-    /** Magnitude (firing cycle) of a packed entry. */
-    static std::uint32_t
-    entry_magnitude(std::uint32_t entry)
-    {
-        return entry & 0x7u;
-    }
-
-    /**
-     * Rows subscribing at cycle @p magnitude of column @p k, each
-     * packed as (row << 4) | sign-magnitude nibble (Int4::encode)
-     * and ordered by row within the bucket.
-     */
-    std::span<const std::uint32_t>
-    bucket(std::size_t k, std::uint32_t magnitude) const
-    {
-        const std::size_t base =
-            k * (static_cast<std::size_t>(kBuckets) + 1) + magnitude;
-        return {entries_.data() + offsets_[base],
-                offsets_[base + 1] - offsets_[base]};
-    }
-
-    /** All of column @p k's entries, in firing-cycle-major order. */
-    std::span<const std::uint32_t>
-    column(std::size_t k) const
-    {
-        return {entries_.data() + k * rows_, rows_};
-    }
-
-    /**
-     * Column @p k's packed entries whose rows fall in tile @p tile,
-     * cycle-major, each (local_row << 4) | nibble with local_row
-     * relative to tile * kTileRows.  Magnitude-0 rows are omitted.
-     */
-    std::span<const std::uint16_t>
-    packed_tile(std::size_t k, std::size_t tile) const
-    {
-        const std::size_t base = k * tiles_ + tile;
-        return {packed_.data() + packed_begin_[base],
-                packed_begin_[base + 1] - packed_begin_[base]};
-    }
-
-  private:
-    static constexpr std::uint32_t kBuckets =
-        1u << numerics::kInt4MagnitudeBits;
-
-    std::size_t rows_ = 0;
-    std::size_t cols_ = 0;
-    std::size_t tiles_ = 0;
-    /**
-     * rows_ entries per k, bucketed by magnitude (cycle-major, the
-     * order the temporal sweep fires them): (row << 4) | nibble.
-     */
-    std::vector<std::uint32_t> entries_;
-    /** Per k: kBuckets + 1 bucket boundaries into entries_. */
-    std::vector<std::size_t> offsets_;
-    /** Tile-local u16 entries, (k, tile)-major, zero bucket dropped. */
-    std::vector<std::uint16_t> packed_;
-    /** cols_ * tiles_ + 1 boundaries into packed_. */
-    std::vector<std::size_t> packed_begin_;
-};
-
-/**
- * Sweep-accumulator GEMM core over a precomputed schedule, restricted
- * to reduction columns [k_begin, k_end):
+ * Sweep-accumulator GEMM core, restricted to reduction columns
+ * [k_begin, k_end):
  *
  *   out[r][c] += sum_{k in [k_begin, k_end)}
  *                  sign(r, k) * accs_k_c[magnitude(r, k)]
  *
  * where accs_k_c[m] = m * values[k][c] built by repeated addition --
- * the exact accumulator states of the temporal sweep.  @p out must be
- * shaped subs.rows() x values.cols(); partial results accumulate into
- * it (callers zero it per quantization group to fold per-group
- * scales).  Pure compute: cycle/sweep counters are analytic
- * (vlp_gemm_mugi_cycles) and owned by the callers.
+ * the exact accumulator states of the temporal sweep -- and each row
+ * adds the state its sign-magnitude code (Int4::encode) selects, as
+ * an array row fires when the sweep counter reaches its magnitude.
+ * The codes are the whole schedule: nothing is precomputed from
+ * them.  Every cell receives the literal scan's adds in ascending k.
+ * @p out must be shaped temporal.rows() x values.cols(); partial
+ * results accumulate into it (callers zero it per quantization group
+ * to fold per-group scales).  Pure compute: cycle/sweep counters are
+ * analytic (vlp_gemm_mugi_cycles) and owned by the callers.
  */
-void vlp_gemm_subscribed(const SubscriptionLists& subs,
-                         const support::MatrixF& values,
-                         std::size_t k_begin, std::size_t k_end,
-                         support::MatrixF& out);
-
-/**
- * Same contract as vlp_gemm_subscribed, executed over the tile-local
- * u16 packed schedule: per k the accumulator states build once, then
- * each row tile's half-width entries stream through the inner loop
- * (smaller working set, SIMD-friendly fixed stride, zero bucket
- * pre-dropped).  Rows accumulate disjoint output cells, so the
- * tile-major visit order is bit-identical to the cycle-major u32 walk
- * -- the shipped executor of sweep kernels and PreparedWeights; the
- * u32 form stays exported for the A/B benchmarks and tests.
- */
-void vlp_gemm_subscribed_packed(const SubscriptionLists& subs,
-                                const support::MatrixF& values,
-                                std::size_t k_begin, std::size_t k_end,
-                                support::MatrixF& out);
+void vlp_gemm_sweep(const Int4Matrix& temporal,
+                    const support::MatrixF& values,
+                    std::size_t k_begin, std::size_t k_end,
+                    support::MatrixF& out);
 
 /**
  * Mugi-mapped GEMM: out[n][b] = sum_k weights[n][k] * activations[k][b].

@@ -1,5 +1,8 @@
 #include "vlp/vlp_gemm.h"
 
+#include <cmath>
+#include <cstring>
+#include <iterator>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -195,120 +198,77 @@ TEST(VlpGemmSweepAccumulator, CaratBitIdenticalToBaseline)
     }
 }
 
-TEST(SubscriptionLists, EveryRowAppearsOncePerColumnAtItsMagnitude)
+TEST(VlpGemmSweepAccumulator, ExactZerosMatchBaselineSignBitsIncluded)
 {
-    std::mt19937 rng(421);
-    const Int4Matrix w = random_int4(19, 7, rng);
-    const SubscriptionLists subs(w);
-    ASSERT_EQ(subs.rows(), w.rows());
-    ASSERT_EQ(subs.cols(), w.cols());
-    for (std::size_t k = 0; k < w.cols(); ++k) {
-        std::vector<int> seen(w.rows(), 0);
-        std::size_t total = 0;
-        for (std::uint32_t m = 0; m < 8; ++m) {
-            for (const std::uint32_t entry : subs.bucket(k, m)) {
-                const std::size_t row =
-                    SubscriptionLists::entry_row(entry);
-                ASSERT_LT(row, w.rows());
-                EXPECT_EQ(SubscriptionLists::entry_magnitude(entry),
-                          w.at(row, k).magnitude);
-                EXPECT_EQ(SubscriptionLists::entry_sign(entry),
-                          w.at(row, k).sign);
-                ++seen[row];
-                ++total;
-            }
-        }
-        EXPECT_EQ(total, w.rows());
-        for (const int count : seen) {
-            EXPECT_EQ(count, 1) << "column " << k;
-        }
-        EXPECT_EQ(subs.column(k).size(), w.rows());
-    }
-}
-
-TEST(SubscriptionLists, PackedTilesCoverExactlyTheNonzeroEntries)
-{
-    // Every nonzero-magnitude (row, k) entry appears in exactly one
-    // packed tile with the right local index and sign-magnitude
-    // nibble; the zero bucket is dropped at build time.
-    std::mt19937 rng(441);
-    const Int4Matrix w = random_int4(19, 7, rng);
-    const SubscriptionLists subs(w);
-    ASSERT_EQ(subs.tile_count(), 1u);  // 19 rows < one 4096-row tile.
-    for (std::size_t k = 0; k < w.cols(); ++k) {
-        std::vector<int> seen(w.rows(), 0);
-        for (std::size_t tile = 0; tile < subs.tile_count(); ++tile) {
-            for (const std::uint16_t entry : subs.packed_tile(k, tile)) {
-                const std::size_t row =
-                    tile * SubscriptionLists::kTileRows +
-                    (entry >> 4);
-                ASSERT_LT(row, w.rows());
-                EXPECT_EQ(entry & 0x7u, w.at(row, k).magnitude);
-                EXPECT_EQ((entry & 0x8u) != 0, w.at(row, k).sign);
-                EXPECT_NE(w.at(row, k).magnitude, 0u);
-                ++seen[row];
-            }
-        }
-        for (std::size_t row = 0; row < w.rows(); ++row) {
-            EXPECT_EQ(seen[row], w.at(row, k).magnitude != 0 ? 1 : 0)
-                << "row " << row << " column " << k;
+    // Exact +0 / -0 activations against every sign-magnitude code,
+    // including both zero-magnitude ones (0x8 is the -0 code
+    // from_int never makes).  Outputs must equal the literal scan's
+    // bit for bit: == would let a -0 pass for a +0.
+    std::mt19937 rng(471);
+    const std::size_t n = 19, k = 23, b = 11;
+    Int4Matrix codes(n, k);
+    for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < k; ++c) {
+            // Row 0 holds only the -0 code, row 1 alternates the two
+            // zero codes, and the rest cycle through all sixteen.
+            std::uint8_t nibble = (r * 5 + c * 3) & 0xF;
+            if (r == 0) nibble = 0x8;
+            if (r == 1) nibble = (c & 1) ? 0x8 : 0x0;
+            codes.at(r, c) = numerics::Int4::decode(nibble);
         }
     }
-}
-
-TEST(VlpGemmSubscribedPacked, BitIdenticalToU32AcrossRaggedShapes)
-{
-    // The tile-local u16 executor must reproduce the u32 cycle-major
-    // walk bit for bit across the same ragged-shape matrix the sweep
-    // kernel is pinned on, plus a multi-tile shape (> 4096 rows) that
-    // exercises the tile-major visit order.
-    std::mt19937 rng(451);
-    const struct {
-        std::size_t n, k, b;
-    } cases[] = {
-        {24, 12, 8},  {17, 3, 9},  {1, 1, 1},    {1, 16, 8},
-        {64, 16, 1},  {64, 16, 0}, {5, 5, 5},    {256, 32, 24},
-        {33, 0, 7},   {4100, 6, 3},  // spans two row tiles
+    support::MatrixF values = random_bf16(k, b, rng);
+    for (std::size_t r = 0; r < k; ++r) {
+        for (std::size_t c = 0; c < b; ++c) {
+            // Columns 0 and 1 are exact zeros of both signs; the rest
+            // mix zeros in with the normals.
+            if (c < 2 || (r + c) % 3 == 0) {
+                values.at(r, c) = ((r + c) & 1) ? -0.0f : 0.0f;
+            }
+        }
+    }
+    const auto same_bits = [](const support::MatrixF& a,
+                              const support::MatrixF& b) {
+        return a.rows() == b.rows() && a.cols() == b.cols() &&
+               std::memcmp(a.data().data(), b.data().data(),
+                           a.size() * sizeof(float)) == 0;
     };
-    for (const auto& c : cases) {
-        const Int4Matrix w = random_int4(c.n, c.k, rng);
-        const support::MatrixF x = random_bf16(c.k, c.b, rng);
-        const SubscriptionLists subs(w);
-        support::MatrixF u32_out(c.n, c.b, 0.0f);
-        support::MatrixF packed_out(c.n, c.b, 0.0f);
-        vlp_gemm_subscribed(subs, x, 0, c.k, u32_out);
-        vlp_gemm_subscribed_packed(subs, x, 0, c.k, packed_out);
-        EXPECT_TRUE(packed_out == u32_out)
-            << c.n << "x" << c.k << "x" << c.b;
+
+    const VlpGemmResult mugi = vlp_gemm_mugi(codes, values, 16, 8);
+    const VlpGemmResult mugi_golden =
+        vlp_gemm_mugi_baseline(codes, values, 16, 8);
+    EXPECT_TRUE(same_bits(mugi.out, mugi_golden.out));
+    EXPECT_EQ(mugi.subscriptions, mugi_golden.subscriptions);
+    for (std::size_t c = 0; c < b; ++c) {
+        EXPECT_FALSE(std::signbit(mugi.out.at(0, c))) << c;
+        EXPECT_FALSE(std::signbit(mugi.out.at(1, c))) << c;
     }
+
+    const VlpGemmResult carat = vlp_gemm_carat(codes, values, 8, 8);
+    const VlpGemmResult carat_golden =
+        vlp_gemm_carat_baseline(codes, values, 8, 8);
+    EXPECT_TRUE(same_bits(carat.out, carat_golden.out));
+    EXPECT_EQ(carat.subscriptions, carat_golden.subscriptions);
 }
 
-TEST(VlpGemmSubscribedPacked, PartialKRangesComposeToTheFullGemm)
+TEST(VlpGemmSweep, PartialKRangesComposeToTheFullGemm)
 {
-    std::mt19937 rng(461);
-    const Int4Matrix w = random_int4(21, 13, rng);
-    const support::MatrixF x = random_bf16(13, 5, rng);
-    const SubscriptionLists subs(w);
-    support::MatrixF split(21, 5, 0.0f);
-    vlp_gemm_subscribed_packed(subs, x, 0, 6, split);
-    vlp_gemm_subscribed_packed(subs, x, 6, 13, split);
-    const VlpGemmResult whole = vlp_gemm_mugi(w, x, 64, 8);
-    EXPECT_TRUE(split == whole.out);
-}
-
-TEST(VlpGemmSubscribed, PartialKRangesComposeToTheFullGemm)
-{
-    // Running [0, k0) then [k0, K) over the same output accumulates
+    // Running consecutive k-ranges over the same output accumulates
     // the full GEMM -- the property the grouped serving path relies
-    // on (one k-run per quantization group, no weight copies).
+    // on (one k-run per quantization group, no weight copies).  The
+    // ranges are empty, shorter than, equal to and longer than the
+    // executor's 32-column k blocks, and the batch spans more than
+    // one 8-column panel.
     std::mt19937 rng(431);
-    const Int4Matrix w = random_int4(21, 13, rng);
-    const support::MatrixF x = random_bf16(13, 5, rng);
-    const SubscriptionLists subs(w);
-    support::MatrixF split(21, 5, 0.0f);
-    vlp_gemm_subscribed(subs, x, 0, 6, split);
-    vlp_gemm_subscribed(subs, x, 6, 13, split);
-    const VlpGemmResult whole = vlp_gemm_mugi(w, x, 64, 8);
+    const std::size_t n = 21, k = 80, b = 13;
+    const Int4Matrix w = random_int4(n, k, rng);
+    const support::MatrixF x = random_bf16(k, b, rng);
+    const std::size_t splits[] = {0, 0, 6, 38, 39, k};
+    support::MatrixF split(n, b, 0.0f);
+    for (std::size_t i = 0; i + 1 < std::size(splits); ++i) {
+        vlp_gemm_sweep(w, x, splits[i], splits[i + 1], split);
+    }
+    const VlpGemmResult whole = vlp_gemm_mugi_baseline(w, x, 64, 8);
     EXPECT_TRUE(split == whole.out);
 }
 
