@@ -385,9 +385,9 @@ run_negative_control(const serve::Engine& engine,
     plan.sites = {{"block_pool.leak_release", 1.0, 1}};
     support::ScopedFaultPlan armed(plan);
 
-    // Functional requests: analytic serving holds KV as byte
-    // reservations, and only real per-block caches travel through
-    // BlockPool::release -- the seam the planted leak corrupts.
+    // Functional requests, like the chaos rounds': every session's
+    // blocks return through BlockPool::release -- the seam the
+    // planted leak corrupts.
     serve::SchedulerConfig sched_config;
     sched_config.prefill_chunk_tokens = units::Tokens(16);
     serve::Scheduler scheduler(engine, sched_config);

@@ -23,7 +23,7 @@
  *  - prefix caching: every request opens with the same 256-token
  *    system prompt (declared via Request::prefix_group for this
  *    analytic trace), so arrivals that find it resident skip those
- *    prefill chunks and share one refcounted KV reservation.
+ *    prefill chunks and share its refcounted KV blocks.
  *
  * Build & run:  ./build/examples/serving [--threads N|auto]
  *

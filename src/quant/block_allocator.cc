@@ -22,7 +22,7 @@ units::Bytes
 BlockPool::bytes_in_use() const
 {
     support::MutexLock lock(mutex_);
-    return units::Bytes(block_bytes_in_use_ + reserved_bytes_);
+    return units::Bytes(block_bytes_in_use_);
 }
 
 units::Bytes
@@ -46,19 +46,11 @@ BlockPool::shared_blocks() const
     return units::Blocks(shared_blocks_);
 }
 
-units::Bytes
-BlockPool::reserved_bytes() const
-{
-    support::MutexLock lock(mutex_);
-    return units::Bytes(reserved_bytes_);
-}
-
 bool
 BlockPool::fits_locked(std::size_t bytes) const
 {
     return capacity_bytes_.value() == 0 ||
-           block_bytes_in_use_ + reserved_bytes_ + bytes <=
-               capacity_bytes_.value();
+           block_bytes_in_use_ + bytes <= capacity_bytes_.value();
 }
 
 bool
@@ -88,13 +80,6 @@ BlockPool::peak_utilization() const
            static_cast<double>(capacity_bytes_.value());
 }
 
-void
-BlockPool::note_usage_locked()
-{
-    peak_bytes_in_use_ = std::max(
-        peak_bytes_in_use_, block_bytes_in_use_ + reserved_bytes_);
-}
-
 BlockId
 BlockPool::allocate_locked(std::size_t bytes)
 {
@@ -104,22 +89,23 @@ BlockPool::allocate_locked(std::size_t bytes)
     if (it != free_lists_.end() && !it->second.empty()) {
         id = it->second.back();
         it->second.pop_back();
-        // Zero-fill the reused slot: the INT4 KV append path ORs
-        // nibbles into block bytes and relies on a fresh block
-        // reading as all zeros (pinned by block_allocator_test).
+        // Zero-fill the reused slot's storage, if it ever got any:
+        // the INT4 KV append path ORs nibbles into block bytes and
+        // relies on a fresh block reading as all zeros (pinned by
+        // block_allocator_test).
         std::fill(slots_[id.value()].storage.begin(),
                   slots_[id.value()].storage.end(), std::byte{0});
     } else {
         id = BlockId(static_cast<BlockId::Rep>(slots_.size()));
         assert(id != kInvalidBlock);
-        slots_.push_back(
-            Slot{std::vector<std::byte>(bytes), false, 0});
+        slots_.push_back(Slot{{}, bytes, false, 0});
     }
     slots_[id.value()].in_use = true;
     slots_[id.value()].refs = 1;
     block_bytes_in_use_ += bytes;
     ++blocks_in_use_;
-    note_usage_locked();
+    peak_bytes_in_use_ =
+        std::max(peak_bytes_in_use_, block_bytes_in_use_);
     return id;
 }
 
@@ -185,9 +171,9 @@ BlockPool::release(BlockId id)
         return;  // Other holders keep the block alive.
     }
     slot.in_use = false;
-    block_bytes_in_use_ -= slot.storage.size();
+    block_bytes_in_use_ -= slot.bytes;
     --blocks_in_use_;
-    free_lists_[slot.storage.size()].push_back(id);
+    free_lists_[slot.bytes].push_back(id);
 }
 
 std::byte*
@@ -195,15 +181,11 @@ BlockPool::data(BlockId id)
 {
     support::MutexLock lock(mutex_);
     assert(id.value() < slots_.size() && slots_[id.value()].in_use);
-    return slots_[id.value()].storage.data();
-}
-
-const std::byte*
-BlockPool::data(BlockId id) const
-{
-    support::MutexLock lock(mutex_);
-    assert(id.value() < slots_.size() && slots_[id.value()].in_use);
-    return slots_[id.value()].storage.data();
+    Slot& slot = slots_[id.value()];
+    if (slot.storage.empty()) {
+        slot.storage.resize(slot.bytes);  // Value-initialized: zeros.
+    }
+    return slot.storage.data();
 }
 
 units::Bytes
@@ -211,38 +193,7 @@ BlockPool::block_bytes(BlockId id) const
 {
     support::MutexLock lock(mutex_);
     assert(id.value() < slots_.size() && slots_[id.value()].in_use);
-    return units::Bytes(slots_[id.value()].storage.size());
-}
-
-void
-BlockPool::reserve(units::Bytes bytes)
-{
-    support::MutexLock lock(mutex_);
-    reserved_bytes_ += bytes.value();
-    note_usage_locked();
-}
-
-bool
-BlockPool::try_reserve(units::Bytes bytes)
-{
-    if (MUGI_FAULT_POINT("block_pool.allocate")) {
-        return false;  // Simulated pool exhaustion.
-    }
-    support::MutexLock lock(mutex_);
-    if (!fits_locked(bytes.value())) {
-        return false;
-    }
-    reserved_bytes_ += bytes.value();
-    note_usage_locked();
-    return true;
-}
-
-void
-BlockPool::unreserve(units::Bytes bytes)
-{
-    support::MutexLock lock(mutex_);
-    assert(bytes.value() <= reserved_bytes_);
-    reserved_bytes_ -= bytes.value();
+    return units::Bytes(slots_[id.value()].bytes);
 }
 
 std::size_t
@@ -269,11 +220,17 @@ BlockPool::check_invariants() const
     std::size_t live = 0, live_bytes = 0, shared = 0;
     for (std::size_t i = 0; i < slots_.size(); ++i) {
         const Slot& slot = slots_[i];
+        if (!slot.storage.empty() &&
+            slot.storage.size() != slot.bytes) {
+            out << "slot " << i << " stores " << slot.storage.size()
+                << " bytes of a " << slot.bytes << "-byte block";
+            return out.str();
+        }
         if (!slot.in_use) {
             continue;
         }
         ++live;
-        live_bytes += slot.storage.size();
+        live_bytes += slot.bytes;
         if (slot.refs == 0) {
             out << "live block " << i << " has zero refs";
             return out.str();
@@ -313,10 +270,9 @@ BlockPool::check_invariants() const
                     << id;
                 return out.str();
             }
-            if (slots_[id.value()].storage.size() != bytes) {
+            if (slots_[id.value()].bytes != bytes) {
                 out << "free list " << bytes << " holds block " << id
-                    << " of " << slots_[id.value()].storage.size()
-                    << " bytes";
+                    << " of " << slots_[id.value()].bytes << " bytes";
                 return out.str();
             }
             if (!seen.insert(id).second) {
@@ -331,10 +287,9 @@ BlockPool::check_invariants() const
             << (slots_.size() - live) << " slots are released";
         return out.str();
     }
-    if (peak_bytes_in_use_ < block_bytes_in_use_ + reserved_bytes_) {
+    if (peak_bytes_in_use_ < block_bytes_in_use_) {
         out << "peak_bytes_in_use " << peak_bytes_in_use_
-            << " below current footprint "
-            << (block_bytes_in_use_ + reserved_bytes_);
+            << " below current footprint " << block_bytes_in_use_;
         return out.str();
     }
     return {};

@@ -10,11 +10,13 @@
  * one shared pool, so admission can reserve at block granularity
  * instead of projecting every request to its full generation length.
  * This is that pool for the modeled SRAM/HBM budget: every KvCache of
- * a serving engine draws storage-backed blocks from it, and the
- * scheduler mirrors analytic (workload-model-only) sessions through
- * byte reservations, so `bytes_in_use()` is the exact device
- * footprint either way -- packed INT4 nibbles + BF16 scales for KVQ
- * blocks, raw floats for the baseline precision.
+ * a serving engine draws its blocks from it -- functional sessions
+ * one cache per layer, analytic (workload-model-only) sessions one
+ * all-layer cache that is only ever extended, never written -- so
+ * `bytes_in_use()` is the exact device footprint either way: packed
+ * INT4 nibbles + BF16 scales for KVQ blocks, raw floats for the
+ * baseline precision.  A block gets its storage on its first data()
+ * call, so blocks that are only accounted cost no host memory.
  *
  * Quantities are unit-typed (support/units.h): capacities and
  * footprints are units::Bytes, block geometry is units::Tokens,
@@ -23,16 +25,16 @@
  * byte budget goes (the PR 4 watermark bug class) without a compile
  * error.  Internals unwrap with .value() at the arithmetic leaves.
  *
- * Capacity is *advisory*: `allocate`/`reserve` always succeed (a
- * scheduler that admitted an oversized request alone must still be
- * able to run it), while `try_allocate`/`try_reserve`/`fits` enforce
- * the budget.  Policy -- admission watermarks, preemption under
- * pressure -- lives in serve::Scheduler; the pool is accounting plus
- * storage.  Released blocks go on per-size free lists and are reused
- * (most recently freed first) before fresh slots are created; a
- * reused block's storage is zero-filled on allocation, a contract the
- * INT4 KV append path (which ORs nibbles into block bytes) depends
- * on.
+ * Capacity is *advisory*: `allocate` always succeeds (a scheduler
+ * that admitted an oversized request alone must still be able to run
+ * it), while `try_allocate`/`fits` enforce the budget.  Policy --
+ * admission watermarks, preemption under pressure -- lives in
+ * serve::Scheduler; the pool is accounting plus storage.  Released
+ * blocks go on per-size free lists and are reused (most recently
+ * freed first) before fresh slots are created; a block's storage
+ * reads as all zeros on its first data() call after allocation, a
+ * contract the INT4 KV append path (which ORs nibbles into block
+ * bytes) depends on.
  *
  * Blocks are *refcounted* for cross-request prefix sharing
  * (quant::KvCache::share_prefix_from): allocate() hands out a block
@@ -93,16 +95,14 @@ class BlockPool {
     units::Tokens block_tokens() const { return block_tokens_; }
     units::Bytes capacity_bytes() const { return capacity_bytes_; }
 
-    /** Storage-backed block bytes + analytic reservations. */
+    /** Bytes of the live blocks, with or without storage yet. */
     units::Bytes bytes_in_use() const;
     /** Largest bytes_in_use ever observed. */
     units::Bytes peak_bytes_in_use() const;
-    /** Storage-backed blocks currently allocated. */
+    /** Blocks currently allocated. */
     units::Blocks blocks_in_use() const;
     /** Live blocks currently referenced by more than one holder. */
     units::Blocks shared_blocks() const;
-    /** Bytes held by analytic reservations (no storage). */
-    units::Bytes reserved_bytes() const;
 
     /** Would @p bytes more stay within capacity?  Unbounded: yes. */
     [[nodiscard]] bool fits(units::Bytes bytes) const;
@@ -112,10 +112,11 @@ class BlockPool {
     double peak_utilization() const;
 
     /**
-     * Allocate a zeroed block of @p bytes.  Always succeeds --
-     * capacity may be overcommitted; callers wanting enforcement use
-     * try_allocate or check fits() first.  Discarding the id leaks
-     * the block until pool destruction, hence [[nodiscard]].
+     * Allocate a block of @p bytes; its storage is zeroed on the
+     * first data() call.  Always succeeds -- capacity may be
+     * overcommitted; callers wanting enforcement use try_allocate or
+     * check fits() first.  Discarding the id leaks the block until
+     * pool destruction, hence [[nodiscard]].
      */
     [[nodiscard]] BlockId allocate(units::Bytes bytes);
 
@@ -138,21 +139,12 @@ class BlockPool {
      */
     void release(BlockId id);
 
-    /** Backing storage of a live block. */
-    std::byte* data(BlockId id);
-    const std::byte* data(BlockId id) const;
-    units::Bytes block_bytes(BlockId id) const;
-
     /**
-     * Account @p bytes without storage -- how the scheduler mirrors
-     * analytic sessions' modeled caches.  Always succeeds (advisory
-     * capacity, as for allocate).
+     * Backing storage of a live block, created (all zeros) on the
+     * first call; it never moves while the block is live.
      */
-    void reserve(units::Bytes bytes);
-    /** reserve(), or false when it would exceed capacity. */
-    [[nodiscard]] bool try_reserve(units::Bytes bytes);
-    /** Undo reserve(); @p bytes must not exceed reserved_bytes(). */
-    void unreserve(units::Bytes bytes);
+    std::byte* data(BlockId id);
+    units::Bytes block_bytes(BlockId id) const;
 
     /** Sum of refs over every live block (one per referencing cache). */
     std::size_t ref_total() const;
@@ -184,7 +176,9 @@ class BlockPool {
 
   private:
     struct Slot {
+        /** Empty until the first data() call, then `bytes` long. */
         std::vector<std::byte> storage;
+        std::size_t bytes = 0;
         bool in_use = false;
         /** References held on the block; meaningful while in_use. */
         std::uint32_t refs = 0;
@@ -192,7 +186,6 @@ class BlockPool {
 
     bool fits_locked(std::size_t bytes) const MUGI_REQUIRES(mutex_);
     BlockId allocate_locked(std::size_t bytes) MUGI_REQUIRES(mutex_);
-    void note_usage_locked() MUGI_REQUIRES(mutex_);
 
     const units::Bytes capacity_bytes_;
     const units::Tokens block_tokens_;
@@ -203,7 +196,6 @@ class BlockPool {
     std::unordered_map<std::size_t, std::vector<BlockId>> free_lists_
         MUGI_GUARDED_BY(mutex_);
     std::size_t block_bytes_in_use_ MUGI_GUARDED_BY(mutex_) = 0;
-    std::size_t reserved_bytes_ MUGI_GUARDED_BY(mutex_) = 0;
     std::size_t blocks_in_use_ MUGI_GUARDED_BY(mutex_) = 0;
     std::size_t shared_blocks_ MUGI_GUARDED_BY(mutex_) = 0;
     std::size_t peak_bytes_in_use_ MUGI_GUARDED_BY(mutex_) = 0;

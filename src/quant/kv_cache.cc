@@ -222,23 +222,10 @@ KvCache::append(const support::MatrixF& k_heads,
         // data pointer may be cached -- reads skip the pool lock.
         block_data_.push_back(pool_->data(id));
     } else {
-        // Copy-on-write: never append into a block another cache can
-        // read.  Clone only this cache's live prefix of the block;
-        // the rest of the fresh block stays zeroed, which the INT4
-        // nibble-OR path below depends on.
-        const std::size_t tail = length_ / block_tokens_;
-        if (pool_->ref_count(table_[tail]) > 1) {
-            const BlockId fresh =
-                pool_->allocate(units::Bytes(block_bytes_));
-            std::byte* fresh_data = pool_->data(fresh);
-            const std::size_t live_bytes =
-                (length_ % block_tokens_) * bytes_per_position_;
-            std::memcpy(fresh_data, block_data_[tail], live_bytes);
-            pool_->release(table_[tail]);
-            table_[tail] = fresh;
-            block_data_[tail] = fresh_data;
-        }
+        unshare_tail(true);
     }
+    assert(block_data_[length_ / block_tokens_] != nullptr &&
+           "append into a block grown by extend()");
     std::byte* dst = position_data(length_);
     const std::size_t vb = vector_bytes();
     for (std::size_t h = 0; h < num_heads_; ++h) {
@@ -264,6 +251,46 @@ KvCache::append(const support::MatrixF& k_heads,
         }
     }
     ++length_;
+}
+
+void
+KvCache::extend(units::Positions positions)
+{
+    assert(pool_ != nullptr && "extend on a moved-from KvCache");
+    if (positions.value() == 0) {
+        return;
+    }
+    if (length_ % block_tokens_ != 0) {
+        unshare_tail(false);
+    }
+    length_ += positions.value();
+    while (table_.size() * block_tokens_ < length_) {
+        table_.push_back(pool_->allocate(units::Bytes(block_bytes_)));
+        block_data_.push_back(nullptr);
+    }
+}
+
+void
+KvCache::unshare_tail(bool copy_live)
+{
+    // Never write into (or claim positions of) a block another cache
+    // can read.  The copy holds only this cache's live prefix of the
+    // block; the rest of the fresh block stays zeroed, which the
+    // INT4 nibble-OR append path depends on.
+    const std::size_t tail = table_.size() - 1;
+    if (pool_->ref_count(table_[tail]) == 1) {
+        return;
+    }
+    const BlockId fresh = pool_->allocate(units::Bytes(block_bytes_));
+    std::byte* fresh_data = nullptr;
+    if (copy_live) {
+        fresh_data = pool_->data(fresh);
+        std::memcpy(fresh_data, block_data_[tail],
+                    (length_ % block_tokens_) * bytes_per_position_);
+    }
+    pool_->release(table_[tail]);
+    table_[tail] = fresh;
+    block_data_[tail] = fresh_data;
 }
 
 void

@@ -17,13 +17,17 @@
  * when the cache is destroyed or release_blocks()-ed, so a serving
  * scheduler can reserve, account and reclaim KV memory at block
  * granularity instead of projecting each request to its full
- * generation length.  Blocks hold the exact device layout -- packed
- * INT4 nibbles + raw BF16 scale bits for kInt4, raw floats for
- * kFloat -- so block accounting equals physical bytes, and reads are
- * byte-identical to the former contiguous storage (the INT4
- * sign-magnitude nibble and the BF16 bit pattern both round-trip
- * losslessly).  Callers that don't pass a pool get a private
- * unbounded one; either way the read/append API is unchanged.
+ * generation length.  extend() grows a cache by block bookkeeping
+ * alone -- the same blocks, refcounts and copy-on-write as append(),
+ * with nothing written -- which is how an analytic serving session
+ * accounts the KV footprint of a model it never runs.  Blocks hold
+ * the exact device layout -- packed INT4 nibbles + raw BF16 scale
+ * bits for kInt4, raw floats for kFloat -- so block accounting equals
+ * physical bytes, and reads are byte-identical to the former
+ * contiguous storage (the INT4 sign-magnitude nibble and the BF16 bit
+ * pattern both round-trip losslessly).  Callers that don't pass a
+ * pool get a private unbounded one; either way the read/append API is
+ * unchanged.
  *
  * Blocks can be *shared* across caches drawing from the same pool
  * (prefix caching): share_prefix_from() maps another cache's leading
@@ -100,6 +104,16 @@ class KvCache {
     void append(const support::MatrixF& k_heads,
                 const support::MatrixF& v_heads);
 
+    /**
+     * Grow by @p positions without writing them: append()'s block
+     * bookkeeping (a fresh block at each boundary, a private copy of
+     * a shared tail block first) and nothing else, so memory_bytes()
+     * and the pool account exactly what appending would.  The new
+     * positions have no contents: a cache grown this way is for
+     * accounting only and must not be read or appended to.
+     */
+    void extend(units::Positions positions);
+
     /** Number of cached positions. */
     units::Positions length() const
     {
@@ -136,16 +150,6 @@ class KvCache {
                             std::size_t d) const;
     /** Per-vector key scale (valid only with kInt4 precision). */
     float key_scale(std::size_t head, units::Positions pos) const;
-
-    /**
-     * @deprecated Use memory_bytes() -- the two accountings are now
-     * unified on the exact per-precision device footprint.
-     */
-    [[deprecated("use memory_bytes()")]] units::Bytes
-    byte_size() const
-    {
-        return memory_bytes();
-    }
 
     /**
      * Exact device footprint in bytes of the blocks currently
@@ -220,6 +224,14 @@ class KvCache {
     void read_range(std::size_t vector_offset, std::size_t begin,
                     std::size_t end, float* out) const;
 
+    /**
+     * Copy-on-write of the partial tail block before this cache
+     * claims its next position: when another cache references the
+     * block, swap in a fresh private one -- holding a copy of this
+     * cache's live prefix of it when @p copy_live is set.
+     */
+    void unshare_tail(bool copy_live);
+
     /** Writable storage of position @p pos (block-table lookup). */
     std::byte* position_data(std::size_t pos);
     const std::byte* position_data(std::size_t pos) const;
@@ -238,6 +250,8 @@ class KvCache {
     /**
      * Cached storage pointer per table_ entry: block storage never
      * moves while the block is live, so reads skip the pool lock.
+     * nullptr for blocks added by extend(), which never touch
+     * storage.
      */
     std::vector<std::byte*> block_data_;
     std::size_t block_tokens_ = 0;

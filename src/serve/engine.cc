@@ -137,6 +137,16 @@ Engine::create_session(const SessionOptions& options) const
                                          options.kv_precision,
                                          options.kv_pool);
         }
+    } else {
+        // Nothing reads an analytic cache, so one cache over every
+        // layer's KV heads accounts the per-layer caches' bytes in
+        // one block per all-layer block group.
+        session.caches_.emplace_back(
+            layers * model_config_->num_kv_heads,
+            model_config_->head_dim(), options.kv_precision,
+            options.kv_pool);
+        session.caches_.front().extend(
+            units::positions_for(options.initial_context));
     }
     // Retain the default kernels so the session stays valid even if
     // it outlives this engine (sessions are movable value types).
@@ -249,9 +259,7 @@ Engine::step(const StepPlan& plan) const
         // A drained continuous batch: nothing ran, so return a zeroed
         // report instead of evaluating a 0-token workload (whose
         // derived rates would be NaN and poison accumulators).
-        StepResult result;
-        result.report.area = sim::node_area(design_);
-        return result;
+        return {};
     }
 
     // Context each session's new token attends: its cache after the
@@ -278,7 +286,7 @@ Engine::step(const StepPlan& plan) const
         *model_config_, contexts, chunks);
 
     StepResult result;
-    result.report = evaluate(workload);
+    result.perf = perf(workload);
 
     // Pooled execution: hold the shared worker pool for the whole
     // functional region and meter its busy/task counters around it.
@@ -299,6 +307,15 @@ Engine::step(const StepPlan& plan) const
         result.gemm = projection_charge(*model_config_, design_, rows,
                                         logits.rows());
     }
+    // Positions advance in plan order.  A functional forward pass
+    // has already appended the rows to the caches; an analytic
+    // session's cache grows by bookkeeping alone.
+    const auto advance = [&](Session& session, std::size_t n) {
+        if (!model_) {
+            session.caches_.front().extend(units::Positions(n));
+        }
+        session.position_ += n;
+    };
     // Outputs in plan order: logits row i is decode entry i, row
     // D + j the last token of chunk j.
     const auto output = [&](Session& session, std::size_t row) {
@@ -316,13 +333,13 @@ Engine::step(const StepPlan& plan) const
     };
     for (std::size_t i = 0; i < D; ++i) {
         Session& session = *plan.decode_sessions[i];
-        session.position_ += 1;
+        advance(session, 1);
         session.tokens_generated_ += 1;
         result.outputs.push_back(output(session, i));
     }
     for (std::size_t j = 0; j < plan.prefills.size(); ++j) {
         Session& session = *plan.prefills[j].session;
-        session.position_ += plan.prefills[j].size().value();
+        advance(session, plan.prefills[j].size().value());
         result.prefill_outputs.push_back(output(session, D + j));
     }
 
@@ -384,14 +401,6 @@ Engine::prefill_chunk(Session& session,
     const support::MatrixF logits = forward_rows(plan, nullptr);
     session.position_ += tokens.size();
     return logits.data();
-}
-
-void
-Engine::advance_context(Session& session, units::Tokens tokens) const
-{
-    assert(!model_ &&
-           "functional sessions build context by prefilling tokens");
-    session.position_ += tokens.value();
 }
 
 SystemReport

@@ -16,11 +16,15 @@
  * Engine::step is the continuous-batching primitive: one call takes
  * a batch of heterogeneous sessions (different context lengths, KV
  * precisions, per-layer window tunings), builds a single mixed
- * Workload, runs the performance / cost / carbon / event-sim models
- * once, and -- when a functional model is loaded -- runs every decode
- * token and prefill-chunk token as one row of a single ragged forward
- * pass (TransformerModel::decode_layer_batch), which reproduces
- * single-request, token-by-token numerics bit-for-bit.
+ * Workload, runs the performance model once, and -- when a
+ * functional model is loaded -- runs every decode token and
+ * prefill-chunk token as one row of a single ragged forward pass
+ * (TransformerModel::decode_layer_batch), which reproduces
+ * single-request, token-by-token numerics bit-for-bit.  Without one,
+ * each session's all-layer KV cache grows by block bookkeeping alone
+ * (quant::KvCache::extend), so analytic serving accounts KV in the
+ * same pool blocks functional serving writes.  The area, carbon and
+ * event-sim models run only on request, through evaluate().
  *
  * Thread-safety: every member function is const and safe to call
  * concurrently, provided no Session appears in two concurrent step()
@@ -60,7 +64,7 @@
 namespace mugi {
 namespace serve {
 
-/** Combined evaluation of one workload (or batched step) on a design. */
+/** Combined evaluation of one workload on a design (evaluate()). */
 struct SystemReport {
     sim::PerfReport perf;
     sim::AreaBreakdown area;
@@ -88,8 +92,8 @@ struct StepResult {
      * generated token.
      */
     std::vector<SessionOutput> prefill_outputs;
-    /** Aggregated evaluation of the whole batched step. */
-    SystemReport report;
+    /** Performance model of the whole batched step's workload. */
+    sim::PerfReport perf;
     /**
      * Simulated Mugi-array charge of this step's *functional*
      * projection GEMMs, per the VLP cycle model
@@ -255,13 +259,6 @@ class Engine {
      */
     std::vector<float> prefill_chunk(Session& session,
                                      std::span<const int> tokens) const;
-
-    /**
-     * Analytic counterpart of prefill_chunk: grow an analytic
-     * session's modeled context by @p tokens positions (no functional
-     * model required).
-     */
-    void advance_context(Session& session, units::Tokens tokens) const;
 
     // ---- Workload evaluation (the architecture-model facade). ----
 

@@ -134,10 +134,10 @@ struct Request {
      * Analytic prefix caching: requests carrying the same nonzero
      * prefix_group share their first prefix_tokens prompt tokens (a
      * common system prompt in a modeled trace).  The scheduler's
-     * prefix index treats those blocks as content-equal, mirrors
-     * their KV bytes through *refcounted* pool reservations (charged
-     * once however many sharers are resident) and skips their
-     * prefill chunks once a resident request has computed them.
+     * prefix index treats those blocks as content-equal: once a
+     * resident request has computed them, a new sharer adopts its
+     * refcounted KV blocks (held once however many sharers are
+     * resident) and skips their prefill chunks.
      * Functional engines ignore both fields -- sharing is discovered
      * from the real prompt tokens.
      */

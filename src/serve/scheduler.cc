@@ -319,49 +319,6 @@ Scheduler::deregister_prefix_owner(const ActiveRequest& req)
     }
 }
 
-void
-Scheduler::acquire_analytic_prefix_refs(ActiveRequest& req,
-                                        units::Blocks blocks)
-{
-    assert(blocks.value() <= req.prefix_keys.size());
-    const units::Bytes group =
-        block_group_bytes(req.session.kv_precision());
-    while (req.analytic_refs_held < blocks.value()) {
-        std::size_t& refs =
-            analytic_prefix_refs_[req.prefix_keys
-                                      [req.analytic_refs_held]];
-        if (refs == 0) {
-            // First sharer to cover the block reserves its bytes;
-            // later sharers just take a reference.
-            pool_.reserve(group);
-        }
-        ++refs;
-        ++req.analytic_refs_held;
-    }
-}
-
-void
-Scheduler::release_analytic_prefix_refs(ActiveRequest& req)
-{
-    const units::Bytes group =
-        block_group_bytes(req.session.kv_precision());
-    for (std::size_t i = 0; i < req.analytic_refs_held; ++i) {
-        const auto it =
-            analytic_prefix_refs_.find(req.prefix_keys[i]);
-        assert(it != analytic_prefix_refs_.end() && it->second > 0);
-        if (it == analytic_prefix_refs_.end()) {
-            continue;  // Unreachable; keeps NDEBUG builds safe.
-        }
-        if (--it->second == 0) {
-            // Last sharer out: the mirrored block leaves the pool
-            // exactly once, like a physical refcount reaching zero.
-            analytic_prefix_refs_.erase(it);
-            pool_.unreserve(group);
-        }
-    }
-    req.analytic_refs_held = 0;
-}
-
 units::Bytes
 Scheduler::admission_bytes(const QueuedRequest& queued,
                            units::Blocks shared_blocks) const
@@ -405,29 +362,15 @@ Scheduler::watermark_bytes(quant::KvPrecision head_precision) const
 }
 
 units::Bytes
-Scheduler::resident_bytes(const ActiveRequest& req) const
-{
-    if (functional_) {
-        // Exact block bytes the session's caches hold -- including
-        // blocks shared with other sessions (the pool counts each
-        // physical block once; growth_slack_bytes subtracts this
-        // same quantity, so the two views stay consistent).
-        return req.session.kv_bytes();
-    }
-    return req.analytic_reserved_bytes +
-           units::bytes_for(
-               units::Blocks(req.analytic_refs_held),
-               block_group_bytes(req.session.kv_precision()));
-}
-
-units::Bytes
 Scheduler::growth_slack_bytes(const ActiveRequest& req,
                               units::Tokens tokens) const
 {
     const units::Bytes target = units::bytes_for(
         blocks_for(tokens),
         block_group_bytes(req.session.kv_precision()));
-    const units::Bytes resident = resident_bytes(req);
+    // Exact block bytes the session's caches hold -- including blocks
+    // shared with other sessions, which the pool counts once.
+    const units::Bytes resident = req.session.kv_bytes();
     return target > resident ? target - resident : units::Bytes(0);
 }
 
@@ -441,9 +384,9 @@ Scheduler::committed_total() const
         }
         return total;
     }
-    // Paged: the pool's exact footprint (physical blocks + analytic
-    // reservations, shared blocks counted once) plus each request's
-    // growth to cover its feed and next decode append.
+    // Paged: the pool's exact footprint (shared blocks counted once)
+    // plus each request's growth to cover its feed and next decode
+    // append.
     units::Bytes total = pool_.bytes_in_use();
     for (const ActiveRequest& a : active_) {
         total += growth_slack_bytes(
@@ -481,10 +424,6 @@ Scheduler::preempt(std::size_t index)
                   static_cast<std::ptrdiff_t>(index));
     ++preemptions_;
     deregister_prefix_owner(victim);
-    if (!functional_) {
-        release_analytic_prefix_refs(victim);
-        pool_.unreserve(victim.analytic_reserved_bytes);
-    }
     QueuedRequest q;
     q.id = victim.id;
     q.request = std::move(victim.request);
@@ -544,30 +483,6 @@ Scheduler::preempt_for_pressure()
             }
         }
         preempt(victim);
-    }
-}
-
-void
-Scheduler::sync_analytic_reservation(ActiveRequest& req)
-{
-    if (functional_) {
-        return;  // Functional caches allocate their own blocks.
-    }
-    // Shared-prefix blocks the position now covers go through the
-    // refcount map (charged once across sharers).
-    acquire_analytic_prefix_refs(
-        req, std::min(units::Blocks(req.prefix_keys.size()),
-                      units::full_blocks_for(
-                          units::tokens_for(req.session.position()),
-                          config_.kv_block_tokens)));
-    // The private tail (everything past the refcounted prefix).
-    const units::Bytes target = units::bytes_for(
-        blocks_for(units::tokens_for(req.session.position())) -
-            units::Blocks(req.analytic_refs_held),
-        block_group_bytes(req.session.kv_precision()));
-    if (target > req.analytic_reserved_bytes) {
-        pool_.reserve(target - req.analytic_reserved_bytes);
-        req.analytic_reserved_bytes = target;
     }
 }
 
@@ -634,18 +549,12 @@ Scheduler::admit_arrivals()
             // Map the shared prompt prefix onto the donor's resident
             // blocks and skip its prefill chunks: the tokens are
             // already computed (and, under KVQ, already quantized).
-            if (functional_) {
-                a.session.adopt_kv_prefix(
-                    active_[match.donor].session,
-                    units::positions_for(match.tokens));
-            } else {
-                engine_.advance_context(a.session, match.tokens);
-                // Take the shared references *now*: the adopted
-                // blocks must count as resident before this step's
-                // pressure check, or the sharer's full growth slack
-                // would preempt-thrash it straight back out.
-                acquire_analytic_prefix_refs(a, match.blocks);
-            }
+            // The adopted blocks count as resident from here on, so
+            // this step's pressure check sees the sharer's real
+            // growth, not its full prompt.
+            a.session.adopt_kv_prefix(
+                active_[match.donor].session,
+                units::positions_for(match.tokens));
             a.prompt_fed = match.tokens;
             a.shared_prefix_tokens = match.tokens;
             a.shared_prefix_blocks = match.blocks;
@@ -757,10 +666,6 @@ Scheduler::retire_active(std::size_t index, FinishReason reason)
     ActiveRequest& req = active_[index];
     finish(req, reason);
     deregister_prefix_owner(req);
-    if (!functional_) {
-        release_analytic_prefix_refs(req);
-        pool_.unreserve(req.analytic_reserved_bytes);
-    }
     // Erasing destroys the session, whose caches drop their block
     // references -- the same release order the end-of-step retire
     // path uses, so shared prefix blocks survive while another
@@ -989,7 +894,7 @@ Scheduler::step()
         ++pooled_steps_;
         sum_worker_busy_ += result.workers.busy_fraction;
     }
-    horizon_.add(result.report.perf);
+    horizon_.add(result.perf);
     now_s_ = idle_s_ + horizon_.elapsed_s();
     decode_tokens_ += units::Tokens(plan.decode_sessions.size());
     for (const StepPlan::PrefillEntry& entry : plan.prefills) {
@@ -1023,25 +928,14 @@ Scheduler::step()
         emit_token(a, result.prefill_outputs[k].next_token);
     }
 
-    // Mirror analytic cache growth into the pool before retiring:
-    // finished requests' memory was resident through this iteration,
-    // so the pool's peak sees it.
-    for (ActiveRequest& a : active_) {
-        sync_analytic_reservation(a);
-    }
     // Deadlines are checked after the clock advance and emissions:
     // a deadline passing mid-iteration still delivers this
     // iteration's token, then the request retires with its KV blocks
     // released exactly as on a natural finish.
     expire_deadlines();
-    for (ActiveRequest& a : active_) {
-        if (!a.done) {
-            continue;
-        }
-        deregister_prefix_owner(a);
-        if (!functional_) {
-            release_analytic_prefix_refs(a);
-            pool_.unreserve(a.analytic_reserved_bytes);
+    for (const ActiveRequest& a : active_) {
+        if (a.done) {
+            deregister_prefix_owner(a);
         }
     }
     active_.erase(std::remove_if(active_.begin(), active_.end(),
@@ -1051,8 +945,8 @@ Scheduler::step()
                   active_.end());
 #if MUGI_AUDIT_INVARIANTS
     // Every scheduler iteration ends structurally consistent:
-    // refcount or reservation drift is corruption, caught here at
-    // the step that introduced it instead of steps later.
+    // refcount drift is corruption, caught here at the step that
+    // introduced it instead of steps later.
     support::audit_or_abort("Scheduler::step", check_invariants());
 #endif
     return !(queue_.empty() && active_.empty());
@@ -1101,77 +995,18 @@ Scheduler::check_invariants() const
             }
         }
     }
-    if (functional_) {
-        // Functional serving reserves nothing analytically, and
-        // every pool reference is a resident session's block-table
-        // entry: the per-slot refcount total must equal the sum of
-        // the sessions' tables, or a cache leaked / double-freed a
-        // reference.
-        if (pool_.reserved_bytes() != units::Bytes(0)) {
-            out << "functional scheduler holds "
-                << pool_.reserved_bytes()
-                << " analytic reserved bytes";
-            return out.str();
-        }
-        units::Blocks table_blocks{0};
-        for (const ActiveRequest& a : active_) {
-            table_blocks += a.session.kv_block_count();
-        }
-        if (table_blocks.value() != pool_.ref_total()) {
-            out << "resident sessions hold " << table_blocks
-                << " block-table entries but the pool counts "
-                << pool_.ref_total() << " references";
-            return out.str();
-        }
-        return {};
-    }
-    // Analytic serving: recount the prefix refcounts from scratch
-    // and recompute the exact reservation the pool must carry --
-    // each refcounted shared group once (at its holders' precision)
-    // plus every resident's private tail.
-    std::unordered_map<std::uint64_t, std::size_t> refs;
-    units::Bytes expected_reserved{0};
+    // Rung 3: every pool reference is a resident session's
+    // block-table entry, functional or analytic alike: the per-slot
+    // refcount total must equal the sum of the sessions' tables, or a
+    // cache leaked / double-freed a reference.
+    units::Blocks table_blocks{0};
     for (const ActiveRequest& a : active_) {
-        if (a.analytic_refs_held > a.prefix_keys.size()) {
-            out << "request " << a.id << " holds "
-                << a.analytic_refs_held << " refs over "
-                << a.prefix_keys.size() << " prefix keys";
-            return out.str();
-        }
-        for (std::size_t i = 0; i < a.analytic_refs_held; ++i) {
-            if (refs[a.prefix_keys[i]]++ == 0) {
-                expected_reserved +=
-                    block_group_bytes(a.session.kv_precision());
-            }
-        }
-        expected_reserved += a.analytic_reserved_bytes;
+        table_blocks += a.session.kv_block_count();
     }
-    if (refs.size() != analytic_prefix_refs_.size()) {
-        out << "analytic prefix refs track "
-            << analytic_prefix_refs_.size() << " keys, recount finds "
-            << refs.size();
-        return out.str();
-    }
-    for (const auto& [key, count] : refs) {
-        const auto it = analytic_prefix_refs_.find(key);
-        if (it == analytic_prefix_refs_.end() ||
-            it->second != count) {
-            out << "analytic prefix key " << key << " recounts to "
-                << count << " sharers, tracked as "
-                << (it == analytic_prefix_refs_.end() ? 0
-                                                      : it->second);
-            return out.str();
-        }
-    }
-    if (pool_.blocks_in_use() != units::Blocks(0)) {
-        out << "analytic scheduler pool holds "
-            << pool_.blocks_in_use() << " physical blocks";
-        return out.str();
-    }
-    if (expected_reserved != pool_.reserved_bytes()) {
-        out << "pool reserves " << pool_.reserved_bytes()
-            << " bytes, recomputed reservations total "
-            << expected_reserved;
+    if (table_blocks.value() != pool_.ref_total()) {
+        out << "resident sessions hold " << table_blocks
+            << " block-table entries but the pool counts "
+            << pool_.ref_total() << " references";
         return out.str();
     }
     return {};

@@ -11,10 +11,10 @@
  * owns everything in between:
  *
  *  - a quant::BlockPool sized to the KV budget: every admitted
- *    request's caches draw fixed-size blocks from it (functional
- *    serving), or the scheduler mirrors the modeled cache through
- *    byte reservations (analytic serving), so the pool's
- *    bytes_in_use is the exact device footprint either way;
+ *    request's caches draw fixed-size blocks from it -- per-layer
+ *    caches that functional serving writes, or the one all-layer
+ *    cache an analytic session grows by bookkeeping alone -- so the
+ *    pool's bytes_in_use is the exact device footprint either way;
  *  - an admission queue ordered by submission, gated on each
  *    request's modeled arrival time and on **block-level
  *    reservation**: a request is admitted when the blocks covering
@@ -41,10 +41,10 @@
  *    unshared tail against the budget, and skips the shared blocks'
  *    prefill chunks entirely -- under Mugi's INT4-KVQ layout a hit
  *    saves both the recompute and the quantization pass.  Analytic
- *    serving mirrors this: requests declaring a common
- *    Request::prefix_group share refcounted reservations and skip
- *    the shared chunks the same way.  Preemption interacts through
- *    the refcounts: evicting one sharer never frees a block another
+ *    requests declaring a common Request::prefix_group share blocks
+ *    and skip the shared chunks the same way, through the same
+ *    Session::adopt_kv_prefix.  Preemption interacts through the
+ *    refcounts: evicting one sharer never frees a block another
  *    sharer still reads;
  *  - chunked prefill: admitted prompts are fed at most
  *    prefill_chunk_tokens per iteration, interleaved with the decode
@@ -81,8 +81,8 @@
  * owns are the internally-synchronized pieces.
  * Every step ends with an invariant audit under
  * MUGI_AUDIT_INVARIANTS (support/audit.h): check_invariants()
- * recomputes reservation and prefix-refcount accounting from scratch
- * and any drift aborts.
+ * recomputes the pool's and the prefix index's accounting from
+ * scratch and any drift aborts.
  */
 
 #include <cstddef>
@@ -268,15 +268,12 @@ struct ServerStats {
 
     units::Bytes kv_budget_bytes{0};
     /**
-     * Exact block-pool footprint right now (allocated blocks plus
-     * analytic reservations).  Zero once every request retired --
-     * the "no leaked blocks" number bench/serve_load --check gates.
+     * Exact block-pool footprint right now.  Zero once every request
+     * retired -- the "no leaked blocks" number bench/serve_load
+     * --check gates.
      */
     units::Bytes kv_bytes_in_use{0};
-    /**
-     * Largest exact block-pool footprint observed (allocated blocks
-     * plus analytic reservations).
-     */
+    /** Largest exact block-pool footprint observed. */
     units::Bytes peak_kv_bytes{0};
     /** peak_kv_bytes / kv_budget_bytes (0 when unbounded). */
     double peak_pool_utilization = 0.0;
@@ -380,10 +377,10 @@ class Scheduler {
     /**
      * Retire request @p id wherever it is in the lifecycle -- still
      * queued, mid-prefill, or decoding -- with
-     * FinishReason::kCancelled.  Its KV blocks / reservations are
-     * released immediately, exactly as a natural finish releases
-     * them (shared prefix blocks survive while another resident
-     * holds them), and the retirement is audited under
+     * FinishReason::kCancelled.  Its KV blocks are released
+     * immediately, exactly as a natural finish releases them (shared
+     * prefix blocks survive while another resident holds them), and
+     * the retirement is audited under
      * MUGI_AUDIT_INVARIANTS.  Tokens already emitted stand in the
      * FinishedRequest.  Returns false when the id is unknown or
      * already finished.  Like every other member, callable only from
@@ -431,10 +428,8 @@ class Scheduler {
      * scratch and return a description of the first violation (empty
      * string: consistent).  Checks the pool's own invariants, that
      * every prefix-index entry names a resident owner holding that
-     * key, that analytic prefix refcounts match a from-scratch
-     * recount with pool reservations equal to the refcounted groups
-     * plus every resident's private tail, and that functional
-     * sessions' block tables account for every pool reference.
+     * key, and that the resident sessions' block tables account for
+     * every pool reference.
      * Available in every build type; step() runs it automatically
      * under MUGI_AUDIT_INVARIANTS.
      */
@@ -457,9 +452,6 @@ class Scheduler {
         std::vector<int> tokens{};
         units::Tokens generated{0};
         int pending_token = -1;  ///< Next decode input.
-        /** Pool bytes reserved for this analytic session's cache
-         *  beyond any refcounted shared-prefix blocks. */
-        units::Bytes analytic_reserved_bytes{0};
         /** Full projection charge (kFullProjection mode only). */
         units::Bytes projected_bytes{0};
         /**
@@ -475,12 +467,6 @@ class Scheduler {
          * -- the prefix-index entries it owns while resident.
          */
         std::vector<std::uint64_t> prefix_keys{};
-        /**
-         * Leading prefix_keys this *analytic* request holds
-         * refcounted reservations for (each key's block-group bytes
-         * are charged to the pool exactly once across all sharers).
-         */
-        std::size_t analytic_refs_held = 0;
         std::uint64_t admission_seq = 0;
         std::size_t preempt_count = 0;
         double arrival_s = 0.0;
@@ -560,16 +546,6 @@ class Scheduler {
     /** Remove @p req's prefix-index entries (retire / preempt). */
     void deregister_prefix_owner(const ActiveRequest& req);
     /**
-     * Take refcounted reservations on the first @p blocks of an
-     * analytic request's prefix keys (reserve-once semantics); both
-     * admission (adopted blocks must be resident *before* the next
-     * pressure check) and the per-step reservation sync call this.
-     */
-    void acquire_analytic_prefix_refs(ActiveRequest& req,
-                                      units::Blocks blocks);
-    /** Drop an analytic request's refcounted prefix reservations. */
-    void release_analytic_prefix_refs(ActiveRequest& req);
-    /**
      * Bytes admission must charge for @p queued (mode-dependent);
      * a prefix-cache hit charges only the unshared tail.
      */
@@ -578,10 +554,9 @@ class Scheduler {
     /** Watermark headroom at the largest resident block group. */
     units::Bytes watermark_bytes(quant::KvPrecision head_precision)
         const;
-    /** Pool bytes @p req's blocks / reservations occupy today. */
-    units::Bytes resident_bytes(const ActiveRequest& req) const;
     /** Bytes @p req still needs to cover @p tokens positions, beyond
-     *  resident_bytes (shared blocks therefore counted once). */
+     *  the blocks its session holds (shared blocks therefore counted
+     *  once). */
     units::Bytes growth_slack_bytes(const ActiveRequest& req,
                                     units::Tokens tokens) const;
     units::Bytes committed_total() const;
@@ -593,9 +568,9 @@ class Scheduler {
     void preempt(std::size_t index);
     /**
      * Retire active_[index] with @p reason right now: finish it,
-     * drop its prefix-index entries and analytic reservations, and
-     * erase it (its session's destructor releases the KV blocks) --
-     * the cancel/deadline twin of the end-of-step retire path.
+     * drop its prefix-index entries, and erase it (its session's
+     * destructor releases the KV blocks) -- the cancel/deadline twin
+     * of the end-of-step retire path.
      */
     void retire_active(std::size_t index, FinishReason reason);
     /** Retire a (still-)queued request with @p reason. */
@@ -613,8 +588,6 @@ class Scheduler {
     void expire_admission_timeouts();
     /** Fold @p f into the latency aggregates and the finished list. */
     void record_finished(FinishedRequest f);
-    /** Grow the pool reservation mirroring an analytic cache. */
-    void sync_analytic_reservation(ActiveRequest& req);
     void admit_arrivals();
     /** Emit one generated token; returns true when req is finished. */
     bool emit_token(ActiveRequest& req, int token);
@@ -637,14 +610,6 @@ class Scheduler {
      */
     std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
         prefix_index_;
-    /**
-     * Analytic mirror of block refcounts: chain key -> number of
-     * resident analytic sharers; the block-group bytes behind a key
-     * are reserved when the count rises from 0 and unreserved when
-     * it returns to 0, so shared reservations are counted once.
-     */
-    std::unordered_map<std::uint64_t, std::size_t>
-        analytic_prefix_refs_;
 
     sim::PerfAccumulator horizon_;
     /** Clock: horizon_.elapsed_s() + idle fast-forward skips. */

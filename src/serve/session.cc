@@ -28,8 +28,6 @@ Session::adopt_kv_prefix(const Session& donor,
 {
     assert(position_ == 0 && tokens_generated_ == 0 &&
            "prefix adoption needs an untouched session");
-    assert(!caches_.empty() &&
-           "prefix adoption is for functional sessions with KV caches");
     assert(caches_.size() == donor.caches_.size());
     assert(kv_precision_ == donor.kv_precision_);
     assert(positions.value() <= donor.position_);

@@ -7,10 +7,19 @@
  *
  * An Engine (serve/engine.h) is immutable and shared; everything that
  * changes while a request is being served lives here: the (optionally
- * KVQ-quantized, Sec. 2.3.3) per-layer KV caches, the decode
- * position, and the per-layer nonlinear window tuning of Fig. 7 --
- * each request may deploy its own VLP kernels from the engine's
- * registry without affecting its neighbours in the batch.
+ * KVQ-quantized, Sec. 2.3.3) KV caches, the decode position, and the
+ * per-layer nonlinear window tuning of Fig. 7 -- each request may
+ * deploy its own VLP kernels from the engine's registry without
+ * affecting its neighbours in the batch.
+ *
+ * A functional session holds one KV cache per layer.  An analytic
+ * (workload-model-only) session holds one cache whose heads are all
+ * layers' KV heads: nothing ever reads it, so one block per
+ * all-layer block group accounts the same bytes as per-layer caches
+ * would, with one pool operation where they need one per layer.
+ * Either way the blocks are real, refcounted pool blocks, so prefix
+ * sharing, preemption and the scheduler's audit treat both kinds
+ * alike.
  *
  * Thread-safety: externally serialized -- a session is not
  * individually thread-safe (one request = one stream of steps), but
@@ -40,8 +49,9 @@ struct SessionOptions {
     quant::KvPrecision kv_precision = quant::KvPrecision::kInt4;
     /**
      * Pre-existing context length for analytic (workload-model-only)
-     * serving; must be 0 when the engine hosts a functional model,
-     * whose context is built by prefilling real tokens.
+     * serving, accounted in the session's cache from creation; must
+     * be 0 when the engine hosts a functional model, whose context is
+     * built by prefilling real tokens.
      */
     units::Tokens initial_context{0};
     /**
@@ -75,23 +85,21 @@ class Session {
 
     /**
      * Exact KV block footprint across layers (KvCache::memory_bytes
-     * semantics), in bytes.  0 for analytic sessions (no caches) --
-     * serve::Scheduler mirrors those into its BlockPool instead, so
-     * pool accounting is the footprint source of truth either way.
+     * semantics), in bytes -- for analytic sessions too, whose one
+     * all-layer cache holds the same blocks' bytes.
      */
     units::Bytes kv_bytes() const;
 
     /**
-     * Prefix caching (functional sessions): map the first
-     * @p positions of @p donor's per-layer KV blocks into this
-     * freshly-created session's caches under pool refcounts
-     * (quant::KvCache::share_prefix_from) and advance the position to
-     * match, so chunked prefill resumes after the shared prefix.
-     * Requires an untouched session (position 0), a donor from the
-     * same engine whose caches share this session's pool, identical
-     * KV precision, and donor position >= @p positions.  Appends by
-     * either session copy-on-write shared blocks, so both keep
-     * byte-identical reads; serve::Scheduler calls this when its
+     * Prefix caching: map the first @p positions of @p donor's KV
+     * blocks into this freshly-created session's caches under pool
+     * refcounts (quant::KvCache::share_prefix_from) and advance the
+     * position to match, so chunked prefill resumes after the shared
+     * prefix.  Requires an untouched session (position 0), a donor
+     * from the same engine whose caches share this session's pool,
+     * identical KV precision, and donor position >= @p positions.
+     * Growth by either session copy-on-writes shared blocks, so both
+     * keep byte-identical reads; serve::Scheduler calls this when its
      * prefix index maps a new prompt onto resident blocks.
      */
     void adopt_kv_prefix(const Session& donor,
@@ -149,7 +157,10 @@ class Session {
     std::size_t position_ = 0;
     std::uint64_t tokens_generated_ = 0;
 
-    /** Per-layer KV caches; empty for analytic-only sessions. */
+    /**
+     * Per-layer KV caches (functional), or the one all-layer cache
+     * an analytic session extends without writing.
+     */
     std::vector<quant::KvCache> caches_;
 
     model::NonlinearHooks hooks_;

@@ -7,7 +7,7 @@
  *
  * The concurrency-bearing subsystems expose `check_invariants()`
  * methods that recompute their accounting from scratch (refcount
- * totals vs slots in use, reservations vs committed blocks, ...) and
+ * totals vs slots in use, block tables vs pool references, ...) and
  * return a description of the first violation -- an empty string
  * means the structure is consistent.  Those checkers exist in every
  * build type so tests (and callers that want an error-return) can

@@ -130,26 +130,6 @@ TEST(BlockPoolStress, ConcurrentTryAllocateNeverOvercommits)
     EXPECT_EQ(pool.check_invariants(), "");
 }
 
-TEST(BlockPoolStress, ConcurrentReserveUnreserveBalances)
-{
-    BlockPool pool;
-    constexpr std::size_t kThreads = 8;
-    constexpr std::size_t kIters = 500;
-    constexpr std::size_t kBytes = 96;
-
-    run_threads(kThreads, [&](std::size_t) {
-        for (std::size_t i = 0; i < kIters; ++i) {
-            pool.reserve(units::Bytes(kBytes));
-            (void)pool.fits(units::Bytes(kBytes));
-            pool.unreserve(units::Bytes(kBytes));
-        }
-    });
-
-    EXPECT_EQ(pool.reserved_bytes(), units::Bytes(0));
-    EXPECT_EQ(pool.bytes_in_use(), units::Bytes(0));
-    EXPECT_EQ(pool.check_invariants(), "");
-}
-
 }  // namespace
 }  // namespace quant
 }  // namespace mugi

@@ -84,8 +84,9 @@ TEST(InvariantAuditor, AnalyticSchedulerStepsAuditClean)
 {
     // Analytic serving with prefix sharing and a tight budget: every
     // step's automatic audit (MUGI_AUDIT_INVARIANTS builds) plus the
-    // explicit end-state check below cover reservation accounting,
-    // refcounted shared groups, and retire-time cleanup.
+    // explicit end-state check below cover the all-layer caches'
+    // block accounting, refcounted shared blocks, and retire-time
+    // cleanup.
     const model::ModelConfig model =
         model::llama2_7b().scaled_for_eval(2, 64, 128);
     const serve::Engine engine(sim::make_mugi(64), model);

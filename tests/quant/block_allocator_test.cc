@@ -1,9 +1,9 @@
 /**
  * @file
  * Contract of quant::BlockPool, the shared allocator under the paged
- * KV cache: exact byte accounting, free-list block reuse, advisory
- * capacity (try_* enforce, plain calls may overcommit), analytic
- * byte reservations, and peak tracking.
+ * KV cache: exact byte accounting, free-list block reuse, storage
+ * created zeroed on first use, advisory capacity (try_allocate
+ * enforces, allocate may overcommit), and peak tracking.
  */
 
 #include "quant/block_allocator.h"
@@ -64,6 +64,11 @@ TEST(BlockPool, ReleasedBlocksAreReused)
 
 TEST(BlockPool, ReusedBlocksComeBackZeroed)
 {
+    // The INT4 KV append path ORs nibbles into block bytes, so a
+    // block's storage must read as zeros on its first data() call --
+    // fresh, reused after being written, or reused after a life spent
+    // only in the accounting (a slot released before it ever had
+    // storage).
     BlockPool pool(units::Bytes(0), units::Tokens(4));
     const BlockId a = pool.allocate(units::Bytes(16));
     std::byte* data = pool.data(a);
@@ -78,6 +83,18 @@ TEST(BlockPool, ReusedBlocksComeBackZeroed)
     for (std::size_t i = 0; i < 16; ++i) {
         EXPECT_EQ(reused[i], std::byte{0}) << "reused block byte " << i;
     }
+
+    const BlockId c = pool.allocate(units::Bytes(24));
+    EXPECT_EQ(pool.bytes_in_use(), units::Bytes(40));
+    pool.release(c);  // Never had storage.
+    const BlockId d = pool.allocate(units::Bytes(24));
+    ASSERT_EQ(d, c);
+    EXPECT_EQ(pool.block_bytes(d), units::Bytes(24));
+    const std::byte* first = pool.data(d);
+    for (std::size_t i = 0; i < 24; ++i) {
+        EXPECT_EQ(first[i], std::byte{0}) << "storage-less byte " << i;
+    }
+    EXPECT_EQ(pool.check_invariants(), "");
 }
 
 TEST(BlockPool, CapacityIsAdvisoryButTryEnforces)
@@ -105,28 +122,6 @@ TEST(BlockPool, CapacityIsAdvisoryButTryEnforces)
     pool.release(b);
     pool.release(a);
     EXPECT_EQ(pool.bytes_in_use(), units::Bytes(0));
-}
-
-TEST(BlockPool, ReservationsShareTheBudgetWithBlocks)
-{
-    // Byte reservations are how the scheduler mirrors analytic
-    // sessions' modeled caches into the same budget real blocks use.
-    BlockPool pool(units::Bytes(100), units::Tokens(4));
-    EXPECT_TRUE(pool.try_reserve(units::Bytes(70)));
-    EXPECT_EQ(pool.reserved_bytes(), units::Bytes(70));
-    EXPECT_EQ(pool.bytes_in_use(), units::Bytes(70));
-    EXPECT_FALSE(pool.try_reserve(units::Bytes(31)));
-    EXPECT_EQ(pool.try_allocate(units::Bytes(31)), kInvalidBlock);
-    const BlockId a = pool.try_allocate(units::Bytes(30));
-    ASSERT_NE(a, kInvalidBlock);
-    EXPECT_EQ(pool.bytes_in_use(), units::Bytes(100));
-    pool.unreserve(units::Bytes(20));
-    EXPECT_EQ(pool.bytes_in_use(), units::Bytes(80));
-    EXPECT_TRUE(pool.try_reserve(units::Bytes(20)));
-    pool.release(a);
-    pool.unreserve(units::Bytes(70));
-    EXPECT_EQ(pool.bytes_in_use(), units::Bytes(0));
-    EXPECT_EQ(pool.peak_bytes_in_use(), units::Bytes(100));
 }
 
 TEST(BlockPool, RefcountsFreeTheBlockExactlyOnce)
@@ -162,33 +157,12 @@ TEST(BlockPool, RefcountsFreeTheBlockExactlyOnce)
     EXPECT_EQ(pool.ref_count(a), 1u);
 }
 
-TEST(BlockPool, ReusedBlocksAreZeroFilled)
-{
-    // The INT4 KV append path ORs nibbles into block bytes, so it
-    // depends on free-list reuse handing back all-zero storage; pin
-    // that contract at the pool level.
-    BlockPool pool(units::Bytes(0), units::Tokens(4));
-    const BlockId a = pool.allocate(units::Bytes(32));
-    std::byte* data = pool.data(a);
-    for (std::size_t i = 0; i < 32; ++i) {
-        data[i] = std::byte{0xAB};
-    }
-    pool.release(a);
-    const BlockId b = pool.allocate(units::Bytes(32));
-    EXPECT_EQ(b, a) << "same-size allocation reuses the freed slot";
-    const std::byte* reused = pool.data(b);
-    for (std::size_t i = 0; i < 32; ++i) {
-        EXPECT_EQ(reused[i], std::byte{0}) << "byte " << i;
-    }
-}
-
 TEST(BlockPool, UnboundedPoolNeverRefuses)
 {
     BlockPool pool;  // capacity 0 = unbounded.
     EXPECT_EQ(pool.block_tokens(), BlockPool::kDefaultBlockTokens);
     EXPECT_TRUE(pool.fits(units::Bytes(std::size_t{1} << 40)));
     EXPECT_NE(pool.try_allocate(units::Bytes(1 << 20)), kInvalidBlock);
-    EXPECT_TRUE(pool.try_reserve(units::Bytes(1 << 20)));
     EXPECT_DOUBLE_EQ(pool.utilization(), 0.0);
     EXPECT_DOUBLE_EQ(pool.peak_utilization(), 0.0);
 }

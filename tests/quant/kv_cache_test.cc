@@ -184,12 +184,6 @@ TEST(KvCache, MemoryBytesIsBlockExactPerPrecision)
     EXPECT_EQ(pool.bytes_in_use(), before);
     quant.append(kv6, kv6);  // Opens block 4.
     EXPECT_EQ(pool.bytes_in_use(), before + quant.block_bytes());
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    // The deprecated name delegates to the exact accounting.
-    EXPECT_EQ(exact.byte_size(), exact.memory_bytes());
-    EXPECT_EQ(quant.byte_size(), quant.memory_bytes());
-#pragma GCC diagnostic pop
 }
 
 TEST(KvCache, PagedReadsAreByteIdenticalAcrossBlockSizes)
@@ -561,6 +555,60 @@ TEST(KvCache, CopyOnWriteClonesAPartiallySharedBlock)
         for (std::size_t d = 0; d < 8; ++d) {
             EXPECT_EQ(got[d], want[d]);
         }
+    }
+}
+
+TEST(KvCache, ExtendAccountsExactlyWhatAppendWould)
+{
+    // extend() is append()'s block bookkeeping with nothing written
+    // (how analytic sessions account KV).  Twin caches, one grown by
+    // append and one by extend, each in its own pool, must agree on
+    // every count through block boundaries, mid-block steps and a
+    // multi-block jump -- and, after a mid-block share_prefix_from,
+    // the first growth must copy-on-write the shared tail in both.
+    std::mt19937 rng(733);
+    for (const KvPrecision precision :
+         {KvPrecision::kFloat, KvPrecision::kInt4}) {
+        BlockPool append_pool(units::Bytes(0), units::Tokens(4));
+        BlockPool extend_pool(units::Bytes(0), units::Tokens(4));
+        KvCache appended(2, 8, precision, &append_pool);
+        KvCache extended(2, 8, precision, &extend_pool);
+        const auto kv = random_heads(2, 8, rng);
+        for (const std::size_t step : {1, 2, 1, 0, 7, 3}) {
+            for (std::size_t i = 0; i < step; ++i) {
+                appended.append(kv, kv);
+            }
+            extended.extend(units::Positions(step));
+            EXPECT_EQ(extended.length(), appended.length());
+            EXPECT_EQ(extended.blocks_in_use(),
+                      appended.blocks_in_use());
+            EXPECT_EQ(extended.memory_bytes(),
+                      appended.memory_bytes());
+            EXPECT_EQ(extend_pool.bytes_in_use(),
+                      append_pool.bytes_in_use());
+        }
+        EXPECT_EQ(extended.length(), units::Positions(14));
+
+        // Share 6 positions: block [0-3] and the partial [4-5] of the
+        // donor's block [4-7].
+        KvCache append_sharer(2, 8, precision, &append_pool);
+        KvCache extend_sharer(2, 8, precision, &extend_pool);
+        const units::Positions shared(6);
+        append_sharer.share_prefix_from(appended, shared);
+        extend_sharer.share_prefix_from(extended, shared);
+        EXPECT_EQ(extend_pool.shared_blocks(), units::Blocks(2));
+        const units::Bytes before = extend_pool.bytes_in_use();
+        append_sharer.append(kv, kv);
+        extend_sharer.extend(units::Positions(1));
+        // One fresh private block; only the full block stays shared.
+        EXPECT_EQ(extend_pool.bytes_in_use(),
+                  before + extended.block_bytes());
+        EXPECT_EQ(extend_pool.shared_blocks(), units::Blocks(1));
+        EXPECT_EQ(extend_pool.bytes_in_use(),
+                  append_pool.bytes_in_use());
+        EXPECT_EQ(extend_sharer.memory_bytes(),
+                  append_sharer.memory_bytes());
+        EXPECT_EQ(extend_pool.check_invariants(), "");
     }
 }
 

@@ -178,12 +178,21 @@ TEST(EngineStep, ReportAggregatesBatchedWorkload)
     for (Session& s : sessions) batch.push_back(&s);
 
     const StepResult result = engine.step(batch);
-    // One report for the whole step, all models populated.
-    EXPECT_GT(result.report.perf.throughput_tokens_per_s, 0.0);
-    EXPECT_GT(result.report.area.total(), 0.0);
-    EXPECT_GT(result.report.carbon.total_g_per_token(), 0.0);
-    EXPECT_GT(result.report.event_sim.makespan_cycles, 0.0);
-    EXPECT_DOUBLE_EQ(result.report.perf.tokens, 3.0);
+    // One performance report for the whole step.
+    EXPECT_GT(result.perf.throughput_tokens_per_s, 0.0);
+    EXPECT_DOUBLE_EQ(result.perf.tokens, 3.0);
+    // A step runs the performance model alone; the area, carbon and
+    // event-sim models run on request through evaluate() of the same
+    // workload, whose perf is the step's, bit for bit.
+    const std::size_t contexts[] = {256, 1024, 4096};
+    const SystemReport full = engine.evaluate(
+        model::build_mixed_step_workload(config, contexts, {}));
+    EXPECT_GT(full.area.total(), 0.0);
+    EXPECT_GT(full.carbon.total_g_per_token(), 0.0);
+    EXPECT_GT(full.event_sim.makespan_cycles, 0.0);
+    EXPECT_EQ(full.perf.total_cycles, result.perf.total_cycles);
+    EXPECT_EQ(full.perf.dynamic_energy_j,
+              result.perf.dynamic_energy_j);
     // Positions advanced.
     EXPECT_EQ(sessions[0].position(), units::Positions(256));
     EXPECT_EQ(sessions[2].position(), units::Positions(4096));
@@ -194,7 +203,7 @@ TEST(EngineStep, ReportAggregatesBatchedWorkload)
     for (const std::size_t context : {256u, 1024u, 4096u}) {
         serial.add(engine.evaluate_decode(config, 1, context).perf);
     }
-    EXPECT_GT(result.report.perf.throughput_tokens_per_s,
+    EXPECT_GT(result.perf.throughput_tokens_per_s,
               serial.total().throughput_tokens_per_s);
     EXPECT_DOUBLE_EQ(serial.total().tokens, 3.0);
 }
@@ -206,14 +215,14 @@ TEST(EngineStep, EmptyBatchYieldsZeroedReportNotNaN)
     const Engine engine(sim::make_mugi(256), model::llama2_7b());
     const StepResult result = engine.step(StepPlan{});
     EXPECT_TRUE(result.outputs.empty());
-    EXPECT_EQ(result.report.perf.tokens, 0.0);
-    EXPECT_EQ(result.report.perf.throughput_tokens_per_s, 0.0);
+    EXPECT_EQ(result.perf.tokens, 0.0);
+    EXPECT_EQ(result.perf.throughput_tokens_per_s, 0.0);
 
     sim::PerfAccumulator acc;
-    acc.add(result.report.perf);
+    acc.add(result.perf);
     Session session = engine.create_session();
     Session* batch[] = {&session};
-    acc.add(engine.step(batch).report.perf);
+    acc.add(engine.step(batch).perf);
     const sim::PerfReport total = acc.total();
     EXPECT_FALSE(std::isnan(total.throughput_tokens_per_s));
     EXPECT_GT(total.throughput_tokens_per_s, 0.0);
@@ -264,9 +273,9 @@ TEST(EngineStep, DuplicateSessionInBatchActsSequentially)
     const model::Workload expected =
         model::build_mixed_decode_workload(config, contexts);
     EXPECT_DOUBLE_EQ(
-        batched.report.perf.tokens,
+        batched.perf.tokens,
         static_cast<double>(expected.tokens()));
-    EXPECT_DOUBLE_EQ(batched.report.perf.total_cycles,
+    EXPECT_DOUBLE_EQ(batched.perf.total_cycles,
                      sim::run_workload(engine.design(), expected)
                          .total_cycles);
 }
@@ -288,9 +297,9 @@ TEST(EngineStep, AnalyticSessionStepsPastModelMaxSeqLen)
     for (int i = 0; i < 3; ++i) {
         const StepResult result = engine.step(batch);
         EXPECT_FALSE(
-            std::isnan(result.report.perf.throughput_tokens_per_s));
-        EXPECT_GT(result.report.perf.total_cycles, last_cycles);
-        last_cycles = result.report.perf.total_cycles;
+            std::isnan(result.perf.throughput_tokens_per_s));
+        EXPECT_GT(result.perf.total_cycles, last_cycles);
+        last_cycles = result.perf.total_cycles;
     }
     EXPECT_EQ(session.position(),
               units::Positions(config.max_seq_len + 2));

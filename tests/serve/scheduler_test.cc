@@ -680,9 +680,10 @@ TEST(Scheduler, PreemptionNeverFreesASharedBlockUnderTheSharer)
 
 TEST(Scheduler, AnalyticPrefixGroupsShareRefcountedReservations)
 {
-    // Analytic serving mirrors the tentpole: requests declaring a
-    // common prefix_group skip the shared chunks and charge the
-    // shared reservation once across sharers.
+    // Analytic serving shares prefixes like functional serving:
+    // requests declaring a common prefix_group adopt a resident
+    // donor's blocks, skip the shared chunks, and the pool holds the
+    // shared blocks once across sharers.
     const model::ModelConfig config = model::llama2_7b();
     const Engine engine(sim::make_mugi(256), config);
 
@@ -704,7 +705,7 @@ TEST(Scheduler, AnalyticPrefixGroupsShareRefcountedReservations)
         }
         scheduler.run();
         EXPECT_EQ(scheduler.kv_bytes_in_use(), units::Bytes(0))
-            << "refcounted reservations must unwind to exactly zero";
+            << "refcounted blocks must unwind to exactly zero";
         return scheduler.stats();
     };
 
@@ -719,17 +720,17 @@ TEST(Scheduler, AnalyticPrefixGroupsShareRefcountedReservations)
     EXPECT_EQ(on.saved_prefill_tokens, units::Tokens(128));
     EXPECT_EQ(on.prefill_tokens + units::Tokens(128), off.prefill_tokens);
     EXPECT_LT(on.mean_ttft_s, off.mean_ttft_s);
-    // The shared reservation is charged once, not per sharer.
+    // The shared blocks are held once, not per sharer.
     EXPECT_LT(on.peak_kv_bytes, off.peak_kv_bytes);
 }
 
 TEST(Scheduler, AnalyticSharerIsResidentBeforeThePressureCheck)
 {
     // Regression: the sharer's adopted prefix must count as resident
-    // the moment it is admitted.  It used to be credited only by the
-    // post-step reservation sync, so the pre-step pressure check saw
-    // the full un-discounted growth slack and preempt-thrashed the
-    // sharer on a budget it actually fits.
+    // the moment it is admitted.  It once was credited only after the
+    // step, so the pre-step pressure check saw the full
+    // un-discounted growth slack and preempt-thrashed the sharer on a
+    // budget it actually fits.
     const model::ModelConfig config = model::llama2_7b();
     const Engine engine(sim::make_mugi(256), config);
     const units::Bytes group = sim::kv_footprint(
@@ -766,6 +767,42 @@ TEST(Scheduler, AnalyticSharerIsResidentBeforeThePressureCheck)
     EXPECT_EQ(stats.preemptions, 0u)
         << "a sharer that fits the budget must not be thrashed";
     EXPECT_EQ(scheduler.kv_bytes_in_use(), units::Bytes(0));
+}
+
+TEST(Scheduler, SameGroupRequestsAdmittedTogetherEachHoldTheirBlocks)
+{
+    // Regression: two prefix_group requests admitted in the same
+    // iteration both compute their prompts -- neither is resident to
+    // share from yet -- so after the first step the pool holds two
+    // copies.  The byte-reservation mirror analytic serving once
+    // used took a shared reference on every prefix block a request's
+    // position covered, its own included, and counted one copy.
+    const model::ModelConfig config = model::llama2_70b();
+    const Engine engine(sim::make_mugi(256), config);
+    const auto bytes_after_first_step = [&](std::size_t requests) {
+        SchedulerConfig sched_config;
+        sched_config.prefill_chunk_tokens = units::Tokens(256);
+        sched_config.max_batch = 4;
+        Scheduler scheduler(engine, sched_config);
+        for (std::size_t i = 0; i < requests; ++i) {
+            Request request;
+            request.analytic_prompt_tokens = units::Tokens(256);
+            request.max_new_tokens = units::Tokens(4);
+            request.prefix_group = 1;
+            request.prefix_tokens = units::Tokens(256);
+            scheduler.submit(std::move(request));
+        }
+        EXPECT_TRUE(scheduler.step());
+        EXPECT_EQ(scheduler.active(), requests);
+        EXPECT_EQ(scheduler.stats().prefix_hits, 0u);
+        EXPECT_EQ(scheduler.check_invariants(), "");
+        return scheduler.kv_bytes_in_use();
+    };
+    // 16 blocks x 80 layers x 16 tokens x 1,056 B (8 INT4 KV heads
+    // of 128 dims, K and V).
+    const units::Bytes one = bytes_after_first_step(1);
+    EXPECT_EQ(one, units::Bytes(21'626'880));
+    EXPECT_EQ(bytes_after_first_step(2), one * 2);
 }
 
 // ---- Stats bugfix sweep (regressions). ----

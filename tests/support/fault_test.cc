@@ -2,9 +2,9 @@
  * @file
  * Contract of the deterministic fault injector: inert until armed,
  * seeded schedules reproduce exactly, per-site rate/cap accounting
- * holds, and a wired production seam (BlockPool's try_allocate /
- * try_reserve) actually fails when its site fires -- then recovers
- * the moment the plan is disarmed.
+ * holds, and a wired production seam (BlockPool's try_allocate)
+ * actually fails when its site fires -- then recovers the moment the
+ * plan is disarmed.
  */
 
 #include <algorithm>
@@ -142,10 +142,11 @@ TEST(FaultInjector, BlockPoolAllocationSeamFailsAndRecovers)
         plan.sites = {{"block_pool.allocate", 1.0, 2}};
         ScopedFaultPlan armed(plan);
 
-        // Both enforcement paths refuse while the site fires...
+        // Each attempt refuses while the site fires...
         EXPECT_EQ(pool.try_allocate(units::Bytes(256)),
                   quant::kInvalidBlock);
-        EXPECT_FALSE(pool.try_reserve(units::Bytes(256)));
+        EXPECT_EQ(pool.try_allocate(units::Bytes(256)),
+                  quant::kInvalidBlock);
         EXPECT_EQ(pool.bytes_in_use(), units::Bytes(0));
 
         // ...and succeed again once the cap is exhausted.

@@ -14,9 +14,8 @@ R1  raw-unit-param: public headers under ``src/serve/`` and
 
 R2  try-result-unused: a call to any ``try_*`` function whose result
     is discarded is a lost admission/allocation failure -- under
-    fault injection (PR 10) ``try_allocate``/``try_reserve`` fail on
-    purpose, so a dropped result silently swallows an injected
-    fault.  (The headers also carry ``[[nodiscard]]``; this rule
+    fault injection (PR 10) ``try_allocate`` fails on purpose, so a
+    dropped result silently swallows an injected fault.  (The headers also carry ``[[nodiscard]]``; this rule
     catches the ``(void)``-free discard styles the compiler warning
     misses when a caller builds with warnings off.)
 
@@ -33,8 +32,11 @@ R4  admission-unwrap: the admission/reservation functions in
     and admission timeouts, which retire requests that never held
     blocks), and the Server submission/cancellation paths in
     ``src/serve/server.cc`` must stay ``.value()``-free end to end;
-    they speak units types only, via the named helpers.  Index-math functions (prefix keys,
-    token emission) are exempt.
+    they speak units types only, via the named helpers.  Index-math
+    functions (prefix keys, token emission) are exempt.  The audit
+    goes by name, so an audited name with no definition in its file
+    (deleted or renamed) is itself a finding: it would otherwise drop
+    out of the audit without a trace.
 
 Two engines:
 
@@ -92,17 +94,15 @@ CONVERSION_HELPERS = {
 ADMISSION_FUNCTIONS = {
     "admission_bytes",
     "watermark_bytes",
-    "resident_bytes",
     "growth_slack_bytes",
     "committed_total",
     "admit_arrivals",
     "preempt_for_pressure",
     "step_append_tokens",
-    "sync_analytic_reservation",
 }
 
-#: Scheduler retire paths: everything that hands reserved blocks back
-#: to the pool (cancellation, shutdown, deadline expiry) or retires a
+#: Scheduler retire paths: everything that hands KV blocks back to
+#: the pool (cancellation, shutdown, deadline expiry) or retires a
 #: request before admission (capacity shedding, admission timeouts --
 #: PR 10's overload sweeps).  The release accounting must stay as
 #: unit-typed as the admission accounting.
@@ -289,10 +289,27 @@ def textual_r3(path: Path, text: str) -> list[Finding]:
     return findings
 
 
+def r4_missing(path: Path, cls: str, audited: set[str],
+               defined: set[str]) -> list[Finding]:
+    """R4 findings for audited names with no definition in ``path``."""
+    return [
+        Finding(
+            path,
+            1,
+            "R4",
+            f"audited function '{cls}::{name}' has no definition in "
+            f"{path.name}; update the R4 audit list in "
+            "tools/mugi_check.py",
+        )
+        for name in sorted(audited - defined)
+    ]
+
+
 def textual_r4(path: Path, text: str, cls: str,
                audited: set[str]) -> list[Finding]:
     """Scan audited ``cls`` method bodies in ``path`` for .value()."""
     findings = []
+    defined: set[str] = set()
     lines = text.splitlines()
     func_re = re.compile(rf"{cls}::(?P<name>\w+)\s*\(")
     i = 0
@@ -333,8 +350,10 @@ def textual_r4(path: Path, text: str, cls: str,
             if opened and depth == 0:
                 break
             j += 1
+        if opened:
+            defined.add(m.group("name"))
         i = (j if j is not None else i) + 1
-    return findings
+    return findings + r4_missing(path, cls, audited, defined)
 
 
 def run_textual() -> list[Finding]:
@@ -543,6 +562,7 @@ def ast_r3(cindex, tu, path: Path) -> list[Finding]:
 def ast_r4(cindex, tu, path: Path, cls: str,
            audited: set[str]) -> list[Finding]:
     findings = []
+    defined: set[str] = set()
     ck = cindex.CursorKind
 
     def has_value_call(node, out):
@@ -563,6 +583,7 @@ def ast_r4(cindex, tu, path: Path, cls: str,
             and in_class(node)
             and _in_file(node, path)
         ):
+            defined.add(node.spelling)
             lines: list[int] = []
             has_value_call(node, lines)
             for line in lines:
@@ -581,7 +602,7 @@ def ast_r4(cindex, tu, path: Path, cls: str,
             visit(child)
 
     visit(tu.cursor)
-    return findings
+    return findings + r4_missing(path, cls, audited, defined)
 
 
 def run_ast(cindex) -> list[Finding]:
