@@ -1,17 +1,21 @@
 /**
  * @file
- * Closed-loop serving load generator over the push-based
- * serve::Server: sweep arrival rates into tail-latency curves, and
- * (--check) gate the HTTP front-end against the in-process scheduler.
+ * Serving load generator: sweep arrival rates into tail-latency
+ * curves on the modeled clock, and (--check) gate the push-based
+ * serve::Server's HTTP front-end against the in-process scheduler.
  *
  * Rate sweep (always): N analytic Llama-2 70B requests arrive as a
  * Poisson process (seeded, deterministic) at each offered load --
- * fractions of the engine's estimated decode capacity -- through a
- * serve::Server.  Latencies are on the *modeled* clock (the same
- * clock ServerStats reports), so the curves are reproducible across
- * machines: what moves them is scheduling, not host noise.  Output:
- * a p50/p95/p99 TTFT/TPOT table across >= 3 rates, written to
- * BENCH_serve.json for CI.
+ * fractions of the engine's estimated decode capacity.  Each point
+ * submits its whole trace to an in-process serve::Scheduler, then
+ * runs it to completion.  Latencies are on the *modeled* clock (the
+ * same clock ServerStats reports), so the curves are the same bytes
+ * on every run and machine: what moves them is scheduling, not host
+ * noise.  (Submitting into a running Server would let its loop
+ * thread step the clock past an arrival before the submission
+ * lands, and the scheduler stamps a late submission at its current
+ * time.)  Output: a p50/p95/p99 TTFT/TPOT table across >= 3 rates,
+ * written to BENCH_serve.json for CI.
  *
  * The overload gate (always): the same bounded admission queue at 1x
  * and 2x offered load.  2x must shed (requests_shed > 0) and the p99
@@ -64,27 +68,25 @@ struct RatePoint {
 
 /**
  * One sweep point: @p n requests with exponential inter-arrivals at
- * @p rate_req_s on the modeled clock, run through a threaded Server.
- * @p max_queued bounds the admission queue (0 = unbounded, the
- * plain sweep; the overload gate passes a bound so excess arrivals
- * shed instead of queueing without limit).
+ * @p rate_req_s on the modeled clock, all submitted before the
+ * scheduler runs.  @p max_queued bounds the admission queue (0 =
+ * unbounded, the plain sweep; the overload gate passes a bound so
+ * excess arrivals shed instead of queueing without limit).
  */
 serve::ServerStats
 run_rate(const serve::Engine& engine, double rate_req_s, int n,
          std::size_t max_queued = 0)
 {
-    serve::ServerConfig config;
-    config.scheduler.kv_budget_bytes = units::Bytes(1ull << 30);
-    config.scheduler.prefill_chunk_tokens = units::Tokens(256);
-    config.scheduler.max_queued_requests = max_queued;
-    serve::Server server(engine, config);
+    serve::SchedulerConfig config;
+    config.kv_budget_bytes = units::Bytes(1ull << 30);
+    config.prefill_chunk_tokens = units::Tokens(256);
+    config.max_queued_requests = max_queued;
+    serve::Scheduler scheduler(engine, config);
 
     // Seeded arrivals: the sweep is deterministic run to run.
     std::mt19937_64 rng(42);
     std::exponential_distribution<double> gap(rate_req_s);
     double arrival_s = 0.0;
-    std::vector<serve::RequestHandle> handles;
-    handles.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
         arrival_s += gap(rng);
         serve::Request request;
@@ -92,13 +94,10 @@ run_rate(const serve::Engine& engine, double rate_req_s, int n,
             units::Tokens(256 + 256 * (i % 7));
         request.max_new_tokens = units::Tokens(16 + 4 * (i % 9));
         request.arrival_time_s = arrival_s;
-        handles.push_back(server.submit(std::move(request)));
+        scheduler.submit(std::move(request));
     }
-    for (serve::RequestHandle& handle : handles) {
-        handle.wait();
-    }
-    server.shutdown(serve::ShutdownMode::kDrain);
-    return server.stats();
+    scheduler.run();
+    return scheduler.stats();
 }
 
 /**

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench_util.h"
@@ -83,8 +84,14 @@ main(int argc, char** argv)
     std::size_t threads = 0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = serve::resolve_step_threads(
-                serve::threads_flag(argv[++i]));
+            const std::optional<std::size_t> parsed =
+                serve::threads_flag(argv[++i]);
+            if (!parsed) {
+                std::fprintf(stderr, "usage: %s [--threads N|auto]\n",
+                             argv[0]);
+                return 2;
+            }
+            threads = serve::resolve_step_threads(*parsed);
         }
     }
     bench::print_title(

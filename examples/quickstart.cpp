@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <random>
 
+#include "model/ops.h"
 #include "serve/engine.h"
 #include "support/rng.h"
 
@@ -52,7 +53,7 @@ main()
     const serve::GemmRun gemm =
         engine->run_woq_gemm(prepared, activations);
     const support::MatrixF reference =
-        support::matmul(weights, activations);
+        model::linear(weights, activations);
     double err = 0.0, norm = 0.0;
     for (std::size_t i = 0; i < reference.size(); ++i) {
         const double d = gemm.out.data()[i] - reference.data()[i];

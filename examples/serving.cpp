@@ -38,6 +38,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "model/accuracy.h"
@@ -104,8 +105,14 @@ main(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
             // "auto" sizes the pool from the hardware.
-            threads = serve::resolve_step_threads(
-                serve::threads_flag(argv[++i]));
+            const std::optional<std::size_t> parsed =
+                serve::threads_flag(argv[++i]);
+            if (!parsed) {
+                std::fprintf(stderr, "usage: %s [--threads N|auto]\n",
+                             argv[0]);
+                return 2;
+            }
+            threads = serve::resolve_step_threads(*parsed);
         }
     }
 

@@ -5,7 +5,7 @@
  * @file
  * Tensor-level building blocks of the transformer substrate: RMSNorm,
  * LayerNorm, rotary position embeddings (RoPE), row-wise softmax with
- * a pluggable exp, and the pluggable FFN activation.
+ * a pluggable exp, the pluggable FFN activation, and the float GEMM.
  */
 
 #include <functional>
@@ -15,6 +15,9 @@
 #include "support/matrix.h"
 
 namespace mugi {
+namespace support {
+class ThreadPool;
+}  // namespace support
 namespace model {
 
 /** RMSNorm: x / rms(x) * gain, per row. */
@@ -75,33 +78,42 @@ void apply_activation_span(
     const nonlinear::NonlinearApproximator* activation,
     const std::function<void(std::span<const float>)>& capture = {});
 
-/** y = x * w, where w has shape [in, out]. */
+/**
+ * y = x * w, where w has shape [in, out]: the float GEMM every
+ * projection, LM head and reference matmul runs.
+ *
+ * Every output cell starts at +0 and adds x[i][k] * w[k][j] in
+ * ascending k, skipping the k where x[i][k] is zero.  For finite
+ * weights the skip changes no bit: the skipped product is +-0, and
+ * adding +-0 leaves a nonzero cell unchanged and a +0 cell at +0;
+ * a cell is never -0, since it starts at +0 and a sum is -0 only
+ * when both addends are (tests/model/ops_test.cc checks this against
+ * a loop without the skip, +0 and -0 inputs included).
+ *
+ * The output columns are cut into panels that start at multiples of
+ * 16 columns.  With a non-null @p pool each task owns a contiguous
+ * run of panels (support::for_ranges), so each worker streams its
+ * own slab of @p w -- the CPU form of Mugi's weight-stationary row
+ * mapping.  A task adds up at most 32 rows at a time in a private
+ * tile, then copies the tile out: tasks writing straight into the
+ * output shared cache lines at panel edges (rows are neither 64-byte
+ * aligned nor whole lines long).  The per-cell sequence does not
+ * depend on the split, so the result is bit-identical with or
+ * without a pool.
+ */
 support::MatrixF linear(const support::MatrixF& x,
-                        const support::MatrixF& w);
+                        const support::MatrixF& w,
+                        support::ThreadPool* pool = nullptr);
 
 /**
- * y = x * w like linear(), but with the reduction loop outermost, so
- * each weight row streams through the cache once per call instead of
- * once per batch row -- the batched-decode projection kernel.
- * Bit-identical to linear(): every output cell still accumulates its
- * k-products in ascending-k order (enforced by tests/model/ops_test).
+ * linear(x, w) under its old batched-decode name, kept only for the
+ * model.linear_batched_b16_gmacs probe in perfbench/perfbench.cc.
  */
-support::MatrixF linear_batched(const support::MatrixF& x,
-                                const support::MatrixF& w);
-
-/**
- * Row-range slice of linear_batched: accumulate x[row_begin, row_end)
- * times w into the same rows of @p out (which must be pre-sized
- * [x.rows(), w.cols()] and zeroed in that range).  Each output cell
- * runs the identical ascending-k accumulation as linear_batched, so
- * partitioning the batch rows across threads and joining reproduces
- * linear_batched's result bit for bit -- the decode-projection task
- * body of the pooled step path.
- */
-void linear_batched_range(const support::MatrixF& x,
-                          const support::MatrixF& w,
-                          std::size_t row_begin, std::size_t row_end,
-                          support::MatrixF& out);
+inline support::MatrixF
+linear_batched(const support::MatrixF& x, const support::MatrixF& w)
+{
+    return linear(x, w);
+}
 
 }  // namespace model
 }  // namespace mugi

@@ -360,45 +360,6 @@ TransformerModel::decode_layer_batch(
     if (capture_) {
         pool = nullptr;
     }
-    // Pooled stages: every task writes a disjoint slice of a
-    // pre-zeroed output with the serial per-cell float-op sequence,
-    // so the parallel_for join (the stage barrier) reproduces the
-    // serial bytes exactly.  Serially each stage is one task.
-    using Ranges = std::vector<std::pair<std::size_t, std::size_t>>;
-    using Task = std::function<void(std::size_t)>;
-    const auto split = [&](std::size_t count) {
-        return pool != nullptr
-                   ? support::split_ranges(count, pool->num_threads())
-                   : Ranges{{0, count}};
-    };
-    const auto run = [&](std::size_t tasks, const Task& task) {
-        if (pool != nullptr) {
-            pool->parallel_for(tasks, task);
-        } else {
-            for (std::size_t t = 0; t < tasks; ++t) {
-                task(t);
-            }
-        }
-    };
-    const Ranges row_ranges = split(rows);
-    const auto for_rows = [&](const Task& body) {
-        run(row_ranges.size(), [&](std::size_t t) {
-            for (std::size_t r = row_ranges[t].first;
-                 r < row_ranges[t].second; ++r) {
-                body(r);
-            }
-        });
-    };
-    const auto gemm = [&](const support::MatrixF& a,
-                          const support::MatrixF& b) {
-        support::MatrixF c(rows, b.cols(), 0.0f);
-        run(row_ranges.size(), [&](std::size_t t) {
-            linear_batched_range(a, b, row_ranges[t].first,
-                                 row_ranges[t].second, c);
-        });
-        return c;
-    };
-
     // Ragged rows: row r takes its cache's next position after the
     // earlier rows sharing that cache.  group_of[r] indexes the
     // distinct caches in order of first appearance.
@@ -421,26 +382,23 @@ TransformerModel::decode_layer_batch(
     support::MatrixF x_norm;
     norm(x, w.norm1_gain, w.norm1_bias, x_norm);
 
-    // One batched GEMM per projection covers every row; pooled, the
-    // three projections fan out together as (projection x row range)
-    // tasks.
-    support::MatrixF q(rows, w.wq.cols(), 0.0f);
-    support::MatrixF k(rows, w.wk.cols(), 0.0f);
-    support::MatrixF v(rows, w.wv.cols(), 0.0f);
-    support::MatrixF* const outs[3] = {&q, &k, &v};
-    const support::MatrixF* const weights[3] = {&w.wq, &w.wk, &w.wv};
-    run(3 * row_ranges.size(), [&](std::size_t t) {
-        const auto& range = row_ranges[t % row_ranges.size()];
-        const std::size_t proj = t / row_ranges.size();
-        linear_batched_range(x_norm, *weights[proj], range.first,
-                             range.second, *outs[proj]);
-    });
-    if (config_.uses_rope()) {
-        for_rows([&](std::size_t r) {
+    // Pooled stages: every task writes a disjoint slice of the
+    // stage's output with the serial per-cell float-op sequence, so
+    // each join (the stage barrier) reproduces the serial bytes
+    // exactly.  One GEMM per projection covers every row, split by
+    // output columns inside linear; the other stages split by rows.
+    support::MatrixF q = linear(x_norm, w.wq, pool);
+    support::MatrixF k = linear(x_norm, w.wk, pool);
+    const support::MatrixF v = linear(x_norm, w.wv, pool);
+    const auto rope = [&](std::size_t first, std::size_t last) {
+        for (std::size_t r = first; r < last; ++r) {
             rope_rotate_row(q.row_data(r), config_.num_heads, hd,
                             pos[r]);
             rope_rotate_row(k.row_data(r), kv_heads, hd, pos[r]);
-        });
+        }
+    };
+    if (config_.uses_rope()) {
+        support::for_ranges(pool, rows, rope);
     }
     // Append every row's K/V before any attention reads, so a row
     // sees the earlier rows of its own cache.
@@ -460,11 +418,9 @@ TransformerModel::decode_layer_batch(
     // the cache attends its own prefix with the query heads of the
     // kv head's GQA group.
     support::MatrixF attn_out(rows, config_.d_model, 0.0f);
-    const Ranges items = split(group_cache.size() * kv_heads);
-    run(items.size(), [&](std::size_t t) {
+    const auto attend = [&](std::size_t first, std::size_t last) {
         std::vector<float> keys, values, scores;
-        for (std::size_t item = items[t].first;
-             item < items[t].second; ++item) {
+        for (std::size_t item = first; item < last; ++item) {
             const std::size_t g = item / kv_heads;
             const std::size_t kv_h = item % kv_heads;
             const quant::KvCache& cache = *group_cache[g];
@@ -487,8 +443,9 @@ TransformerModel::decode_layer_batch(
                 }
             }
         }
-    });
-    support::MatrixF out = gemm(attn_out, w.wo);
+    };
+    support::for_ranges(pool, group_cache.size() * kv_heads, attend);
+    support::MatrixF out = linear(attn_out, w.wo, pool);
     for (std::size_t i = 0; i < out.size(); ++i) {
         out.data()[i] += x.data()[i];
     }
@@ -500,22 +457,26 @@ TransformerModel::decode_layer_batch(
     const auto capture = activation_capture(layer_idx);
     const std::size_t ff = config_.d_ff;
     const bool gated = config_.gated_ffn();
-    support::MatrixF hidden = gemm(x_norm, gated ? w.w_gate : w.w_up);
+    support::MatrixF hidden =
+        linear(x_norm, gated ? w.w_gate : w.w_up, pool);
     const support::MatrixF up =
-        gated ? gemm(x_norm, w.w_up) : support::MatrixF();
-    for_rows([&](std::size_t r) {
-        float* hrow = hidden.row_data(r);
-        apply_activation_span(std::span<float>(hrow, ff),
-                              config_.activation(),
-                              hooks[r]->activation, capture);
-        if (gated) {
-            const float* urow = up.row_data(r);
-            for (std::size_t i = 0; i < ff; ++i) {
-                hrow[i] *= urow[i];
+        gated ? linear(x_norm, w.w_up, pool) : support::MatrixF();
+    const auto activate = [&](std::size_t first, std::size_t last) {
+        for (std::size_t r = first; r < last; ++r) {
+            float* hrow = hidden.row_data(r);
+            apply_activation_span(std::span<float>(hrow, ff),
+                                  config_.activation(),
+                                  hooks[r]->activation, capture);
+            if (gated) {
+                const float* urow = up.row_data(r);
+                for (std::size_t i = 0; i < ff; ++i) {
+                    hrow[i] *= urow[i];
+                }
             }
         }
-    });
-    const support::MatrixF f = gemm(hidden, w.w_down);
+    };
+    support::for_ranges(pool, rows, activate);
+    const support::MatrixF f = linear(hidden, w.w_down, pool);
     for (std::size_t i = 0; i < out.size(); ++i) {
         out.data()[i] += f.data()[i];
     }

@@ -25,10 +25,6 @@
 #include "support/matrix.h"
 
 namespace mugi {
-namespace support {
-class ThreadPool;
-}  // namespace support
-
 namespace model {
 
 /** Which nonlinear implementations a forward pass should use. */
@@ -135,29 +131,28 @@ class TransformerModel {
      * positions in row order, wherever they sit, so a prefill chunk
      * is T rows of one cache and a decode batch one row per cache.
      *
-     * Each projection (Q/K/V, output, FFN) runs as one batched GEMM
-     * over all rows (linear_batched streams each weight row once per
-     * call), reading the layer's weights live, so mutation between
-     * steps (apply_woq, mutable_layer) is seen at once.  RoPE rotates
-     * each row at its own position, fixed before any append.  Every
-     * row's K/V is appended, in row order, before any attention; then
-     * each (cache, kv head) is gathered once into reused scratch and
-     * row r attends its cache's positions up to its own.  Softmax and
-     * the FFN activation run on each row's own span, because a
-     * windowed approximator picks its window per mapping_rows group.
-     * Row r's output is therefore bit-identical to feeding the rows
-     * one at a time through decode_layer
-     * (tests/serve/engine_test.cc).
+     * Each projection (Q/K/V, output, FFN) runs as one GEMM over all
+     * rows (linear streams each weight row once per 32 rows), reading
+     * the layer's weights live, so mutation between steps (apply_woq,
+     * mutable_layer) is seen at once.  RoPE rotates each row at its
+     * own position, fixed before any append.  Every row's K/V is
+     * appended, in row order, before any attention; then each (cache,
+     * kv head) is gathered once into reused scratch and row r attends
+     * its cache's positions up to its own.  Softmax and the FFN
+     * activation run on each row's own span, because a windowed
+     * approximator picks its window per mapping_rows group.  Row r's
+     * output is therefore bit-identical to feeding the rows one at a
+     * time through decode_layer (tests/serve/engine_test.cc).
      *
      * With a non-null @p pool the stages fan out across its workers
-     * -- row-range tasks for the GEMMs, RoPE and the activation,
-     * (cache, kv head) tasks for attention -- joining at each stage
-     * boundary; appends stay serial.  Every task writes disjoint
-     * outputs with the serial float-op sequence, so the result is
-     * bit-identical to pool == nullptr
-     * (tests/concurrency/pooled_step_test.cc).  With a profiling
-     * capture installed the layer runs serially, capturing each row's
-     * activation in row order.
+     * -- column-panel tasks for the GEMMs (inside linear), row-range
+     * tasks for RoPE and the activation, (cache, kv head) tasks for
+     * attention -- joining at each stage boundary; appends stay
+     * serial.  Every task writes disjoint outputs with the serial
+     * float-op sequence, so the result is bit-identical to pool ==
+     * nullptr (tests/concurrency/pooled_step_test.cc).  With a
+     * profiling capture installed the layer runs serially, capturing
+     * each row's activation in row order.
      */
     support::MatrixF decode_layer_batch(
         std::size_t layer_idx, const support::MatrixF& x,

@@ -218,23 +218,7 @@ Engine::forward_rows(const StepPlan& plan,
     }
     support::MatrixF x_norm;
     model_->final_norm(last, x_norm);
-    // Pooled, the rows split into disjoint ranges with the identical
-    // per-cell accumulation (linear_batched_range).
-    const support::MatrixF& lm_head = model_->lm_head();
-    support::MatrixF logits(x_norm.rows(), lm_head.cols(), 0.0f);
-    if (pool != nullptr && x_norm.rows() > 1) {
-        const auto ranges =
-            support::split_ranges(x_norm.rows(), pool->num_threads());
-        pool->parallel_for(ranges.size(), [&](std::size_t t) {
-            model::linear_batched_range(x_norm, lm_head,
-                                        ranges[t].first,
-                                        ranges[t].second, logits);
-        });
-    } else {
-        model::linear_batched_range(x_norm, lm_head, 0, x_norm.rows(),
-                                    logits);
-    }
-    return logits;
+    return model::linear(x_norm, model_->lm_head(), pool);
 }
 
 StepResult

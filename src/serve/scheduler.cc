@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <thread>
@@ -11,6 +10,7 @@
 #include "quant/kv_cache.h"
 #include "support/audit.h"
 #include "support/fault.h"
+#include "support/parse.h"
 
 namespace mugi {
 namespace serve {
@@ -28,6 +28,18 @@ fnv1a64(std::uint64_t h, std::uint64_t value)
 }
 
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
+
+/** Context length of the BatchPolicy derivation sweep. */
+constexpr std::size_t kPolicyContext = 512;
+
+/**
+ * Block groups that must remain free after a paged admission --
+ * decode headroom that damps admit/preempt thrash, vLLM's watermark.
+ * Sized at the *largest* block group resident (or being admitted),
+ * so a small-precision admission cannot eat the headroom a
+ * float-precision resident needs to grow.
+ */
+constexpr units::Blocks kWatermarkBlocks{1};
 
 /**
  * Exact nearest-rank percentile over an ascending-sorted sample set
@@ -83,13 +95,14 @@ resolve_step_threads(std::size_t requested)
                                  SchedulerConfig::kMaxAutoThreads);
 }
 
-std::size_t
+std::optional<std::size_t>
 threads_flag(const char* text)
 {
     if (std::strcmp(text, "auto") == 0) {
         return SchedulerConfig::kAutoThreads;
     }
-    return static_cast<std::size_t>(std::strtoull(text, nullptr, 10));
+    return support::parse_number<std::size_t>(
+        text, 0, SchedulerConfig::kMaxAutoThreads);
 }
 
 Scheduler::Scheduler(const Engine& engine,
@@ -105,7 +118,7 @@ Scheduler::Scheduler(const Engine& engine,
     if (config_.max_batch == 0) {
         policy_ = BatchPolicy::derive(engine.design(),
                                       *engine.model_config(),
-                                      config_.policy_context);
+                                      kPolicyContext);
     }
     config_.step_threads = resolve_step_threads(config.step_threads);
 }
@@ -358,7 +371,7 @@ Scheduler::watermark_bytes(quant::KvPrecision head_precision) const
         group = std::max(group,
                          block_group_bytes(a.session.kv_precision()));
     }
-    return units::bytes_for(config_.watermark_blocks, group);
+    return units::bytes_for(kWatermarkBlocks, group);
 }
 
 units::Bytes

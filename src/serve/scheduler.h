@@ -88,6 +88,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -105,7 +106,7 @@ namespace serve {
 enum class AdmissionMode {
     /**
      * Block-level reservation: charge the blocks covering the prompt
-     * (plus the next decode append) and keep watermark_blocks free;
+     * (plus the next decode append) and keep one block group free;
      * decode growth is handled by allocation on demand plus
      * preemption under pressure.
      */
@@ -153,21 +154,11 @@ struct SchedulerConfig {
      * and model config.
      */
     std::size_t max_batch = 0;
-    /** Context length used by the BatchPolicy derivation sweep. */
-    std::size_t policy_context = 512;
 
     /** Admission policy against the KV budget. */
     AdmissionMode admission = AdmissionMode::kPagedReservation;
     /** KV positions per block of the shared pool. */
     units::Tokens kv_block_tokens = quant::BlockPool::kDefaultBlockTokens;
-    /**
-     * Blocks that must remain free after a paged admission -- decode
-     * headroom that damps admit/preempt thrash, vLLM's watermark.
-     * Sized at the *largest* block-group resident (or being
-     * admitted), so a small-precision admission cannot eat the
-     * headroom a float-precision resident needs to grow.
-     */
-    units::Blocks watermark_blocks{1};
     /**
      * Cross-request KV prefix caching (paged admission only): map a
      * new request's prompt onto blocks a resident request already
@@ -228,9 +219,10 @@ std::size_t resolve_step_threads(std::size_t requested);
 
 /**
  * Parse a --threads flag value: "auto" (case-sensitive) yields
- * SchedulerConfig::kAutoThreads, anything else its integer value.
+ * SchedulerConfig::kAutoThreads, a whole decimal number up to
+ * SchedulerConfig::kMaxAutoThreads itself, anything else nullopt.
  */
-std::size_t threads_flag(const char* text);
+std::optional<std::size_t> threads_flag(const char* text);
 
 /** Serving-horizon report: accumulator totals + latency stats. */
 struct ServerStats {

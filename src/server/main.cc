@@ -11,6 +11,11 @@
  *                       [--kv-budget-mb N] [--max-queued N]
  *                       [--admission-timeout-s X] [--functional]
  *
+ * Numeric values parse strictly: whole numbers in range (port
+ * 0-65535; threads "auto" or up to SchedulerConfig::kMaxAutoThreads)
+ * and a finite timeout >= 0.  Anything else prints the usage line
+ * and exits 2.
+ *
  * SIGINT/SIGTERM drain gracefully: the listener closes, in-flight
  * requests run to completion, streams end normally, then the
  * process exits with a final stats line.
@@ -23,15 +28,18 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cfloat>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
+#include <string_view>
 #include <thread>
 
 #include "model/accuracy.h"
 #include "model/transformer.h"
 #include "serve/server.h"
 #include "server/frontend.h"
+#include "support/parse.h"
 
 using namespace mugi;
 
@@ -56,28 +64,37 @@ main(int argc, char** argv)
     std::size_t max_queued = 0;
     double admission_timeout_s = 0.0;
     bool functional = false;
+    // Stores a parsed value; false when parsing refused the text.
+    const auto set = [](auto& target, const auto& parsed) {
+        target = parsed.value_or(target);
+        return parsed.has_value();
+    };
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-            port = static_cast<std::uint16_t>(
-                std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--threads") == 0 &&
-                   i + 1 < argc) {
-            threads = serve::threads_flag(argv[++i]);
-        } else if (std::strcmp(argv[i], "--kv-budget-mb") == 0 &&
-                   i + 1 < argc) {
-            kv_budget_mb = static_cast<std::size_t>(
-                std::atoll(argv[++i]));
-        } else if (std::strcmp(argv[i], "--max-queued") == 0 &&
-                   i + 1 < argc) {
-            max_queued = static_cast<std::size_t>(
-                std::atoll(argv[++i]));
-        } else if (std::strcmp(argv[i], "--admission-timeout-s") ==
-                       0 &&
-                   i + 1 < argc) {
-            admission_timeout_s = std::atof(argv[++i]);
-        } else if (std::strcmp(argv[i], "--functional") == 0) {
+        const std::string_view flag = argv[i];
+        if (flag == "--functional") {
             functional = true;
-        } else {
+            continue;
+        }
+        const char* value = i + 1 < argc ? argv[++i] : "";
+        bool ok = false;
+        if (flag == "--port") {
+            ok = set(port, support::parse_number<std::uint16_t>(
+                               value, 0, 65535));
+        } else if (flag == "--threads") {
+            ok = set(threads, serve::threads_flag(value));
+        } else if (flag == "--kv-budget-mb") {
+            // The budget is kv_budget_mb << 20 bytes.
+            ok = set(kv_budget_mb,
+                     support::parse_number<std::size_t>(
+                         value, 0, SIZE_MAX >> 20));
+        } else if (flag == "--max-queued") {
+            ok = set(max_queued, support::parse_number<std::size_t>(
+                                     value, 0, SIZE_MAX));
+        } else if (flag == "--admission-timeout-s") {
+            ok = set(admission_timeout_s,
+                     support::parse_number(value, 0.0, DBL_MAX));
+        }
+        if (!ok) {
             std::fprintf(stderr,
                          "usage: %s [--port N] [--threads N|auto] "
                          "[--kv-budget-mb N] [--max-queued N] "

@@ -91,26 +91,6 @@ class Matrix {
 using MatrixF = Matrix<float>;
 using MatrixI = Matrix<int>;
 
-/** C = A * B with float accumulation, plain triple loop (reference). */
-inline MatrixF
-matmul(const MatrixF& a, const MatrixF& b)
-{
-    assert(a.cols() == b.rows());
-    MatrixF c(a.rows(), b.cols(), 0.0f);
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        for (std::size_t k = 0; k < a.cols(); ++k) {
-            const float aik = a.at(i, k);
-            if (aik == 0.0f) continue;
-            const float* brow = b.row_data(k);
-            float* crow = c.row_data(i);
-            for (std::size_t j = 0; j < b.cols(); ++j) {
-                crow[j] += aik * brow[j];
-            }
-        }
-    }
-    return c;
-}
-
 }  // namespace support
 }  // namespace mugi
 

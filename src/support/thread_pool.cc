@@ -26,6 +26,20 @@ split_ranges(std::size_t count, std::size_t parts)
     return ranges;
 }
 
+void
+for_ranges(ThreadPool* pool, std::size_t count,
+           const std::function<void(std::size_t, std::size_t)>& body)
+{
+    if (pool != nullptr) {
+        const auto ranges = split_ranges(count, pool->num_threads());
+        pool->parallel_for(ranges.size(), [&](std::size_t t) {
+            body(ranges[t].first, ranges[t].second);
+        });
+    } else if (count > 0) {
+        body(0, count);
+    }
+}
+
 ThreadPool::ThreadPool(std::size_t threads)
 {
     assert(threads >= 1 && "a pool needs at least one worker");

@@ -22,8 +22,9 @@
  * Determinism contract: the pool never decides *what* is computed,
  * only *when*.  Callers that need bit-identical results partition
  * their work into tasks that write disjoint outputs (e.g. disjoint
- * matrix row ranges) and join at a barrier (parallel_for's return);
- * then any interleaving produces the same bytes as the serial loop.
+ * column panels or row ranges of a matrix) and join at a barrier
+ * (parallel_for's return); then any interleaving produces the same
+ * bytes as the serial loop.  for_ranges is that partition-and-join.
  *
  * Destruction drains: the destructor stops accepting new work, runs
  * every task still queued, then joins the workers -- so "shutdown
@@ -59,7 +60,7 @@ namespace support {
 /**
  * At most @p parts contiguous [begin, end) ranges covering
  * [0, count), sized within one item of each other (never empty) --
- * the standard disjoint-output partition pooled stages join on.
+ * the partition for_ranges runs.
  */
 std::vector<std::pair<std::size_t, std::size_t>>
 split_ranges(std::size_t count, std::size_t parts);
@@ -129,6 +130,19 @@ class ThreadPool {
 
     std::vector<std::thread> workers_;
 };
+
+/**
+ * Run @p body over contiguous [begin, end) ranges covering
+ * [0, count) and return once all of them finished: as one
+ * body(0, count) call on the caller when @p pool is null, else as
+ * split_ranges(count, pool->num_threads()) joined by one
+ * parallel_for.  Every pooled stage partitions through this; bodies
+ * that write disjoint outputs with the serial per-item float-op
+ * sequence reproduce the serial bytes exactly.
+ */
+void for_ranges(
+    ThreadPool* pool, std::size_t count,
+    const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace support
 }  // namespace mugi

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "model/ops.h"
 #include "support/rng.h"
 
 namespace mugi {
@@ -24,7 +25,7 @@ TEST(SystolicArray, MatchesReferenceGemm)
     const auto a = random_matrix(12, 20, 401);
     const auto b = random_matrix(20, 9, 402);
     const SystolicResult got = systolic_gemm(a, b, 4);
-    const support::MatrixF expected = support::matmul(a, b);
+    const support::MatrixF expected = model::linear(a, b);
     for (std::size_t i = 0; i < 12; ++i) {
         for (std::size_t j = 0; j < 9; ++j) {
             EXPECT_NEAR(got.out.at(i, j), expected.at(i, j), 1e-4);
@@ -88,7 +89,7 @@ TEST_P(SystolicDimTest, CorrectAcrossArraySizes)
     const auto a = random_matrix(dim + 3, 2 * dim + 1, 413);
     const auto b = random_matrix(2 * dim + 1, dim - 1, 414);
     const SystolicResult got = systolic_gemm(a, b, dim);
-    const support::MatrixF expected = support::matmul(a, b);
+    const support::MatrixF expected = model::linear(a, b);
     for (std::size_t i = 0; i < expected.rows(); ++i) {
         for (std::size_t j = 0; j < expected.cols(); ++j) {
             EXPECT_NEAR(got.out.at(i, j), expected.at(i, j), 1e-3);

@@ -2,12 +2,13 @@
  * @file
  * Bit-identity of the pooled Engine::step (StepPlan::threads > 0)
  * against the serial pass (threads == 0): mixed prefill-and-decode
- * plans, mixed KV precisions (INT4 + float), ragged contexts, and a
- * single-session 32-token chunk, across 1/2/4-worker pools -- every
- * logit and token must match the serial run exactly, since pooled
- * partitioning only reorders *when* disjoint outputs are computed,
- * never what is computed (thread_pool.h's determinism contract).
- * Run under TSan in CI: the row-range and (cache, kv head) tasks and
+ * plans, mixed KV precisions (INT4 + float), ragged contexts, a
+ * single-session 32-token chunk, a batch-1 decode and a one-token
+ * prefill, across 1/2/4-worker pools -- every logit and token must
+ * match the serial run exactly, since pooled partitioning only
+ * reorders *when* disjoint outputs are computed, never what is
+ * computed (thread_pool.h's determinism contract).  Run under TSan
+ * in CI: the column-panel, row-range and (cache, kv head) tasks and
  * the shared worker pool are exactly the interleavings the sanitizer
  * should see.
  */
@@ -17,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,7 +40,9 @@ struct PlanOutputs {
  * alternating KV precision and ragged prompts, plus 2 prefill chunks
  * per iteration feeding two more sessions chunk by chunk; then one
  * plan holding a single session's 32-token chunk, whose rows share
- * one cache (one attention task per kv head).
+ * one cache (one attention task per kv head); then two one-row
+ * plans, a batch-1 decode of that session and a one-token prefill
+ * of a fresh one, which only the GEMMs' column panels can split.
  */
 PlanOutputs
 run_mixed(const Engine& engine, const model::ModelConfig& config,
@@ -117,6 +121,25 @@ run_mixed(const Engine& engine, const model::ModelConfig& config,
     const StepResult r = engine.step(plan);
     out.tokens.push_back(r.prefill_outputs[0].next_token);
     out.logits.push_back(r.prefill_outputs[0].logits);
+
+    StepPlan decode_one;
+    decode_one.threads = threads;
+    decode_one.decode_sessions.push_back(&single);
+    decode_one.decode_tokens.push_back(
+        r.prefill_outputs[0].next_token);
+    Session fresh = engine.create_session(options);
+    const int first_token = 5;
+    StepPlan prefill_one;
+    prefill_one.threads = threads;
+    prefill_one.prefills.push_back(
+        {&fresh, std::span<const int>(&first_token, 1)});
+    for (const StepPlan* one_row : {&decode_one, &prefill_one}) {
+        const StepResult o = engine.step(*one_row);
+        const StepResult::SessionOutput& row =
+            o.outputs.empty() ? o.prefill_outputs[0] : o.outputs[0];
+        out.tokens.push_back(row.next_token);
+        out.logits.push_back(row.logits);
+    }
     return out;
 }
 

@@ -2,10 +2,11 @@
  * @file
  * Unit tests over support::ThreadPool's documented contract
  * (thread_pool.h): FIFO ordering observable through a one-worker
- * pool, split_ranges partitioning, lowest-index exception propagation
- * out of parallel_for, drain-on-destruct losing no queued task, and
- * the cumulative busy/task counters.  Run under TSan in CI alongside
- * the serving stress tests.
+ * pool, split_ranges partitioning and the for_ranges stage split
+ * that runs it, lowest-index exception propagation out of
+ * parallel_for, drain-on-destruct losing no queued task, and the
+ * cumulative busy/task counters.  Run under TSan in CI alongside the
+ * serving stress tests.
  */
 
 #include "support/thread_pool.h"
@@ -18,6 +19,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -83,6 +85,46 @@ TEST(ThreadPool, ParallelForVisitsEveryIndexExactlyOnce)
     for (std::size_t i = 0; i < kCount; ++i) {
         EXPECT_EQ(hits[i].load(std::memory_order_relaxed), 1)
             << "index " << i;
+    }
+}
+
+TEST(ThreadPool, ForRangesRunsTheSplitRangesPartition)
+{
+    // Serial: one call over the whole count, none for an empty one.
+    std::vector<std::pair<std::size_t, std::size_t>> calls;
+    const auto record = [&calls](std::size_t first,
+                                 std::size_t last) {
+        calls.emplace_back(first, last);
+    };
+    for_ranges(nullptr, 10, record);
+    for_ranges(nullptr, 0, record);
+    ASSERT_EQ(calls.size(), 1u);
+    EXPECT_EQ(calls[0].first, 0u);
+    EXPECT_EQ(calls[0].second, 10u);
+
+    // Pooled: exactly split_ranges' ranges, each item once.
+    ThreadPool pool(3);
+    for (const std::size_t count : {0u, 1u, 2u, 10u}) {
+        const auto ranges = split_ranges(count, pool.num_threads());
+        std::vector<std::atomic<int>> hits(count);
+        std::vector<std::atomic<int>> range_hits(ranges.size());
+        const auto body = [&](std::size_t first, std::size_t last) {
+            const auto it = std::find(ranges.begin(), ranges.end(),
+                                      std::make_pair(first, last));
+            ASSERT_NE(it, ranges.end());
+            range_hits[static_cast<std::size_t>(it - ranges.begin())]
+                .fetch_add(1, std::memory_order_relaxed);
+            for (std::size_t i = first; i < last; ++i) {
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+            }
+        };
+        for_ranges(&pool, count, body);
+        for (const std::atomic<int>& h : hits) {
+            EXPECT_EQ(h.load(std::memory_order_relaxed), 1) << count;
+        }
+        for (const std::atomic<int>& h : range_hits) {
+            EXPECT_EQ(h.load(std::memory_order_relaxed), 1) << count;
+        }
     }
 }
 

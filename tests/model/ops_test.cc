@@ -1,6 +1,7 @@
 #include "model/ops.h"
 
 #include <cmath>
+#include <cstring>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -161,22 +162,52 @@ TEST(Ops, ApplyActivationExactMatchesReference)
     }
 }
 
-TEST(Ops, LinearBatchedBitIdenticalToLinear)
+/** y = x * w as a plain i-k-j loop, with no zero skip. */
+support::MatrixF
+plain_gemm(const support::MatrixF& x, const support::MatrixF& w)
 {
-    // The fused decode projections ride on this: the k-outer loop
-    // order must not change a single bit, zero-skips included.
+    support::MatrixF y(x.rows(), w.cols(), 0.0f);
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+        for (std::size_t k = 0; k < x.cols(); ++k) {
+            for (std::size_t j = 0; j < w.cols(); ++j) {
+                y.at(i, j) += x.at(i, k) * w.at(k, j);
+            }
+        }
+    }
+    return y;
+}
+
+TEST(Ops, LinearBitIdenticalToPlainLoopWithoutZeroSkip)
+{
+    // linear skips zero inputs; with finite weights the skip must
+    // change no bit, -0 inputs included.  Row counts cross the
+    // 32-row tile; column counts fall below, on and off a 16-column
+    // panel edge.
     std::mt19937 rng(321);
-    for (const std::size_t rows : {1u, 3u, 16u}) {
-        support::MatrixF x(rows, 24);
-        support::MatrixF w(24, 40);
-        support::fill_gaussian(x, rng, 0.0f, 1.0f);
-        support::fill_gaussian(w, rng, 0.0f, 0.5f);
-        // Plant exact zeros to exercise the skip path.
-        x.at(0, 3) = 0.0f;
-        x.at(rows - 1, 20) = 0.0f;
-        const support::MatrixF batched = linear_batched(x, w);
-        const support::MatrixF reference = linear(x, w);
-        EXPECT_TRUE(batched == reference) << rows << " rows";
+    for (const std::size_t rows : {1u, 3u, 16u, 40u}) {
+        for (const std::size_t cols : {5u, 16u, 40u, 100u}) {
+            support::MatrixF x(rows, 24);
+            support::MatrixF w(24, cols);
+            support::fill_gaussian(x, rng, 0.0f, 1.0f);
+            support::fill_gaussian(w, rng, 0.0f, 0.5f);
+            x.at(0, 3) = 0.0f;
+            x.at(rows - 1, 20) = -0.0f;
+            if (rows > 2) {
+                // A row of -0 inputs: every product is +-0, and the
+                // cells must still read +0.
+                for (std::size_t k = 0; k < x.cols(); ++k) {
+                    x.at(1, k) = -0.0f;
+                }
+            }
+            const support::MatrixF got = linear(x, w);
+            const support::MatrixF want = plain_gemm(x, w);
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data().data(),
+                                  want.data().data(),
+                                  got.size() * sizeof(float)),
+                      0)
+                << rows << " x " << cols;
+        }
     }
 }
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "model/ops.h"
 #include "serve/engine.h"
 #include "support/rng.h"
 
@@ -153,7 +154,7 @@ TEST(PreparedWeights, AgreesWithDequantizedReference)
         engine.prepare_weights(weights, 16);
     const GemmRun run = engine.run_woq_gemm(prepared, acts);
     const support::MatrixF deq = quant::dequantize(prepared.quantized());
-    const support::MatrixF expected = support::matmul(deq, acts);
+    const support::MatrixF expected = model::linear(deq, acts);
     for (std::size_t r = 0; r < expected.rows(); ++r) {
         for (std::size_t c = 0; c < expected.cols(); ++c) {
             EXPECT_NEAR(run.out.at(r, c), expected.at(r, c), 2e-3);

@@ -990,6 +990,19 @@ TEST(Scheduler, StaggeredArrivalsRespectTheModeledClock)
                                              .value()));
 }
 
+TEST(Scheduler, ThreadsFlagTakesAutoOrACountUpToTheAutoClamp)
+{
+    // Parsing only: no pool is ever started from a parsed value.
+    EXPECT_EQ(threads_flag("auto"), SchedulerConfig::kAutoThreads);
+    EXPECT_EQ(threads_flag("0"), 0u);
+    EXPECT_EQ(threads_flag("4"), 4u);
+    EXPECT_EQ(threads_flag("16"), SchedulerConfig::kMaxAutoThreads);
+    for (const char* bad : {"17", "-1", "4x", "abc", ""}) {
+        EXPECT_FALSE(threads_flag(bad).has_value())
+            << "\"" << bad << "\"";
+    }
+}
+
 // ---- BatchPolicy: the Fig. 14 knee. ----
 
 TEST(BatchPolicy, DerivesTheThroughputKnee)
