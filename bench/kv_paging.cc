@@ -1,9 +1,9 @@
 /**
  * @file
  * KV paging study: sessions admitted and pool utilization at a fixed
- * KV budget, contiguous full-length projection vs paged block
- * reservation (serve::AdmissionMode), for the Mugi INT4 KVQ cache
- * and the float baseline.
+ * KV budget, contiguous full-length projection vs the scheduler's
+ * paged block reservation, for the Mugi INT4 KVQ cache and the float
+ * baseline.
  *
  * The budget is sized to hold two *float* requests at full projected
  * length, so the four rows decompose the two memory wins the serving
@@ -12,12 +12,20 @@
  *  - paged reservation admits against prompt blocks + a watermark
  *    instead of prompt + max_new_tokens, reclaiming blocks by
  *    preemption when decode growth outruns the pool.
+ * Full-length projection charges each request its whole generation
+ * up front and never preempts.  Every request here has the same
+ * length, so projection admits exactly budget / full-length
+ * footprint of them at a time: its rows run the same scheduler with
+ * that batch cap and no budget, and report peak utilization against
+ * the budget.
  * Paged admission must keep strictly more sessions resident than
  * projection at the same budget (enforced by the trailing check and
  * by tests/serve/scheduler_test.cc).
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -32,20 +40,23 @@ struct TraceResult {
     serve::ServerStats stats;
 };
 
+constexpr std::size_t kRequests = 24;
+constexpr std::size_t kPrompt = 32;
+constexpr std::size_t kGen = 160;
+
 TraceResult
 serve_trace(const serve::Engine& engine, quant::KvPrecision precision,
-            serve::AdmissionMode mode, units::Bytes budget_bytes)
+            std::size_t max_batch, units::Bytes budget_bytes)
 {
     serve::SchedulerConfig config;
-    config.admission = mode;
     config.kv_budget_bytes = budget_bytes;
     config.prefill_chunk_tokens = units::Tokens(64);
-    config.max_batch = 24;
+    config.max_batch = max_batch;
     serve::Scheduler scheduler(engine, config);
-    for (int i = 0; i < 24; ++i) {
+    for (std::size_t i = 0; i < kRequests; ++i) {
         serve::Request request;
-        request.analytic_prompt_tokens = units::Tokens(32);
-        request.max_new_tokens = units::Tokens(160);
+        request.analytic_prompt_tokens = units::Tokens(kPrompt);
+        request.max_new_tokens = units::Tokens(kGen);
         request.session.kv_precision = precision;
         scheduler.submit(std::move(request));
     }
@@ -69,16 +80,18 @@ main()
     const model::ModelConfig model = model::llama2_7b();
     const serve::Engine engine(sim::make_mugi(256), model);
 
-    // Two float requests at full projected length (prompt 32 + 160
-    // new tokens), in whole default-size blocks.
+    // One request at full projected length, in whole default-size
+    // blocks; the budget holds two of them in float.
+    const auto full_length = [&](quant::KvPrecision precision) {
+        return sim::kv_footprint(model, units::Positions(kPrompt + kGen),
+                                 precision)
+            .paged_bytes;
+    };
     const units::Bytes budget =
-        sim::kv_footprint(model, units::Positions(32 + 160),
-                          quant::KvPrecision::kFloat)
-            .paged_bytes *
-        2;
-    std::printf("model %s, 24 requests (prompt 32, gen 160), budget "
+        full_length(quant::KvPrecision::kFloat) * 2;
+    std::printf("model %s, %zu requests (prompt %zu, gen %zu), budget "
                 "%.1f MiB\n",
-                model.name.c_str(),
+                model.name.c_str(), kRequests, kPrompt, kGen,
                 static_cast<double>(budget.value()) / (1 << 20));
 
     const std::vector<
@@ -87,35 +100,32 @@ main()
             {"float", quant::KvPrecision::kFloat},
             {"int4-kvq", quant::KvPrecision::kInt4},
         };
-    const std::vector<std::pair<const char*, serve::AdmissionMode>>
-        modes = {
-            {"projection", serve::AdmissionMode::kFullProjection},
-            {"paged", serve::AdmissionMode::kPagedReservation},
-        };
-
     bench::print_header("precision/admission",
                         {"sessions", "preempts", "peak-util",
                          "tokens/s", "horizon-s"});
     bool paged_wins = true;
     for (const auto& [pname, precision] : precisions) {
-        std::size_t projection_active = 0;
-        for (const auto& [mname, mode] : modes) {
-            const TraceResult r =
-                serve_trace(engine, precision, mode, budget);
+        const std::size_t projected =
+            std::min(kRequests, budget / full_length(precision));
+        const TraceResult projection =
+            serve_trace(engine, precision, projected, units::Bytes(0));
+        const TraceResult paged =
+            serve_trace(engine, precision, kRequests, budget);
+        const auto row = [&](const char* mname, const TraceResult& r,
+                             double peak_util) {
             bench::print_row(
                 std::string(pname) + "/" + mname,
                 {static_cast<double>(r.max_active),
-                 static_cast<double>(r.stats.preemptions),
-                 r.stats.peak_pool_utilization,
+                 static_cast<double>(r.stats.preemptions), peak_util,
                  r.stats.horizon.throughput_tokens_per_s,
                  r.stats.horizon.runtime_s},
                 "%9.3g");
-            if (mode == serve::AdmissionMode::kFullProjection) {
-                projection_active = r.max_active;
-            } else {
-                paged_wins &= r.max_active > projection_active;
-            }
-        }
+        };
+        row("projection", projection,
+            static_cast<double>(projection.stats.peak_kv_bytes.value()) /
+                static_cast<double>(budget.value()));
+        row("paged", paged, paged.stats.peak_pool_utilization);
+        paged_wins &= paged.max_active > projection.max_active;
     }
     std::printf("\npaged reservation admitted strictly more "
                 "concurrent sessions than full projection at every "

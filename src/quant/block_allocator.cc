@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
 
@@ -11,9 +12,8 @@
 namespace mugi {
 namespace quant {
 
-BlockPool::BlockPool(units::Bytes capacity_bytes,
-                     units::Tokens block_tokens)
-    : capacity_bytes_(capacity_bytes), block_tokens_(block_tokens)
+BlockPool::BlockPool(units::Tokens block_tokens)
+    : block_tokens_(block_tokens)
 {
     assert(block_tokens_.value() > 0);
 }
@@ -46,46 +46,14 @@ BlockPool::shared_blocks() const
     return units::Blocks(shared_blocks_);
 }
 
-bool
-BlockPool::fits_locked(std::size_t bytes) const
-{
-    return capacity_bytes_.value() == 0 ||
-           block_bytes_in_use_ + bytes <= capacity_bytes_.value();
-}
-
-bool
-BlockPool::fits(units::Bytes bytes) const
-{
-    support::MutexLock lock(mutex_);
-    return fits_locked(bytes.value());
-}
-
-double
-BlockPool::utilization() const
-{
-    if (capacity_bytes_.value() == 0) {
-        return 0.0;
-    }
-    return static_cast<double>(bytes_in_use().value()) /
-           static_cast<double>(capacity_bytes_.value());
-}
-
-double
-BlockPool::peak_utilization() const
-{
-    if (capacity_bytes_.value() == 0) {
-        return 0.0;
-    }
-    return static_cast<double>(peak_bytes_in_use().value()) /
-           static_cast<double>(capacity_bytes_.value());
-}
-
 BlockId
-BlockPool::allocate_locked(std::size_t bytes)
+BlockPool::allocate(units::Bytes bytes)
 {
-    assert(bytes > 0);
-    BlockId id = kInvalidBlock;
-    const auto it = free_lists_.find(bytes);
+    const std::size_t size = bytes.value();
+    assert(size > 0);
+    support::MutexLock lock(mutex_);
+    BlockId id;
+    const auto it = free_lists_.find(size);
     if (it != free_lists_.end() && !it->second.empty()) {
         id = it->second.back();
         it->second.pop_back();
@@ -96,39 +64,18 @@ BlockPool::allocate_locked(std::size_t bytes)
         std::fill(slots_[id.value()].storage.begin(),
                   slots_[id.value()].storage.end(), std::byte{0});
     } else {
+        // The new slot's index must fit the handle.
+        assert(slots_.size() <= std::numeric_limits<BlockId::Rep>::max());
         id = BlockId(static_cast<BlockId::Rep>(slots_.size()));
-        assert(id != kInvalidBlock);
-        slots_.push_back(Slot{{}, bytes, false, 0});
+        slots_.push_back(Slot{{}, size, false, 0});
     }
     slots_[id.value()].in_use = true;
     slots_[id.value()].refs = 1;
-    block_bytes_in_use_ += bytes;
+    block_bytes_in_use_ += size;
     ++blocks_in_use_;
     peak_bytes_in_use_ =
         std::max(peak_bytes_in_use_, block_bytes_in_use_);
     return id;
-}
-
-BlockId
-BlockPool::allocate(units::Bytes bytes)
-{
-    support::MutexLock lock(mutex_);
-    return allocate_locked(bytes.value());
-}
-
-BlockId
-BlockPool::try_allocate(units::Bytes bytes)
-{
-    // Check and commit under one lock: two concurrent try_allocate
-    // calls must not both pass the capacity check.
-    if (MUGI_FAULT_POINT("block_pool.allocate")) {
-        return kInvalidBlock;  // Simulated pool exhaustion.
-    }
-    support::MutexLock lock(mutex_);
-    if (!fits_locked(bytes.value())) {
-        return kInvalidBlock;
-    }
-    return allocate_locked(bytes.value());
 }
 
 void

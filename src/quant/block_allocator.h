@@ -9,8 +9,8 @@
  * per-request contiguous KV storage with fixed-size blocks drawn from
  * one shared pool, so admission can reserve at block granularity
  * instead of projecting every request to its full generation length.
- * This is that pool for the modeled SRAM/HBM budget: every KvCache of
- * a serving engine draws its blocks from it -- functional sessions
+ * This is that pool for the modeled SRAM/HBM footprint: every KvCache
+ * of a serving engine draws its blocks from it -- functional sessions
  * one cache per layer, analytic (workload-model-only) sessions one
  * all-layer cache that is only ever extended, never written -- so
  * `bytes_in_use()` is the exact device footprint either way: packed
@@ -18,23 +18,21 @@
  * baseline precision.  A block gets its storage on its first data()
  * call, so blocks that are only accounted cost no host memory.
  *
- * Quantities are unit-typed (support/units.h): capacities and
- * footprints are units::Bytes, block geometry is units::Tokens,
- * block counts are units::Blocks and handles are the opaque
- * units::BlockId -- so a caller cannot pass a token count where the
- * byte budget goes (the PR 4 watermark bug class) without a compile
- * error.  Internals unwrap with .value() at the arithmetic leaves.
+ * Quantities are unit-typed (support/units.h): footprints are
+ * units::Bytes, block geometry is units::Tokens, block counts are
+ * units::Blocks and handles are the opaque units::BlockId -- so a
+ * caller cannot pass a token count where a byte size goes without a
+ * compile error.  Internals unwrap with .value() at the arithmetic
+ * leaves.
  *
- * Capacity is *advisory*: `allocate` always succeeds (a scheduler
- * that admitted an oversized request alone must still be able to run
- * it), while `try_allocate`/`fits` enforce the budget.  Policy --
- * admission watermarks, preemption under pressure -- lives in
- * serve::Scheduler; the pool is accounting plus storage.  Released
- * blocks go on per-size free lists and are reused (most recently
- * freed first) before fresh slots are created; a block's storage
- * reads as all zeros on its first data() call after allocation, a
- * contract the INT4 KV append path (which ORs nibbles into block
- * bytes) depends on.
+ * The pool has no capacity, and `allocate` always succeeds.  The KV
+ * budget and every rule that spends it -- admission, watermarks,
+ * preemption under pressure -- live in serve::Scheduler alone; the
+ * pool is accounting plus storage.  Released blocks go on per-size
+ * free lists and are reused (most recently freed first) before fresh
+ * slots are created; a block's storage reads as all zeros on its
+ * first data() call after allocation, a contract the INT4 KV append
+ * path (which ORs nibbles into block bytes) depends on.
  *
  * Blocks are *refcounted* for cross-request prefix sharing
  * (quant::KvCache::share_prefix_from): allocate() hands out a block
@@ -46,16 +44,15 @@
  * Thread-safety: internally synchronized -- all member functions are
  * locked on one support::Mutex, matching serve::Engine's
  * concurrent-const contract.  The lock discipline is
- * capability-checked: every mutable field is MUGI_GUARDED_BY(mutex_)
- * and the _locked helpers MUGI_REQUIRES(mutex_), so a Clang build
- * with -DMUGI_THREAD_SAFETY_ANALYSIS=ON proves no unlocked access
- * compiles (tests/concurrency/block_pool_stress_test.cc exercises
- * the same contract under TSan).
+ * capability-checked: every mutable field is MUGI_GUARDED_BY(mutex_),
+ * so a Clang build with -DMUGI_THREAD_SAFETY_ANALYSIS=ON proves no
+ * unlocked access compiles
+ * (tests/concurrency/block_pool_stress_test.cc exercises the same
+ * contract under TSan).
  */
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -70,10 +67,6 @@ namespace quant {
 /** Handle to one pool block (index into the pool's slot table). */
 using BlockId = units::BlockId;
 
-/** Returned by try_allocate when the block would exceed capacity. */
-inline constexpr BlockId kInvalidBlock =
-    BlockId(std::numeric_limits<BlockId::Rep>::max());
-
 /** A shared pool of fixed-token-count KV blocks. */
 class BlockPool {
   public:
@@ -81,19 +74,16 @@ class BlockPool {
     static constexpr units::Tokens kDefaultBlockTokens{16};
 
     /**
-     * @param capacity_bytes Advisory budget; 0 = unbounded.
      * @param block_tokens KV positions each block covers.  Byte sizes
      *        still vary per (geometry, precision); the pool keys its
      *        free lists by block byte size.
      */
-    explicit BlockPool(units::Bytes capacity_bytes = units::Bytes(0),
-                       units::Tokens block_tokens = kDefaultBlockTokens);
+    explicit BlockPool(units::Tokens block_tokens = kDefaultBlockTokens);
 
     BlockPool(const BlockPool&) = delete;
     BlockPool& operator=(const BlockPool&) = delete;
 
     units::Tokens block_tokens() const { return block_tokens_; }
-    units::Bytes capacity_bytes() const { return capacity_bytes_; }
 
     /** Bytes of the live blocks, with or without storage yet. */
     units::Bytes bytes_in_use() const;
@@ -104,24 +94,14 @@ class BlockPool {
     /** Live blocks currently referenced by more than one holder. */
     units::Blocks shared_blocks() const;
 
-    /** Would @p bytes more stay within capacity?  Unbounded: yes. */
-    [[nodiscard]] bool fits(units::Bytes bytes) const;
-    /** bytes_in_use / capacity (0 when unbounded). */
-    double utilization() const;
-    /** peak_bytes_in_use / capacity (0 when unbounded). */
-    double peak_utilization() const;
-
     /**
      * Allocate a block of @p bytes; its storage is zeroed on the
-     * first data() call.  Always succeeds -- capacity may be
-     * overcommitted; callers wanting enforcement use try_allocate or
-     * check fits() first.  Discarding the id leaks the block until
-     * pool destruction, hence [[nodiscard]].
+     * first data() call.  Always succeeds: whether the bytes fit a
+     * budget is the scheduler's decision, made before it asks.
+     * Discarding the id leaks the block until pool destruction,
+     * hence [[nodiscard]].
      */
     [[nodiscard]] BlockId allocate(units::Bytes bytes);
-
-    /** allocate(), or kInvalidBlock when it would exceed capacity. */
-    [[nodiscard]] BlockId try_allocate(units::Bytes bytes);
 
     /**
      * Add one reference to a live block -- prefix sharing: a second
@@ -184,10 +164,6 @@ class BlockPool {
         std::uint32_t refs = 0;
     };
 
-    bool fits_locked(std::size_t bytes) const MUGI_REQUIRES(mutex_);
-    BlockId allocate_locked(std::size_t bytes) MUGI_REQUIRES(mutex_);
-
-    const units::Bytes capacity_bytes_;
     const units::Tokens block_tokens_;
 
     mutable support::Mutex mutex_;

@@ -36,7 +36,7 @@ KvCache::KvCache(std::size_t num_heads, std::size_t head_dim,
     : num_heads_(num_heads), head_dim_(head_dim), precision_(precision)
 {
     if (pool == nullptr) {
-        owned_pool_ = std::make_unique<BlockPool>(units::Bytes(0));
+        owned_pool_ = std::make_unique<BlockPool>();
         pool = owned_pool_.get();
     }
     pool_ = pool;

@@ -109,7 +109,7 @@ Scheduler::Scheduler(const Engine& engine,
                      const SchedulerConfig& config)
     : engine_(engine), config_(config),
       functional_(engine.has_model()),
-      pool_(config.kv_budget_bytes, config.kv_block_tokens)
+      pool_(config.kv_block_tokens)
 {
     // The assert is the contract, exactly as in
     // Engine::create_session: a model (config) is required.
@@ -165,7 +165,7 @@ Scheduler::submit_with_id(Request request, std::uint64_t id)
     queued.id = id;
     queued.arrival_s = arrival;
     queued.request = std::move(request);
-    if (prefix_caching_on()) {
+    if (config_.prefix_caching) {
         // Hash the shareable prompt blocks exactly once; admission
         // attempts (there may be many while the head waits on the
         // budget) only walk the cached chain.
@@ -192,13 +192,6 @@ units::Blocks
 Scheduler::blocks_for(units::Tokens tokens) const
 {
     return units::blocks_for(tokens, config_.kv_block_tokens);
-}
-
-bool
-Scheduler::prefix_caching_on() const
-{
-    return config_.prefix_caching &&
-           config_.admission == AdmissionMode::kPagedReservation;
 }
 
 std::vector<std::uint64_t>
@@ -242,7 +235,7 @@ Scheduler::PrefixMatch
 Scheduler::find_prefix_match(const QueuedRequest& queued) const
 {
     PrefixMatch match;
-    if (!prefix_caching_on()) {
+    if (!config_.prefix_caching) {
         return match;
     }
     const std::size_t bt = config_.kv_block_tokens.value();
@@ -338,17 +331,11 @@ Scheduler::admission_bytes(const QueuedRequest& queued,
 {
     const quant::KvPrecision precision =
         queued.request.session.kv_precision;
-    if (config_.admission == AdmissionMode::kFullProjection) {
-        return units::bytes_for(
-            blocks_for(queued.request.prompt_tokens() +
-                       queued.request.max_new_tokens),
-            block_group_bytes(precision));
-    }
-    // Paged reservation: the blocks covering the (possibly resumed)
-    // prompt plus the first decode append -- growth beyond that is
-    // allocated on demand and defended by preemption.  Blocks a
-    // prefix-cache hit maps onto resident storage are already
-    // charged there; admission pays only the unshared tail.
+    // The blocks covering the (possibly resumed) prompt plus the
+    // first decode append -- growth beyond that is allocated on
+    // demand and defended by preemption.  Blocks a prefix-cache hit
+    // maps onto resident storage are already charged there;
+    // admission pays only the unshared tail.
     const units::Tokens feed =
         queued.request.prompt_tokens() + queued.resume_generated;
     const units::Blocks blocks = blocks_for(feed + units::Tokens(1));
@@ -360,9 +347,6 @@ Scheduler::admission_bytes(const QueuedRequest& queued,
 units::Bytes
 Scheduler::watermark_bytes(quant::KvPrecision head_precision) const
 {
-    if (config_.admission != AdmissionMode::kPagedReservation) {
-        return units::Bytes(0);
-    }
     // Headroom at the *largest* resident block group: decode growth
     // of a float-precision resident is not covered by an INT4-sized
     // watermark.
@@ -390,15 +374,8 @@ Scheduler::growth_slack_bytes(const ActiveRequest& req,
 units::Bytes
 Scheduler::committed_total() const
 {
-    if (config_.admission == AdmissionMode::kFullProjection) {
-        units::Bytes total{0};
-        for (const ActiveRequest& a : active_) {
-            total += a.projected_bytes;
-        }
-        return total;
-    }
-    // Paged: the pool's exact footprint (shared blocks counted once)
-    // plus each request's growth to cover its feed and next decode
+    // The pool's exact footprint (shared blocks counted once) plus
+    // each request's growth to cover its feed and next decode
     // append.
     units::Bytes total = pool_.bytes_in_use();
     for (const ActiveRequest& a : active_) {
@@ -521,8 +498,9 @@ Scheduler::admit_arrivals()
         // Prefix-cache lookup first: a hit shrinks the admission
         // charge to the unshared tail.
         const PrefixMatch match = find_prefix_match(head);
-        const units::Bytes needed = admission_bytes(head, match.blocks);
         if (config_.kv_budget_bytes != units::Bytes(0)) {
+            const units::Bytes needed =
+                admission_bytes(head, match.blocks);
             const units::Bytes watermark =
                 watermark_bytes(head.request.session.kv_precision);
             if (committed_total() + needed + watermark >
@@ -533,7 +511,7 @@ Scheduler::admit_arrivals()
                 // never pass this check, so it is admitted when the
                 // scheduler is otherwise empty -- it could never run
                 // at all otherwise, and a single resident request is
-                // allowed to overcommit the advisory pool.
+                // allowed to overcommit the budget.
                 const bool oversized_alone =
                     needed + watermark > config_.kv_budget_bytes;
                 if (!(active_.empty() && oversized_alone)) {
@@ -574,9 +552,6 @@ Scheduler::admit_arrivals()
             ++prefix_hits_;
             shared_blocks_ += match.blocks;
             saved_prefill_tokens_ += match.tokens;
-        }
-        if (config_.admission == AdmissionMode::kFullProjection) {
-            a.projected_bytes = needed;
         }
         a.admission_seq = ++admission_seq_;
         a.preempt_count = head.preempt_count;
@@ -812,32 +787,24 @@ Scheduler::shed_for_capacity()
     // Candidates: arrived and never admitted.  Future trace arrivals
     // are not yet load; preempted re-queues must survive to keep the
     // bit-identity contract (their emitted tokens already stand).
+    // The victim is the last candidate in queue order, the latest
+    // arrival under FIFO submission: the oldest waiters keep their
+    // place.
     while (true) {
-        std::vector<std::size_t> candidates;
+        std::size_t candidates = 0;
+        std::size_t newest = 0;
         for (std::size_t i = 0; i < queue_.size(); ++i) {
             if (!queue_[i].resumed && queue_[i].arrival_s <= now_s_) {
-                candidates.push_back(i);
+                ++candidates;
+                newest = i;
             }
         }
-        if (candidates.size() <= config_.max_queued_requests) {
+        if (candidates <= config_.max_queued_requests) {
             return;
         }
-        // kRejectNewest: the last candidate in queue order (latest
-        // arrival under FIFO submission).  kRejectLowestPriority:
-        // minimum priority, ties broken toward the newest -- the
-        // admission-side mirror of preemption's victim choice.
-        std::size_t victim = candidates.back();
-        if (config_.shed_policy == ShedPolicy::kRejectLowestPriority) {
-            for (const std::size_t i : candidates) {
-                if (queue_[i].request.priority <=
-                    queue_[victim].request.priority) {
-                    victim = i;
-                }
-            }
-        }
-        finish_queued(std::move(queue_[victim]), FinishReason::kShed);
+        finish_queued(std::move(queue_[newest]), FinishReason::kShed);
         queue_.erase(queue_.begin() +
-                     static_cast<std::ptrdiff_t>(victim));
+                     static_cast<std::ptrdiff_t>(newest));
     }
 }
 
@@ -1058,7 +1025,11 @@ Scheduler::stats() const
     s.kv_budget_bytes = config_.kv_budget_bytes;
     s.kv_bytes_in_use = pool_.bytes_in_use();
     s.peak_kv_bytes = pool_.peak_bytes_in_use();
-    s.peak_pool_utilization = pool_.peak_utilization();
+    if (config_.kv_budget_bytes != units::Bytes(0)) {
+        s.peak_pool_utilization =
+            static_cast<double>(s.peak_kv_bytes.value()) /
+            static_cast<double>(config_.kv_budget_bytes.value());
+    }
     s.preemptions = preemptions_;
     s.cancelled = cancelled_;
     s.expired = expired_;

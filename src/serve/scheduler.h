@@ -10,21 +10,21 @@
  * Callers submit() Requests and step() (or run()) the scheduler; it
  * owns everything in between:
  *
- *  - a quant::BlockPool sized to the KV budget: every admitted
- *    request's caches draw fixed-size blocks from it -- per-layer
- *    caches that functional serving writes, or the one all-layer
- *    cache an analytic session grows by bookkeeping alone -- so the
- *    pool's bytes_in_use is the exact device footprint either way;
+ *  - a quant::BlockPool that every admitted request's caches draw
+ *    fixed-size blocks from -- per-layer caches that functional
+ *    serving writes, or the one all-layer cache an analytic session
+ *    grows by bookkeeping alone -- so the pool's bytes_in_use is the
+ *    exact device footprint either way.  The pool only accounts; the
+ *    KV budget and every rule that spends it live here, nowhere else;
  *  - an admission queue ordered by submission, gated on each
  *    request's modeled arrival time and on **block-level
  *    reservation**: a request is admitted when the blocks covering
  *    its prompt (plus a watermark of free blocks that keeps decode
  *    headroom) fit beside the blocks committed to resident requests
  *    -- not its full projected generation length, which is what lets
- *    a paged pool admit strictly more concurrent sessions than the
- *    old full-length projection (kept as
- *    AdmissionMode::kFullProjection for comparison).  Admission is
- *    FIFO (head-of-line blocking, no starvation);
+ *    a paged pool admit strictly more concurrent sessions
+ *    (bench/kv_paging.cc measures the gap).  Admission is FIFO
+ *    (head-of-line blocking, no starvation);
  *  - **preemption**: when decode growth would run the pool dry, the
  *    lowest-priority running request (ties: latest admitted) is
  *    evicted -- its blocks freed immediately -- and re-queued at the
@@ -102,48 +102,14 @@
 namespace mugi {
 namespace serve {
 
-/** How admission charges a request against the KV budget. */
-enum class AdmissionMode {
-    /**
-     * Block-level reservation: charge the blocks covering the prompt
-     * (plus the next decode append) and keep one block group free;
-     * decode growth is handled by allocation on demand plus
-     * preemption under pressure.
-     */
-    kPagedReservation,
-    /**
-     * Legacy conservative policy: charge the full projected
-     * generation length (prompt + max_new_tokens, block-rounded) up
-     * front.  Never preempts; admits fewer concurrent sessions.
-     */
-    kFullProjection,
-};
-
-/**
- * Which queued request the bounded admission queue sheds when it is
- * over SchedulerConfig::max_queued_requests.  Only *arrived*,
- * never-admitted requests are candidates: future trace arrivals are
- * not yet load, and preempted requests re-queued for re-prefill were
- * already admitted once (shedding them would throw away emitted
- * tokens and break the bit-identity contract).
- */
-enum class ShedPolicy {
-    /** Shed the most recently arrived candidate (LIFO kill: the
-     *  oldest waiters keep their place, no starvation reordering). */
-    kRejectNewest,
-    /** Shed the lowest-priority candidate (ties: newest first) --
-     *  the admission-side mirror of preemption's victim choice. */
-    kRejectLowestPriority,
-};
-
 /** Scheduler knobs fixed at construction. */
 struct SchedulerConfig {
     /**
-     * KV-memory budget in bytes shared by all admitted requests (the
-     * block pool's capacity); 0 = unbounded.  A request whose
-     * reservation alone exceeds the budget is still admitted when it
-     * can run alone (it could never run otherwise) -- the pool
-     * overcommits for it.
+     * KV-memory budget in bytes shared by all admitted requests; 0 =
+     * unbounded.  Admission and preemption enforce it against the
+     * pool's exact footprint.  A request whose reservation alone
+     * exceeds the budget is still admitted when it can run alone (it
+     * could never run otherwise) -- the pool overcommits for it.
      */
     units::Bytes kv_budget_bytes{0};
     /** Max prompt tokens fed per request per iteration. */
@@ -155,31 +121,27 @@ struct SchedulerConfig {
      */
     std::size_t max_batch = 0;
 
-    /** Admission policy against the KV budget. */
-    AdmissionMode admission = AdmissionMode::kPagedReservation;
     /** KV positions per block of the shared pool. */
     units::Tokens kv_block_tokens = quant::BlockPool::kDefaultBlockTokens;
     /**
-     * Cross-request KV prefix caching (paged admission only): map a
-     * new request's prompt onto blocks a resident request already
-     * computed, charge admission only for the unshared tail, and
-     * skip the shared blocks' prefill chunks.  Off reverts to
-     * recompute-everything admission (the A/B baseline
-     * bench/prefix_cache.cc measures against).
+     * Cross-request KV prefix caching: map a new request's prompt
+     * onto blocks a resident request already computed, charge
+     * admission only for the unshared tail, and skip the shared
+     * blocks' prefill chunks.  Off reverts to recompute-everything
+     * admission (the A/B baseline bench/prefix_cache.cc measures
+     * against).
      */
     bool prefix_caching = true;
 
     /**
      * Bounded admission queue: when more than this many *arrived*,
-     * never-admitted requests are waiting, the shed policy retires
-     * the excess with FinishReason::kShed instead of letting the
-     * queue grow without bound; 0 = unbounded (the pre-overload
+     * never-admitted requests are waiting, the newest of them are
+     * retired with FinishReason::kShed instead of letting the queue
+     * grow without bound; 0 = unbounded (the pre-overload
      * behaviour).  Checked every scheduling iteration, before
      * admission, on the modeled clock.
      */
     std::size_t max_queued_requests = 0;
-    /** Which candidate to shed when the queue is over its bound. */
-    ShedPolicy shed_policy = ShedPolicy::kRejectNewest;
     /**
      * Default maximum queue wait (modeled seconds) before a request
      * still awaiting admission is retired with
@@ -444,8 +406,6 @@ class Scheduler {
         std::vector<int> tokens{};
         units::Tokens generated{0};
         int pending_token = -1;  ///< Next decode input.
-        /** Full projection charge (kFullProjection mode only). */
-        units::Bytes projected_bytes{0};
         /**
          * Positions adopted from a resident request's KV blocks at
          * admission (prefix-cache hit); their prefill chunks were
@@ -516,8 +476,6 @@ class Scheduler {
     units::Bytes block_group_bytes(quant::KvPrecision precision) const;
     /** Blocks covering @p tokens at the pool's block geometry. */
     units::Blocks blocks_for(units::Tokens tokens) const;
-    /** Prefix caching needs paged refcounts and the config knob. */
-    bool prefix_caching_on() const;
     /**
      * Chain keys over @p request's shareable prompt-block runs, one
      * per depth (functional: hashes of the real token runs; analytic:
@@ -538,8 +496,9 @@ class Scheduler {
     /** Remove @p req's prefix-index entries (retire / preempt). */
     void deregister_prefix_owner(const ActiveRequest& req);
     /**
-     * Bytes admission must charge for @p queued (mode-dependent);
-     * a prefix-cache hit charges only the unshared tail.
+     * Bytes admission must charge for @p queued: the blocks covering
+     * its (possibly resumed) prompt plus the first decode append; a
+     * prefix-cache hit charges only the unshared tail.
      */
     units::Bytes admission_bytes(const QueuedRequest& queued,
                                  units::Blocks shared_blocks) const;
@@ -571,8 +530,11 @@ class Scheduler {
     void expire_deadlines();
     /**
      * Bounded-queue sweep: while more than max_queued_requests
-     * arrived, never-admitted requests wait, retire the shed
-     * policy's pick with FinishReason::kShed.  No-op when
+     * arrived, never-admitted requests wait, retire the newest of
+     * them with FinishReason::kShed.  Only those are candidates:
+     * future trace arrivals are not yet load, and a preempted
+     * request re-queued for re-prefill was admitted once already
+     * (shedding it would throw away emitted tokens).  No-op when
      * max_queued_requests == 0.
      */
     void shed_for_capacity();

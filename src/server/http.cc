@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "support/fault.h"
+#include "support/parse.h"
 
 namespace mugi {
 namespace server {
@@ -96,7 +97,8 @@ read_exactly(int fd, std::string& buffer, std::size_t size)
     return true;
 }
 
-/** Parse "Key: Value" header lines out of @p head into @p headers. */
+/** Parse "Key: Value" header lines out of @p head into @p headers;
+ *  spaces and tabs around a value are not part of it. */
 void
 parse_headers(const std::string& head, std::size_t line_start,
               std::map<std::string, std::string>* headers)
@@ -113,12 +115,13 @@ parse_headers(const std::string& head, std::size_t line_start,
             head.substr(line_start, line_end - line_start);
         const std::size_t colon = line.find(':');
         if (colon != std::string::npos) {
-            std::size_t vstart = colon + 1;
-            while (vstart < line.size() && line[vstart] == ' ') {
-                ++vstart;
-            }
+            const std::size_t vstart =
+                line.find_first_not_of(" \t", colon + 1);
+            const std::size_t vend = line.find_last_not_of(" \t");
             (*headers)[lower(line.substr(0, colon))] =
-                line.substr(vstart);
+                vstart == std::string::npos
+                    ? std::string()
+                    : line.substr(vstart, vend + 1 - vstart);
         }
         line_start = line_end + 2;
     }
@@ -162,11 +165,14 @@ Connection::read_request(HttpRequest* out, std::size_t max_body_bytes)
     std::size_t content_length = 0;
     const auto it = out->headers.find("content-length");
     if (it != out->headers.end()) {
-        content_length = static_cast<std::size_t>(
-            std::strtoull(it->second.c_str(), nullptr, 10));
-    }
-    if (content_length > max_body_bytes) {
-        return false;
+        // The whole value must be one decimal within the body limit.
+        const std::optional<std::size_t> parsed =
+            support::parse_number<std::size_t>(it->second, 0,
+                                               max_body_bytes);
+        if (!parsed) {
+            return false;
+        }
+        content_length = *parsed;
     }
     std::string rest = buffer.substr(head_end);
     if (!read_exactly(fd_, rest, content_length)) {

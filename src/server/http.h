@@ -74,7 +74,8 @@ class Connection {
 
     /**
      * Read and parse one request; false on EOF, malformed framing,
-     * or a body larger than @p max_body_bytes.
+     * a Content-Length that is not one whole decimal number, or a
+     * body larger than @p max_body_bytes.
      */
     bool read_request(HttpRequest* out,
                       std::size_t max_body_bytes = 1 << 20);

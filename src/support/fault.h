@@ -9,7 +9,7 @@
  * sites*:
  *
  *     if (MUGI_FAULT_POINT("block_pool.allocate")) {
- *         return kInvalidBlock;  // Simulated pool exhaustion.
+ *         break;  // Defer admission, as an exhausted pool would.
  *     }
  *
  * With the build option MUGI_FAULT_INJECTION=OFF the macro expands to
@@ -20,15 +20,17 @@
  * with a FaultPlan: a seed plus per-site firing rates and caps.
  *
  * Determinism contract: whether the Nth evaluation of a given site
- * fires is a pure function of (plan seed, site name, N).  Two runs
- * that evaluate a site the same number of times see the same firing
- * pattern, regardless of what other sites or threads do -- each site
- * keeps its own evaluation counter and derives its decisions by
- * hashing (seed, fnv1a(site), counter) through splitmix64.  What is
- * NOT reproducible across runs is which *connection or request*
- * happens to hit the Nth evaluation when threads race; chaos gates
- * therefore assert invariants (no leaks, bit-identical survivors),
- * never specific victims.
+ * fires is a pure function of (plan seed, site name, N), and each
+ * site is evaluated at exactly one seam (tools/lint.py enforces it),
+ * so N counts one kind of failure.  Two runs that evaluate a site
+ * the same number of times see the same firing pattern, regardless
+ * of what other sites or threads do -- each site keeps its own
+ * evaluation counter and derives its decisions by hashing (seed,
+ * fnv1a(site), counter) through splitmix64.  What is NOT
+ * reproducible across runs is which *connection or request* happens
+ * to hit the Nth evaluation when threads race; chaos gates therefore
+ * assert invariants (no leaks, bit-identical survivors), never
+ * specific victims.
  *
  * Thread-safety: internally synchronized.  should_fire() and the
  * counter accessors may be called from any thread; the armed flag is

@@ -11,7 +11,6 @@
 
 #include "quant/block_allocator.h"
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <thread>
@@ -98,36 +97,6 @@ TEST(BlockPoolStress, ConcurrentRetainReleaseKeepsRefcountExact)
     EXPECT_EQ(pool.check_invariants(), "");
     pool.release(block);
     EXPECT_EQ(pool.blocks_in_use(), units::Blocks(0));
-}
-
-TEST(BlockPoolStress, ConcurrentTryAllocateNeverOvercommits)
-{
-    constexpr std::size_t kBytes = 256;
-    constexpr std::size_t kCapacityBlocks = 13;
-    BlockPool pool(units::Bytes(kCapacityBlocks * kBytes));
-    constexpr std::size_t kThreads = 8;
-    constexpr std::size_t kPerThread = 8;
-
-    std::atomic<std::size_t> admitted{0};
-    run_threads(kThreads, [&](std::size_t) {
-        for (std::size_t i = 0; i < kPerThread; ++i) {
-            if (pool.try_allocate(units::Bytes(kBytes)) !=
-                kInvalidBlock) {
-                // Counts successes only; relaxed is fine, the join
-                // below orders the final read.
-                admitted.fetch_add(1, std::memory_order_relaxed);
-            }
-        }
-    });
-
-    // The check-and-commit is one critical section: with 64 racing
-    // attempts against capacity for 13, exactly 13 must win.
-    EXPECT_EQ(admitted.load(), kCapacityBlocks);
-    EXPECT_EQ(pool.blocks_in_use(),
-              units::Blocks(kCapacityBlocks));
-    EXPECT_EQ(pool.bytes_in_use(),
-              units::Bytes(kCapacityBlocks * kBytes));
-    EXPECT_EQ(pool.check_invariants(), "");
 }
 
 }  // namespace

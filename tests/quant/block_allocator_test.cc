@@ -2,8 +2,9 @@
  * @file
  * Contract of quant::BlockPool, the shared allocator under the paged
  * KV cache: exact byte accounting, free-list block reuse, storage
- * created zeroed on first use, advisory capacity (try_allocate
- * enforces, allocate may overcommit), and peak tracking.
+ * created zeroed on first use, refcounts, and peak tracking.  The
+ * pool has no capacity: allocate always succeeds, and the KV budget
+ * is serve::Scheduler's alone.
  */
 
 #include "quant/block_allocator.h"
@@ -16,12 +17,10 @@ namespace {
 
 TEST(BlockPool, ExactAccountingAndPeak)
 {
-    BlockPool pool(units::Bytes(1000), units::Tokens(8));
+    BlockPool pool{units::Tokens(8)};
     EXPECT_EQ(pool.block_tokens(), units::Tokens(8));
-    EXPECT_EQ(pool.capacity_bytes(), units::Bytes(1000));
     EXPECT_EQ(pool.bytes_in_use(), units::Bytes(0));
     EXPECT_EQ(pool.blocks_in_use(), units::Blocks(0));
-    EXPECT_DOUBLE_EQ(pool.utilization(), 0.0);
 
     const BlockId a = pool.allocate(units::Bytes(300));
     const BlockId b = pool.allocate(units::Bytes(200));
@@ -29,14 +28,12 @@ TEST(BlockPool, ExactAccountingAndPeak)
     EXPECT_EQ(pool.bytes_in_use(), units::Bytes(500));
     EXPECT_EQ(pool.blocks_in_use(), units::Blocks(2));
     EXPECT_EQ(pool.block_bytes(a), units::Bytes(300));
-    EXPECT_DOUBLE_EQ(pool.utilization(), 0.5);
 
     pool.release(a);
     EXPECT_EQ(pool.bytes_in_use(), units::Bytes(200));
     EXPECT_EQ(pool.blocks_in_use(), units::Blocks(1));
     // Peak is monotone: it remembers the high-water mark.
     EXPECT_EQ(pool.peak_bytes_in_use(), units::Bytes(500));
-    EXPECT_DOUBLE_EQ(pool.peak_utilization(), 0.5);
     pool.release(b);
     EXPECT_EQ(pool.bytes_in_use(), units::Bytes(0));
     EXPECT_EQ(pool.peak_bytes_in_use(), units::Bytes(500));
@@ -44,7 +41,7 @@ TEST(BlockPool, ExactAccountingAndPeak)
 
 TEST(BlockPool, ReleasedBlocksAreReused)
 {
-    BlockPool pool(units::Bytes(0), units::Tokens(16));
+    BlockPool pool{units::Tokens(16)};
     const BlockId a = pool.allocate(units::Bytes(64));
     const BlockId b = pool.allocate(units::Bytes(64));
     const BlockId c = pool.allocate(units::Bytes(128));
@@ -69,7 +66,7 @@ TEST(BlockPool, ReusedBlocksComeBackZeroed)
     // fresh, reused after being written, or reused after a life spent
     // only in the accounting (a slot released before it ever had
     // storage).
-    BlockPool pool(units::Bytes(0), units::Tokens(4));
+    BlockPool pool{units::Tokens(4)};
     const BlockId a = pool.allocate(units::Bytes(16));
     std::byte* data = pool.data(a);
     for (std::size_t i = 0; i < 16; ++i) {
@@ -97,36 +94,9 @@ TEST(BlockPool, ReusedBlocksComeBackZeroed)
     EXPECT_EQ(pool.check_invariants(), "");
 }
 
-TEST(BlockPool, CapacityIsAdvisoryButTryEnforces)
-{
-    BlockPool pool(units::Bytes(100), units::Tokens(4));
-    EXPECT_TRUE(pool.fits(units::Bytes(100)));
-    EXPECT_FALSE(pool.fits(units::Bytes(101)));
-
-    const BlockId a = pool.try_allocate(units::Bytes(60));
-    ASSERT_NE(a, kInvalidBlock);
-    // Exhausted: try_allocate refuses, exactly-fitting succeeds.
-    EXPECT_EQ(pool.try_allocate(units::Bytes(41)), kInvalidBlock);
-    const BlockId b = pool.try_allocate(units::Bytes(40));
-    ASSERT_NE(b, kInvalidBlock);
-    EXPECT_EQ(pool.try_allocate(units::Bytes(1)), kInvalidBlock);
-    EXPECT_FALSE(pool.fits(units::Bytes(1)));
-
-    // Plain allocate may overcommit -- the scheduler's
-    // oversized-request-runs-alone escape hatch.
-    const BlockId c = pool.allocate(units::Bytes(50));
-    ASSERT_NE(c, kInvalidBlock);
-    EXPECT_EQ(pool.bytes_in_use(), units::Bytes(150));
-    EXPECT_GT(pool.utilization(), 1.0);
-    pool.release(c);
-    pool.release(b);
-    pool.release(a);
-    EXPECT_EQ(pool.bytes_in_use(), units::Bytes(0));
-}
-
 TEST(BlockPool, RefcountsFreeTheBlockExactlyOnce)
 {
-    BlockPool pool(units::Bytes(0), units::Tokens(8));
+    BlockPool pool{units::Tokens(8)};
     const BlockId a = pool.allocate(units::Bytes(64));
     EXPECT_EQ(pool.ref_count(a), 1u);
     EXPECT_EQ(pool.shared_blocks(), units::Blocks(0));
@@ -159,12 +129,19 @@ TEST(BlockPool, RefcountsFreeTheBlockExactlyOnce)
 
 TEST(BlockPool, UnboundedPoolNeverRefuses)
 {
-    BlockPool pool;  // capacity 0 = unbounded.
+    BlockPool pool;
     EXPECT_EQ(pool.block_tokens(), BlockPool::kDefaultBlockTokens);
-    EXPECT_TRUE(pool.fits(units::Bytes(std::size_t{1} << 40)));
-    EXPECT_NE(pool.try_allocate(units::Bytes(1 << 20)), kInvalidBlock);
-    EXPECT_DOUBLE_EQ(pool.utilization(), 0.0);
-    EXPECT_DOUBLE_EQ(pool.peak_utilization(), 0.0);
+    // Blocks far past any KV budget a scheduler would set are still
+    // handed out; they get no storage until their first data() call.
+    const BlockId a = pool.allocate(units::Bytes(std::size_t{1} << 40));
+    const BlockId b = pool.allocate(units::Bytes(std::size_t{1} << 40));
+    EXPECT_NE(a, b);
+    EXPECT_EQ(pool.bytes_in_use(), units::Bytes(std::size_t{1} << 41));
+    pool.release(a);
+    pool.release(b);
+    EXPECT_EQ(pool.bytes_in_use(), units::Bytes(0));
+    EXPECT_EQ(pool.peak_bytes_in_use(), units::Bytes(std::size_t{1} << 41));
+    EXPECT_EQ(pool.check_invariants(), "");
 }
 
 }  // namespace

@@ -154,7 +154,7 @@ TEST(KvCache, MemoryBytesIsBlockExactPerPrecision)
 
     std::mt19937 rng(31);
     const std::size_t B = 2;  // Tokens per block.
-    BlockPool pool(units::Bytes(0), units::Tokens(B));
+    BlockPool pool{units::Tokens(B)};
     KvCache quant(heads, hd, KvPrecision::kInt4, &pool);
     KvCache exact(heads, hd, KvPrecision::kFloat, &pool);
     EXPECT_EQ(quant.memory_bytes(), units::Bytes(0));
@@ -202,9 +202,9 @@ TEST(KvCache, PagedReadsAreByteIdenticalAcrossBlockSizes)
     }
     for (const KvPrecision precision :
          {KvPrecision::kFloat, KvPrecision::kInt4}) {
-        BlockPool contiguous(units::Bytes(0), units::Tokens(T));  // One block holds everything.
-        BlockPool tiny(units::Bytes(0), units::Tokens(1));
-        BlockPool odd(units::Bytes(0), units::Tokens(5));
+        BlockPool contiguous{units::Tokens(T)};  // One block holds everything.
+        BlockPool tiny{units::Tokens(1)};
+        BlockPool odd{units::Tokens(5)};
         KvCache reference(heads, hd, precision, &contiguous);
         std::vector<KvCache> paged;
         paged.emplace_back(heads, hd, precision, &tiny);
@@ -266,8 +266,7 @@ TEST(KvCache, BatchedRangeReadsAreByteIdenticalToPerPositionReads)
     for (const KvPrecision precision :
          {KvPrecision::kFloat, KvPrecision::kInt4}) {
         for (const std::size_t block_tokens : {1u, 5u, 64u}) {
-            BlockPool pool(units::Bytes(0),
-                           units::Tokens(block_tokens));
+            BlockPool pool{units::Tokens(block_tokens)};
             KvCache cache(heads, hd, precision, &pool);
             for (std::size_t t = 0; t < T; ++t) {
                 cache.append(ks[t], vs[t]);
@@ -316,7 +315,7 @@ TEST(KvCache, BatchedRangeReadsAreByteIdenticalToPerPositionReads)
 TEST(KvCache, MoveLeavesTheSourceDrainedAndInert)
 {
     std::mt19937 rng(601);
-    BlockPool pool(units::Bytes(0), units::Tokens(2));
+    BlockPool pool{units::Tokens(2)};
     KvCache source(2, 8, KvPrecision::kFloat, &pool);
     for (int t = 0; t < 3; ++t) {
         const auto kv = random_heads(2, 8, rng);
@@ -378,7 +377,7 @@ TEST(KvCache, ReusedBlocksComeBackZeroedForTheNibbleOrPath)
     // Pin the end-to-end consequence: appending through a reused
     // dirty block reads back exactly what a fresh cache stores.
     std::mt19937 rng(613);
-    BlockPool pool(units::Bytes(0), units::Tokens(4));
+    BlockPool pool{units::Tokens(4)};
     KvCache cache(2, 8, KvPrecision::kInt4, &pool);
     for (int t = 0; t < 6; ++t) {
         const auto kv = random_heads(2, 8, rng);
@@ -415,7 +414,7 @@ TEST(KvCache, SharedPrefixReadsAreByteIdenticalForBothPrecisions)
     std::mt19937 rng(701);
     for (const KvPrecision precision :
          {KvPrecision::kFloat, KvPrecision::kInt4}) {
-        BlockPool pool(units::Bytes(0), units::Tokens(4));
+        BlockPool pool{units::Tokens(4)};
         KvCache donor(2, 8, precision, &pool);
         std::vector<support::MatrixF> ks, vs;
         for (int t = 0; t < 10; ++t) {
@@ -462,7 +461,7 @@ TEST(KvCache, AppendAfterSharedPrefixNeverTouchesTheDonor)
     std::mt19937 rng(703);
     for (const KvPrecision precision :
          {KvPrecision::kFloat, KvPrecision::kInt4}) {
-        BlockPool pool(units::Bytes(0), units::Tokens(4));
+        BlockPool pool{units::Tokens(4)};
         KvCache donor(2, 8, precision, &pool);
         std::vector<support::MatrixF> ks;
         for (int t = 0; t < 8; ++t) {
@@ -509,7 +508,7 @@ TEST(KvCache, CopyOnWriteClonesAPartiallySharedBlock)
     std::mt19937 rng(709);
     for (const KvPrecision precision :
          {KvPrecision::kFloat, KvPrecision::kInt4}) {
-        BlockPool pool(units::Bytes(0), units::Tokens(4));
+        BlockPool pool{units::Tokens(4)};
         KvCache donor(2, 8, precision, &pool);
         std::vector<support::MatrixF> ks;
         for (int t = 0; t < 6; ++t) {  // Blocks: [0-3], [4-5].
@@ -569,8 +568,8 @@ TEST(KvCache, ExtendAccountsExactlyWhatAppendWould)
     std::mt19937 rng(733);
     for (const KvPrecision precision :
          {KvPrecision::kFloat, KvPrecision::kInt4}) {
-        BlockPool append_pool(units::Bytes(0), units::Tokens(4));
-        BlockPool extend_pool(units::Bytes(0), units::Tokens(4));
+        BlockPool append_pool{units::Tokens(4)};
+        BlockPool extend_pool{units::Tokens(4)};
         KvCache appended(2, 8, precision, &append_pool);
         KvCache extended(2, 8, precision, &extend_pool);
         const auto kv = random_heads(2, 8, rng);
@@ -615,7 +614,7 @@ TEST(KvCache, ExtendAccountsExactlyWhatAppendWould)
 TEST(KvCache, SharedBlocksFreeExactlyOnceWhenTheLastOwnerReleases)
 {
     std::mt19937 rng(719);
-    BlockPool pool(units::Bytes(0), units::Tokens(4));
+    BlockPool pool{units::Tokens(4)};
     auto donor = std::make_unique<KvCache>(2, 8, KvPrecision::kInt4,
                                            &pool);
     std::vector<support::MatrixF> ks;
@@ -656,7 +655,7 @@ TEST(KvCache, SharedBlocksFreeExactlyOnceWhenTheLastOwnerReleases)
 TEST(KvCache, ReleaseReturnsBlocksToThePool)
 {
     std::mt19937 rng(401);
-    BlockPool pool(units::Bytes(0), units::Tokens(4));
+    BlockPool pool{units::Tokens(4)};
     KvCache outer(2, 8, KvPrecision::kInt4, &pool);
     for (int t = 0; t < 6; ++t) {
         const auto kv = random_heads(2, 8, rng);

@@ -115,26 +115,15 @@ TEST(Cancellation, MidDecodeKeepsAPrefixOfTheUncancelledStream)
     EXPECT_EQ(scheduler.check_invariants(), "");
 }
 
-/**
- * Budget sized so full-projection admission keeps exactly ONE
- * request resident (the calibrated 12-group recipe: each request
- * projects to ceil((24 + 60 + 1) / 8) = 11 groups), serializing the
- * rest into the queue.
- */
+/** One resident request at a time, serializing the rest into the
+ *  queue. */
 SchedulerConfig
-one_resident_config(const model::ModelConfig& model)
+one_resident_config()
 {
     SchedulerConfig config;
-    config.admission = AdmissionMode::kFullProjection;
     config.kv_block_tokens = units::Tokens(8);
-    config.kv_budget_bytes =
-        sim::kv_footprint(model, units::Positions(1),
-                          quant::KvPrecision::kInt4,
-                          units::Tokens(8))
-            .paged_bytes *
-        12;
     config.prefill_chunk_tokens = units::Tokens(24);
-    config.max_batch = 8;
+    config.max_batch = 1;
     return config;
 }
 
@@ -149,11 +138,11 @@ small_analytic_request()
 
 TEST(Cancellation, QueuedRequestRetiresWithoutEverBeingAdmitted)
 {
-    // Analytic serving with a budget sized for one resident request:
+    // Analytic serving with one resident request at a time:
     // the second stays queued and is cancelled from the queue.
     const model::ModelConfig model = model::llama2_7b();
     const Engine engine(sim::make_mugi(256), model);
-    Scheduler scheduler(engine, one_resident_config(model));
+    Scheduler scheduler(engine, one_resident_config());
 
     scheduler.submit(small_analytic_request());
     const std::uint64_t queued_id =
@@ -254,7 +243,7 @@ TEST(Cancellation, ShutdownWithInFlightAndQueuedReleasesEverything)
 {
     const model::ModelConfig model = model::llama2_7b();
     const Engine engine(sim::make_mugi(256), model);
-    Scheduler scheduler(engine, one_resident_config(model));
+    Scheduler scheduler(engine, one_resident_config());
 
     for (int i = 0; i < 3; ++i) {
         scheduler.submit(small_analytic_request());

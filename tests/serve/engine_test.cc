@@ -389,7 +389,7 @@ TEST(EngineStep, PrefillChunksAreBitIdenticalToFullPrefill)
          {quant::KvPrecision::kFloat, quant::KvPrecision::kInt4}) {
         const std::string kv =
             precision == quant::KvPrecision::kInt4 ? "int4" : "float";
-        quant::BlockPool pool(units::Bytes(0), units::Tokens(kBlock));
+        quant::BlockPool pool{units::Tokens(kBlock)};
         SessionOptions options;
         options.kv_precision = precision;
         options.kv_pool = &pool;

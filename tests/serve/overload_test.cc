@@ -1,13 +1,13 @@
 /**
  * @file
  * Overload-protection contract: the bounded admission queue sheds
- * by policy (newest, or lowest priority with ties toward newest),
- * admission timeouts bound the arrival -> admission window on the
- * modeled clock, and the threaded serve::Server resolves every
- * handle -- shed or served -- leaving zero KV bytes and clean
- * invariants.  The channel.push fault site is exercised end to end:
- * an injected submission failure surfaces as FinishReason::kShed on
- * a handle that still resolves.
+ * the newest arrival, admission timeouts bound the arrival ->
+ * admission window on the modeled clock, and the threaded
+ * serve::Server resolves every handle -- shed or served -- leaving
+ * zero KV bytes and clean invariants.  Two fault sites are exercised
+ * here: block_pool.allocate defers admission and never half-admits,
+ * and an injected channel.push failure surfaces as
+ * FinishReason::kShed on a handle that still resolves.
  */
 
 #include <algorithm>
@@ -84,76 +84,14 @@ TEST(SchedulerOverload, BoundedQueueShedsTheNewestArrival)
             EXPECT_EQ(f.generated, units::Tokens(0));
         }
     }
-    // kRejectNewest: the victim is the last submission, not an
-    // earlier arrival that was already waiting.
+    // The victim is the last submission, not an earlier arrival
+    // that was already waiting.
     ASSERT_EQ(shed_ids.size(), 1u);
     EXPECT_EQ(shed_ids[0], queued_ids.back());
     const ServerStats stats = scheduler.stats();
     EXPECT_EQ(stats.requests_shed, 1u);
     EXPECT_EQ(stats.kv_bytes_in_use, units::Bytes(0));
     EXPECT_EQ(scheduler.check_invariants(), "");
-}
-
-TEST(SchedulerOverload, RejectLowestPriorityPicksTheMinPriority)
-{
-    const model::ModelConfig model = model::llama2_70b();
-    const Engine engine(sim::make_mugi(256), model);
-    SchedulerConfig config = one_slot_config();
-    config.max_queued_requests = 2;
-    config.shed_policy = ShedPolicy::kRejectLowestPriority;
-    Scheduler scheduler(engine, config);
-
-    scheduler.submit(analytic_request(256, 40));  // Blocker.
-    Request first = late_request(128, 4);
-    first.priority = 5;
-    scheduler.submit(std::move(first));
-    Request victim = late_request(128, 4);
-    victim.priority = -3;
-    const std::uint64_t victim_id =
-        scheduler.submit(std::move(victim));
-    Request last = late_request(128, 4);
-    last.priority = 0;  // Newest, but NOT the lowest priority.
-    scheduler.submit(std::move(last));
-
-    const std::vector<FinishedRequest> finished = scheduler.run();
-    ASSERT_EQ(finished.size(), 4u);
-    for (const FinishedRequest& f : finished) {
-        if (f.reason == FinishReason::kShed) {
-            EXPECT_EQ(f.id, victim_id);
-        } else {
-            EXPECT_NE(f.id, victim_id);
-        }
-    }
-    EXPECT_EQ(scheduler.stats().requests_shed, 1u);
-}
-
-TEST(SchedulerOverload, RejectLowestPriorityBreaksTiesTowardNewest)
-{
-    const model::ModelConfig model = model::llama2_70b();
-    const Engine engine(sim::make_mugi(256), model);
-    SchedulerConfig config = one_slot_config();
-    config.max_queued_requests = 2;
-    config.shed_policy = ShedPolicy::kRejectLowestPriority;
-    Scheduler scheduler(engine, config);
-
-    scheduler.submit(analytic_request(256, 40));  // Blocker.
-    Request older = late_request(128, 4);
-    older.priority = -3;
-    const std::uint64_t older_id =
-        scheduler.submit(std::move(older));
-    scheduler.submit(late_request(128, 4));  // priority 0.
-    Request newer = late_request(128, 4);
-    newer.priority = -3;  // Same minimum, arrived later.
-    const std::uint64_t newer_id =
-        scheduler.submit(std::move(newer));
-
-    for (const FinishedRequest& f : scheduler.run()) {
-        if (f.reason == FinishReason::kShed) {
-            EXPECT_EQ(f.id, newer_id);
-            EXPECT_NE(f.id, older_id);
-        }
-    }
-    EXPECT_EQ(scheduler.stats().requests_shed, 1u);
 }
 
 TEST(SchedulerOverload, AdmissionTimeoutRetiresStaleQueuers)
@@ -212,6 +150,50 @@ TEST(SchedulerOverload, RequestTimeoutOverridesTheConfigDefault)
         }
     }
     EXPECT_EQ(scheduler.stats().admission_timeouts, 1u);
+}
+
+TEST(SchedulerOverload, AllocationFaultDefersAdmissionUntilItStops)
+{
+    // block_pool.allocate's one seam is the head of admission: each
+    // fire defers the iteration's admissions, as an exhausted pool
+    // would, and the request is admitted whole once the site stops.
+    const model::ModelConfig model = model::llama2_70b();
+    const Engine engine(sim::make_mugi(256), model);
+    Scheduler scheduler(engine, {});
+    const std::uint64_t id = scheduler.submit(analytic_request(64, 4));
+    {
+        support::FaultPlan plan;
+        plan.seed = 3;
+        plan.sites = {{"block_pool.allocate", 1.0, 2}};
+        support::ScopedFaultPlan armed(plan);
+
+        for (int i = 0; i < 2; ++i) {
+            ASSERT_TRUE(scheduler.step());
+            const ServerStats stats = scheduler.stats();
+            EXPECT_EQ(stats.queued, 1u) << "step " << i;
+            EXPECT_EQ(stats.active, 0u) << "step " << i;
+            EXPECT_EQ(stats.kv_bytes_in_use, units::Bytes(0))
+                << "step " << i;
+            EXPECT_EQ(scheduler.check_invariants(), "");
+        }
+        // The cap is spent: the third step admits the request.
+        ASSERT_TRUE(scheduler.step());
+        const ServerStats stats = scheduler.stats();
+        EXPECT_EQ(stats.queued, 0u);
+        EXPECT_EQ(stats.active, 1u);
+        EXPECT_GT(stats.kv_bytes_in_use, units::Bytes(0));
+        EXPECT_EQ(support::FaultInjector::instance().fires(
+                      "block_pool.allocate"),
+                  2u);
+    }
+
+    const std::vector<FinishedRequest> finished = scheduler.run();
+    ASSERT_EQ(finished.size(), 1u);
+    EXPECT_EQ(finished[0].id, id);
+    EXPECT_EQ(finished[0].reason, FinishReason::kMaxTokens);
+    EXPECT_EQ(finished[0].generated, units::Tokens(4));
+    EXPECT_EQ(scheduler.kv_bytes_in_use(), units::Bytes(0));
+    EXPECT_EQ(scheduler.check_invariants(), "");
 }
 
 TEST(ServerOverload, BoundedQueueResolvesEveryHandle)

@@ -428,52 +428,46 @@ TEST(Scheduler, PagedReservationAdmitsMoreThanFullProjection)
     const units::Bytes group = sim::kv_footprint(
         config, units::Positions(1), quant::KvPrecision::kInt4,
         units::Tokens(B)).paged_bytes;
+    const units::Bytes budget = group * 12;
 
-    const auto serve_trace = [&](AdmissionMode mode,
-                                 std::size_t* max_active,
-                                 ServerStats* stats_out) {
-        SchedulerConfig sched_config;
-        sched_config.admission = mode;
-        sched_config.kv_block_tokens = units::Tokens(B);
-        sched_config.kv_budget_bytes = group * 12;
-        sched_config.prefill_chunk_tokens = units::Tokens(24);
-        sched_config.max_batch = 8;
-        Scheduler scheduler(engine, sched_config);
-        for (int i = 0; i < 4; ++i) {
-            Request request;
-            request.analytic_prompt_tokens = units::Tokens(24);
-            request.max_new_tokens = units::Tokens(60);
-            scheduler.submit(std::move(request));
-        }
-        *max_active = 0;
-        while (scheduler.step()) {
-            *max_active = std::max(*max_active, scheduler.active());
-        }
-        *stats_out = scheduler.stats();
-    };
+    // Full projection charges every request ceil((24 + 60) / 8) = 11
+    // groups up front, so the 12-group budget holds one at a time.
+    const units::Bytes projected = sim::kv_footprint(
+        config, units::Positions(24 + 60), quant::KvPrecision::kInt4,
+        units::Tokens(B)).paged_bytes;
+    EXPECT_EQ(projected, group * 11);
+    const std::size_t projection_sessions = budget / projected;
+    EXPECT_EQ(projection_sessions, 1u);
 
-    std::size_t active_projection = 0, active_paged = 0;
-    ServerStats projection, paged;
-    serve_trace(AdmissionMode::kFullProjection, &active_projection,
-                &projection);
-    serve_trace(AdmissionMode::kPagedReservation, &active_paged,
-                &paged);
+    // Paged charges ceil(25/8) = 4 groups + watermark and reclaims
+    // under pressure.
+    SchedulerConfig sched_config;
+    sched_config.kv_block_tokens = units::Tokens(B);
+    sched_config.kv_budget_bytes = budget;
+    sched_config.prefill_chunk_tokens = units::Tokens(24);
+    sched_config.max_batch = 8;
+    Scheduler scheduler(engine, sched_config);
+    for (int i = 0; i < 4; ++i) {
+        Request request;
+        request.analytic_prompt_tokens = units::Tokens(24);
+        request.max_new_tokens = units::Tokens(60);
+        scheduler.submit(std::move(request));
+    }
+    std::size_t active_paged = 0;
+    while (scheduler.step()) {
+        active_paged = std::max(active_paged, scheduler.active());
+    }
+    const ServerStats paged = scheduler.stats();
 
-    EXPECT_EQ(projection.finished, 4u);
     EXPECT_EQ(paged.finished, 4u);
-    // Projection charges ceil(84/8) = 11 groups per request up front:
-    // the 12-group budget serializes everything.  Paged charges
-    // ceil(25/8) = 4 groups + watermark and reclaims under pressure.
-    EXPECT_EQ(active_projection, 1u);
-    EXPECT_GT(active_paged, active_projection);
-    // Projection never preempts (its reservation covers the full
-    // generation); paged trades preemptions for concurrency.
-    EXPECT_EQ(projection.preemptions, 0u);
-    // Both disciplines respect the budget's high-water mark.
-    EXPECT_LE(projection.peak_kv_bytes, 12 * group);
-    EXPECT_LE(paged.peak_kv_bytes, 12 * group);
-    EXPECT_GT(paged.peak_pool_utilization,
-              projection.peak_pool_utilization);
+    EXPECT_GT(active_paged, projection_sessions);
+    // Paged respects the budget's high-water mark, and fills more of
+    // it than one resident projection could.
+    EXPECT_LE(paged.peak_kv_bytes, budget);
+    EXPECT_GT(paged.peak_kv_bytes, projected);
+    EXPECT_DOUBLE_EQ(paged.peak_pool_utilization,
+                     static_cast<double>(paged.peak_kv_bytes.value()) /
+                         static_cast<double>(budget.value()));
 }
 
 TEST(Scheduler, PoolExhaustionRefusesAdmissionUntilBlocksFree)

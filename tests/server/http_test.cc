@@ -532,6 +532,42 @@ TEST_F(FrontendTest, TruncatedBodyIsRejected)
         << response.substr(0, 128);
 }
 
+TEST(Http, ContentLengthMustBeOneWholeNumber)
+{
+    // Raw bytes on the wire: a Content-Length that is not one whole
+    // decimal number is refused (the Frontend answers 400), never
+    // read as its leading digits or as 0.  Spaces around the value
+    // are header padding, not part of it.
+    Listener listener;
+    ASSERT_TRUE(listener.bind_and_listen(0));
+    struct Case {
+        const char* value;
+        const char* body;
+        bool accepted;
+    };
+    for (const Case& c : {Case{"abc", "hello", false},
+                          Case{"12x", "hello world!", false},
+                          Case{"", "hello", false},
+                          Case{"5 ", "hello", true}}) {
+        RawStream stream(listener.port());
+        ASSERT_TRUE(stream.ok());
+        ASSERT_TRUE(stream.send(std::string("POST /echo HTTP/1.1\r\n"
+                                            "Content-Length: ") +
+                                c.value + "\r\n\r\n" + c.body));
+        stream.shutdown_write();
+        const int fd = listener.accept_fd(5000);
+        ASSERT_GE(fd, 0);
+        Connection connection(fd);
+        HttpRequest request;
+        EXPECT_EQ(connection.read_request(&request), c.accepted)
+            << "Content-Length: '" << c.value << "'";
+        if (c.accepted) {
+            EXPECT_EQ(request.headers.at("content-length"), "5");
+            EXPECT_EQ(request.body, c.body);
+        }
+    }
+}
+
 TEST_F(FrontendTest, GarbageRequestLineIsRejected)
 {
     RawStream stream(frontend_->port());

@@ -1,10 +1,10 @@
 /**
  * @file
  * Contract of the deterministic fault injector: inert until armed,
- * seeded schedules reproduce exactly, per-site rate/cap accounting
- * holds, and a wired production seam (BlockPool's try_allocate)
- * actually fails when its site fires -- then recovers the moment the
- * plan is disarmed.
+ * seeded schedules reproduce exactly, and per-site rate/cap
+ * accounting holds.  The wired production seams are exercised where
+ * they live (tests/serve/overload_test.cc, tests/server/http_test.cc
+ * and bench/chaos_serve).
  */
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "quant/block_allocator.h"
 #include "support/fault.h"
 
 namespace mugi {
@@ -131,36 +130,6 @@ TEST(FaultInjector, DisarmResetsEverything)
     EXPECT_EQ(injector.fires(), 0u);
     EXPECT_EQ(injector.evaluations(), 0u);
     EXPECT_FALSE(injector.should_fire("test.once"));
-}
-
-TEST(FaultInjector, BlockPoolAllocationSeamFailsAndRecovers)
-{
-    quant::BlockPool pool(units::Bytes(1 << 20));
-    {
-        FaultPlan plan;
-        plan.seed = 3;
-        plan.sites = {{"block_pool.allocate", 1.0, 2}};
-        ScopedFaultPlan armed(plan);
-
-        // Each attempt refuses while the site fires...
-        EXPECT_EQ(pool.try_allocate(units::Bytes(256)),
-                  quant::kInvalidBlock);
-        EXPECT_EQ(pool.try_allocate(units::Bytes(256)),
-                  quant::kInvalidBlock);
-        EXPECT_EQ(pool.bytes_in_use(), units::Bytes(0));
-
-        // ...and succeed again once the cap is exhausted.
-        const quant::BlockId id =
-            pool.try_allocate(units::Bytes(256));
-        ASSERT_NE(id, quant::kInvalidBlock);
-        pool.release(id);
-    }
-    // Disarmed: the seam is gone entirely.
-    const quant::BlockId id = pool.try_allocate(units::Bytes(256));
-    ASSERT_NE(id, quant::kInvalidBlock);
-    pool.release(id);
-    EXPECT_EQ(pool.bytes_in_use(), units::Bytes(0));
-    EXPECT_EQ(pool.check_invariants(), "");
 }
 
 }  // namespace

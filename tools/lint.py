@@ -18,9 +18,12 @@ Checks, each motivated by a concurrency-correctness contract:
 
 3. Every ``MUGI_FAULT_POINT("site")`` literal in ``src/`` must be
    documented in DESIGN.md's fault-site table (the site name in
-   backticks).  An undocumented site is chaos coverage nobody can
+   backticks), and evaluated at exactly one seam (comment lines do
+   not count).  An undocumented site is chaos coverage nobody can
    reason about -- the chaos gates assert invariants per site, so
-   the contract each site simulates has to be written down.
+   the contract each site simulates has to be written down.  And a
+   site's fire schedule is a function of (seed, site, N): it names
+   one failure only when one seam counts N.
 
 4. No ``#if`` / ``#ifdef`` / ``#ifndef`` on ``NDEBUG`` under
    ``tests/``: a test body compiled in only one build type rots
@@ -85,8 +88,27 @@ def check_thread_safety_contract(path: Path) -> list[str]:
     ]
 
 
-def check_fault_sites_documented() -> list[str]:
-    """Every MUGI_FAULT_POINT site literal appears in DESIGN.md."""
+def code_lines(path: Path):
+    """(lineno, line) for each line of ``path`` outside comments."""
+    in_block = False
+    for lineno, line in enumerate(
+        path.read_text(encoding="utf-8").splitlines(), start=1
+    ):
+        stripped = line.strip()
+        if in_block:
+            in_block = "*/" not in stripped
+            continue
+        if stripped.startswith("/*"):
+            in_block = "*/" not in stripped[2:]
+            continue
+        if stripped.startswith("//"):
+            continue
+        yield lineno, line
+
+
+def check_fault_sites() -> list[str]:
+    """Every MUGI_FAULT_POINT site literal appears in DESIGN.md and
+    is evaluated at exactly one seam."""
     design_path = REPO / "DESIGN.md"
     design = (
         design_path.read_text(encoding="utf-8")
@@ -94,20 +116,28 @@ def check_fault_sites_documented() -> list[str]:
         else ""
     )
     problems = []
+    seams: dict[str, list[str]] = {}
     for path in sorted(SRC.rglob("*")):
         if path.suffix not in {".h", ".cc"}:
             continue
-        for lineno, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        rel = path.relative_to(REPO)
+        for lineno, line in code_lines(path):
             for site in FAULT_POINT_RE.findall(line):
+                seams.setdefault(site, []).append(f"{rel}:{lineno}")
                 if f"`{site}`" not in design:
-                    rel = path.relative_to(REPO)
                     problems.append(
                         f"{rel}:{lineno}: fault site \"{site}\" is "
                         "not documented in DESIGN.md's fault-site "
                         "table (add it in backticks)"
                     )
+    for site, where in sorted(seams.items()):
+        if len(where) > 1:
+            problems.append(
+                f"{where[1]}: fault site \"{site}\" is evaluated at "
+                f"{len(where)} seams ({', '.join(where)}); its fire "
+                "schedule counts evaluations, so give each seam its "
+                "own site"
+            )
     return problems
 
 
@@ -138,7 +168,7 @@ def main() -> int:
         for header in sorted((SRC / subdir).glob("*.h")):
             problems += check_thread_safety_contract(header)
 
-    problems += check_fault_sites_documented()
+    problems += check_fault_sites()
 
     for path in sorted(TESTS.rglob("*")):
         if path.suffix in {".h", ".cc"}:

@@ -13,9 +13,10 @@ R1  raw-unit-param: public headers under ``src/serve/`` and
     that is exactly the signature units.h exists to replace.
 
 R2  try-result-unused: a call to any ``try_*`` function whose result
-    is discarded is a lost admission/allocation failure -- under
-    fault injection (PR 10) ``try_allocate`` fails on purpose, so a
-    dropped result silently swallows an injected fault.  (The headers also carry ``[[nodiscard]]``; this rule
+    is discarded is a lost refusal -- a ``try_push`` into a full or
+    closed ``support::Channel`` drops its item unnoticed, a
+    ``try_pop`` loses the item it took, a ``try_lock`` proceeds
+    unlocked.  (Headers may also carry ``[[nodiscard]]``; this rule
     catches the ``(void)``-free discard styles the compiler warning
     misses when a caller builds with warnings off.)
 
@@ -259,7 +260,7 @@ def textual_r2(path: Path, text: str) -> list[Finding]:
                     lineno,
                     "R2",
                     f"result of '{m.group('callee')}' is discarded; "
-                    "a failed try_* is an admission/allocation signal",
+                    "a failed try_* is a refusal the caller must see",
                 )
             )
     return findings
@@ -493,8 +494,8 @@ def ast_r2(cindex, tu, path: Path) -> list[Finding]:
                                 callee.location.line,
                                 "R2",
                                 f"result of '{callee.spelling}' is "
-                                "discarded; a failed try_* is an "
-                                "admission/allocation signal",
+                                "discarded; a failed try_* is a "
+                                "refusal the caller must see",
                             )
                         )
         for child in node.get_children():
