@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <sstream>
 #include <thread>
 
@@ -54,6 +55,17 @@ nearest_rank(const std::vector<double>& sorted, double p)
     const auto rank = static_cast<std::size_t>(std::ceil(
         p / 100.0 * static_cast<double>(sorted.size())));
     return sorted[std::max<std::size_t>(rank, 1) - 1];
+}
+
+/** Mean of @p samples, summed in their order; 0 when empty. */
+double
+mean_of(const std::vector<double>& samples)
+{
+    if (samples.empty()) {
+        return 0.0;
+    }
+    return std::accumulate(samples.begin(), samples.end(), 0.0) /
+           static_cast<double>(samples.size());
 }
 
 }  // namespace
@@ -143,28 +155,19 @@ Scheduler::submit_with_id(Request request, std::uint64_t id)
     ++submitted_;
     const double arrival =
         std::max(request.arrival_time_s, now_s_);
-    if (functional_ && request.prompt.empty()) {
+    Tracked queued{.id = id,
+                   .request = std::move(request),
+                   .arrival_s = arrival};
+    if (functional_ && queued.request.prompt.empty()) {
         // There is nothing to decode from: retire the request
         // immediately instead of feeding token -1 into the model
         // (the assert above catches this in debug builds).  All
-        // milestones collapse onto the arrival instant, so queue /
-        // TTFT / TPOT are zero and the stats() means stay exact.
-        FinishedRequest f;
-        f.id = id;
-        f.reason = FinishReason::kMaxTokens;
-        f.arrival_s = arrival;
-        f.admitted_s = arrival;
-        // No token was ever emitted, so there is no first-token
-        // milestone; ttft_s() reports 0 and the stats() TTFT
-        // aggregates exclude the request.
-        f.finished_s = arrival;
-        record_finished(std::move(f));
+        // milestones collapse onto the arrival instant and no token
+        // was emitted, so queue / TTFT / TPOT are zero and the
+        // stats() TTFT aggregates exclude the request.
+        finish(queued, FinishReason::kMaxTokens);
         return id;
     }
-    QueuedRequest queued;
-    queued.id = id;
-    queued.arrival_s = arrival;
-    queued.request = std::move(request);
     if (config_.prefix_caching) {
         // Hash the shareable prompt blocks exactly once; admission
         // attempts (there may be many while the head waits on the
@@ -232,7 +235,7 @@ Scheduler::prefix_keys_for(const Request& request) const
 }
 
 Scheduler::PrefixMatch
-Scheduler::find_prefix_match(const QueuedRequest& queued) const
+Scheduler::find_prefix_match(const Tracked& queued) const
 {
     PrefixMatch match;
     if (!config_.prefix_caching) {
@@ -243,8 +246,7 @@ Scheduler::find_prefix_match(const QueuedRequest& queued) const
         queued.request.session.kv_precision;
     const std::size_t prompt_len =
         queued.request.prompt_tokens().value();
-    const std::size_t feed =
-        prompt_len + queued.resume_generated.value();
+    const std::size_t feed = prompt_len + queued.generated.value();
     if (feed == 0) {
         return match;
     }
@@ -261,9 +263,9 @@ Scheduler::find_prefix_match(const QueuedRequest& queued) const
         bool found = false;
         for (const std::uint64_t owner_id : it->second) {
             for (std::size_t i = 0; i < active_.size(); ++i) {
-                const ActiveRequest& donor = active_[i];
+                const Tracked& donor = active_[i];
                 if (donor.id != owner_id ||
-                    donor.session.kv_precision() != precision) {
+                    donor.session->kv_precision() != precision) {
                     continue;
                 }
                 // The donor must have those positions resident --
@@ -298,17 +300,15 @@ Scheduler::find_prefix_match(const QueuedRequest& queued) const
 }
 
 void
-Scheduler::register_prefix_owner(ActiveRequest& req)
+Scheduler::register_prefix_owner(const Tracked& req)
 {
-    // req.prefix_keys were moved over from the queue entry (hashed
-    // once at submit).
     for (const std::uint64_t key : req.prefix_keys) {
         prefix_index_[key].push_back(req.id);
     }
 }
 
 void
-Scheduler::deregister_prefix_owner(const ActiveRequest& req)
+Scheduler::deregister_prefix_owner(const Tracked& req)
 {
     for (const std::uint64_t key : req.prefix_keys) {
         const auto it = prefix_index_.find(key);
@@ -326,18 +326,18 @@ Scheduler::deregister_prefix_owner(const ActiveRequest& req)
 }
 
 units::Bytes
-Scheduler::admission_bytes(const QueuedRequest& queued,
+Scheduler::admission_bytes(const Tracked& queued,
                            units::Blocks shared_blocks) const
 {
     const quant::KvPrecision precision =
         queued.request.session.kv_precision;
-    // The blocks covering the (possibly resumed) prompt plus the
-    // first decode append -- growth beyond that is allocated on
-    // demand and defended by preemption.  Blocks a prefix-cache hit
-    // maps onto resident storage are already charged there;
-    // admission pays only the unshared tail.
+    // The blocks covering the prompt and any tokens generated before
+    // a preemption, plus the first decode append -- growth beyond
+    // that is allocated on demand and defended by preemption.
+    // Blocks a prefix-cache hit maps onto resident storage are
+    // already charged there; admission pays only the unshared tail.
     const units::Tokens feed =
-        queued.request.prompt_tokens() + queued.resume_generated;
+        queued.request.prompt_tokens() + queued.generated;
     const units::Blocks blocks = blocks_for(feed + units::Tokens(1));
     assert(shared_blocks <= blocks);
     return units::bytes_for(blocks - shared_blocks,
@@ -351,23 +351,23 @@ Scheduler::watermark_bytes(quant::KvPrecision head_precision) const
     // of a float-precision resident is not covered by an INT4-sized
     // watermark.
     units::Bytes group = block_group_bytes(head_precision);
-    for (const ActiveRequest& a : active_) {
+    for (const Tracked& a : active_) {
         group = std::max(group,
-                         block_group_bytes(a.session.kv_precision()));
+                         block_group_bytes(a.session->kv_precision()));
     }
     return units::bytes_for(kWatermarkBlocks, group);
 }
 
 units::Bytes
-Scheduler::growth_slack_bytes(const ActiveRequest& req,
+Scheduler::growth_slack_bytes(const Tracked& req,
                               units::Tokens tokens) const
 {
     const units::Bytes target = units::bytes_for(
         blocks_for(tokens),
-        block_group_bytes(req.session.kv_precision()));
+        block_group_bytes(req.session->kv_precision()));
     // Exact block bytes the session's caches hold -- including blocks
     // shared with other sessions, which the pool counts once.
-    const units::Bytes resident = req.session.kv_bytes();
+    const units::Bytes resident = req.session->kv_bytes();
     return target > resident ? target - resident : units::Bytes(0);
 }
 
@@ -378,10 +378,10 @@ Scheduler::committed_total() const
     // each request's growth to cover its feed and next decode
     // append.
     units::Bytes total = pool_.bytes_in_use();
-    for (const ActiveRequest& a : active_) {
+    for (const Tracked& a : active_) {
         total += growth_slack_bytes(
             a, std::max(a.feed_tokens,
-                        units::tokens_for(a.session.position())) +
+                        units::tokens_for(a.session->position())) +
                    units::Tokens(1));
     }
     return total;
@@ -394,7 +394,7 @@ Scheduler::kv_bytes_in_use() const
 }
 
 units::Tokens
-Scheduler::step_append_tokens(const ActiveRequest& req) const
+Scheduler::step_append_tokens(const Tracked& req) const
 {
     if (req.prefill_done()) {
         return units::Tokens(1);  // One decode append per layer cache.
@@ -409,31 +409,21 @@ Scheduler::step_append_tokens(const ActiveRequest& req) const
 void
 Scheduler::preempt(std::size_t index)
 {
-    ActiveRequest victim = std::move(active_[index]);
-    active_.erase(active_.begin() +
-                  static_cast<std::ptrdiff_t>(index));
+    Tracked& victim = active_[index];
     ++preemptions_;
+    ++victim.preempt_count;
     deregister_prefix_owner(victim);
-    QueuedRequest q;
-    q.id = victim.id;
-    q.request = std::move(victim.request);
-    q.arrival_s = victim.arrival_s;
-    q.resumed = true;
-    q.original_admitted_s = victim.admitted_s;
-    q.resume_tokens = std::move(victim.tokens);
-    q.resume_generated = victim.generated;
-    q.first_token_s = victim.first_token_s;
-    q.preempt_count = victim.preempt_count + 1;
-    // The chain keys depend only on the prompt / prefix declaration
-    // and precision: carry them back instead of re-hashing.
-    q.prefix_keys = std::move(victim.prefix_keys);
+    // Resetting the session drops its caches' block references,
+    // which is the point of preemption.  A block another request
+    // shares survives (its refcount stays > 0) -- one owner's
+    // eviction never frees a sharer's storage.  The emitted tokens,
+    // milestones and chain keys stay in the record for re-admission.
+    victim.session.reset();
     // Front of the queue: the victim was admitted before anything
     // still waiting, and FIFO admission keeps it first in line.
-    queue_.push_front(std::move(q));
-    // victim.session dies here: its caches drop their block
-    // references, which is the point of preemption.  A block another
-    // request shares survives (its refcount stays > 0) -- one
-    // owner's eviction never frees a sharer's storage.
+    queue_.push_front(std::move(victim));
+    active_.erase(active_.begin() +
+                  static_cast<std::ptrdiff_t>(index));
 }
 
 void
@@ -450,25 +440,21 @@ Scheduler::preempt_for_pressure()
     // far as the physical savings allow.
     while (active_.size() > 1) {
         units::Bytes needed = pool_.bytes_in_use();
-        for (const ActiveRequest& a : active_) {
+        for (const Tracked& a : active_) {
             needed += growth_slack_bytes(
-                a, units::tokens_for(a.session.position()) +
+                a, units::tokens_for(a.session->position()) +
                        step_append_tokens(a));
         }
         if (needed <= config_.kv_budget_bytes) {
             return;
         }
-        // Victim: lowest priority; ties evict the latest admitted.
+        // Victim: lowest priority; ties evict the latest admitted,
+        // which is the last of them because active_ keeps admission
+        // order.
         std::size_t victim = 0;
         for (std::size_t i = 1; i < active_.size(); ++i) {
-            const bool lower =
-                active_[i].request.priority <
-                    active_[victim].request.priority ||
-                (active_[i].request.priority ==
-                     active_[victim].request.priority &&
-                 active_[i].admission_seq >
-                     active_[victim].admission_seq);
-            if (lower) {
+            if (active_[i].request.priority <=
+                active_[victim].request.priority) {
                 victim = i;
             }
         }
@@ -483,7 +469,7 @@ Scheduler::admit_arrivals()
     // an expensive request cannot be starved by a stream of cheap
     // later ones.  A preempted request re-enters at the head.
     while (!queue_.empty() && active_.size() < target_batch()) {
-        QueuedRequest& head = queue_.front();
+        Tracked& head = queue_.front();
         if (head.arrival_s > now_s_) {
             break;  // Not arrived yet on the modeled clock.
         }
@@ -521,21 +507,17 @@ Scheduler::admit_arrivals()
         }
         SessionOptions options = head.request.session;
         options.kv_pool = &pool_;
-        ActiveRequest a{.id = head.id,
-                        .request = std::move(head.request),
-                        .session = engine_.create_session(options)};
-        a.tokens = std::move(head.resume_tokens);
-        a.generated = head.resume_generated;
+        head.session = engine_.create_session(options);
         if (functional_) {
-            a.feed = a.request.prompt;
-            a.feed.insert(a.feed.end(), a.tokens.begin(),
-                          a.tokens.end());
-            a.feed_tokens = units::Tokens(a.feed.size());
+            head.feed = head.request.prompt;
+            head.feed.insert(head.feed.end(), head.tokens.begin(),
+                             head.tokens.end());
+            head.feed_tokens = units::Tokens(head.feed.size());
         } else {
-            a.feed_tokens =
-                a.request.prompt_tokens() + a.generated;
+            head.feed_tokens =
+                head.request.prompt_tokens() + head.generated;
         }
-        a.prefix_keys = std::move(head.prefix_keys);
+        head.prompt_fed = match.tokens;
         if (match.tokens > units::Tokens(0)) {
             // Map the shared prompt prefix onto the donor's resident
             // blocks and skip its prefill chunks: the tokens are
@@ -543,30 +525,22 @@ Scheduler::admit_arrivals()
             // The adopted blocks count as resident from here on, so
             // this step's pressure check sees the sharer's real
             // growth, not its full prompt.
-            a.session.adopt_kv_prefix(
-                active_[match.donor].session,
+            head.session->adopt_kv_prefix(
+                *active_[match.donor].session,
                 units::positions_for(match.tokens));
-            a.prompt_fed = match.tokens;
-            a.shared_prefix_tokens = match.tokens;
-            a.shared_prefix_blocks = match.blocks;
             ++prefix_hits_;
             shared_blocks_ += match.blocks;
             saved_prefill_tokens_ += match.tokens;
         }
-        a.admission_seq = ++admission_seq_;
-        a.preempt_count = head.preempt_count;
-        a.arrival_s = head.arrival_s;
-        a.admitted_s =
-            head.resumed ? head.original_admitted_s : now_s_;
-        a.first_token_s = head.first_token_s;
+        head.admitted_s = head.admitted_s.value_or(now_s_);
+        register_prefix_owner(head);
+        active_.push_back(std::move(head));
         queue_.pop_front();
-        register_prefix_owner(a);
-        active_.push_back(std::move(a));
     }
 }
 
 bool
-Scheduler::emit_token(ActiveRequest& req, int token)
+Scheduler::emit_token(Tracked& req, int token)
 {
     if (functional_) {
         req.tokens.push_back(token);
@@ -576,7 +550,6 @@ Scheduler::emit_token(ActiveRequest& req, int token)
     if (req.request.on_token) {
         req.request.on_token(req.id, req.generated.value() - 1, token);
     }
-    req.pending_token = token;
     if (functional_ && req.request.stop_token &&
         token == *req.request.stop_token) {
         finish(req, FinishReason::kStopToken);
@@ -590,7 +563,7 @@ Scheduler::emit_token(ActiveRequest& req, int token)
 }
 
 void
-Scheduler::finish(ActiveRequest& req, FinishReason reason)
+Scheduler::finish(Tracked& req, FinishReason reason)
 {
     FinishedRequest f;
     f.id = req.id;
@@ -600,9 +573,14 @@ Scheduler::finish(ActiveRequest& req, FinishReason reason)
     f.generated = req.generated;
     f.preemptions = req.preempt_count;
     f.arrival_s = req.arrival_s;
-    f.admitted_s = req.admitted_s;
+    // An admitted request finishes at now_s_, which its admission
+    // already passed.  One retired before its modeled arrival, or
+    // before admission, reports zero queue wait rather than a
+    // negative one; a preempted one keeps its first admission stamp
+    // -- it really was admitted back then.
+    f.finished_s = std::max(now_s_, req.arrival_s);
+    f.admitted_s = req.admitted_s.value_or(f.finished_s);
     f.first_token_s = req.first_token_s;
-    f.finished_s = now_s_;
     record_finished(std::move(f));
     req.done = true;
 }
@@ -617,15 +595,10 @@ Scheduler::record_finished(FinishedRequest f)
     // Cancelled / expired requests that did emit tokens count -- their
     // latencies were real serving latencies.
     if (f.generated > units::Tokens(0)) {
-        sum_ttft_s_ += f.ttft_s();
-        max_ttft_s_ = std::max(max_ttft_s_, f.ttft_s());
         ttft_samples_.push_back(f.ttft_s());
-        ++ttft_count_;
     }
     if (f.generated > units::Tokens(1)) {
-        sum_tpot_s_ += f.tpot_s();
         tpot_samples_.push_back(f.tpot_s());
-        ++tpot_count_;
     }
     switch (f.reason) {
       case FinishReason::kCancelled:
@@ -651,7 +624,7 @@ Scheduler::record_finished(FinishedRequest f)
 void
 Scheduler::retire_active(std::size_t index, FinishReason reason)
 {
-    ActiveRequest& req = active_[index];
+    Tracked& req = active_[index];
     finish(req, reason);
     deregister_prefix_owner(req);
     // Erasing destroys the session, whose caches drop their block
@@ -660,29 +633,6 @@ Scheduler::retire_active(std::size_t index, FinishReason reason)
     // resident holds them.
     active_.erase(active_.begin() +
                   static_cast<std::ptrdiff_t>(index));
-}
-
-void
-Scheduler::finish_queued(QueuedRequest&& queued, FinishReason reason)
-{
-    FinishedRequest f;
-    f.id = queued.id;
-    f.reason = reason;
-    f.tokens = std::move(queued.resume_tokens);
-    f.prompt_tokens = queued.request.prompt_tokens();
-    f.generated = queued.resume_generated;
-    f.preemptions = queued.preempt_count;
-    f.arrival_s = queued.arrival_s;
-    // Clamp the milestones so a request cancelled before its modeled
-    // arrival (or before admission) reports zero queue wait rather
-    // than a negative one.  A preempted request keeps its original
-    // admission stamp -- it really was admitted back then.
-    const double retired_s = std::max(now_s_, queued.arrival_s);
-    f.admitted_s = queued.resumed ? queued.original_admitted_s
-                                  : retired_s;
-    f.first_token_s = queued.first_token_s;
-    f.finished_s = retired_s;
-    record_finished(std::move(f));
 }
 
 bool
@@ -700,8 +650,7 @@ Scheduler::cancel(std::uint64_t id)
     }
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
         if (it->id == id) {
-            finish_queued(std::move(*it),
-                          FinishReason::kCancelled);
+            finish(*it, FinishReason::kCancelled);
             queue_.erase(it);
             return true;
         }
@@ -721,7 +670,7 @@ Scheduler::cancel_all(FinishReason reason)
         ++retired;
     }
     while (!queue_.empty()) {
-        finish_queued(std::move(queue_.front()), reason);
+        finish(queue_.front(), reason);
         queue_.pop_front();
         ++retired;
     }
@@ -740,7 +689,7 @@ Scheduler::expire_deadlines()
     for (auto it = queue_.begin(); it != queue_.end();) {
         if (it->request.deadline_s > 0.0 &&
             it->request.deadline_s <= now_s_) {
-            finish_queued(std::move(*it), FinishReason::kDeadline);
+            finish(*it, FinishReason::kDeadline);
             it = queue_.erase(it);
         } else {
             ++it;
@@ -748,7 +697,7 @@ Scheduler::expire_deadlines()
     }
     // Back to front so retire_active's erase keeps indexes valid.
     for (std::size_t i = active_.size(); i-- > 0;) {
-        const ActiveRequest& a = active_[i];
+        const Tracked& a = active_[i];
         if (!a.done && a.request.deadline_s > 0.0 &&
             a.request.deadline_s <= now_s_) {
             retire_active(i, FinishReason::kDeadline);
@@ -766,11 +715,10 @@ Scheduler::expire_admission_timeouts()
             it->request.admission_timeout_s > 0.0
                 ? it->request.admission_timeout_s
                 : config_.admission_timeout_s;
-        if (!it->resumed && timeout > 0.0 &&
+        if (!it->admitted_s && timeout > 0.0 &&
             it->arrival_s <= now_s_ &&
             now_s_ - it->arrival_s >= timeout) {
-            finish_queued(std::move(*it),
-                          FinishReason::kAdmissionTimeout);
+            finish(*it, FinishReason::kAdmissionTimeout);
             it = queue_.erase(it);
         } else {
             ++it;
@@ -794,7 +742,8 @@ Scheduler::shed_for_capacity()
         std::size_t candidates = 0;
         std::size_t newest = 0;
         for (std::size_t i = 0; i < queue_.size(); ++i) {
-            if (!queue_[i].resumed && queue_[i].arrival_s <= now_s_) {
+            if (!queue_[i].admitted_s &&
+                queue_[i].arrival_s <= now_s_) {
                 ++candidates;
                 newest = i;
             }
@@ -802,7 +751,7 @@ Scheduler::shed_for_capacity()
         if (candidates <= config_.max_queued_requests) {
             return;
         }
-        finish_queued(std::move(queue_[newest]), FinishReason::kShed);
+        finish(queue_[newest], FinishReason::kShed);
         queue_.erase(queue_.begin() +
                      static_cast<std::ptrdiff_t>(newest));
     }
@@ -846,11 +795,11 @@ Scheduler::step()
     std::vector<std::size_t> prefill_owner;
     std::vector<std::size_t> decode_owner;
     for (std::size_t i = 0; i < active_.size(); ++i) {
-        ActiveRequest& a = active_[i];
+        Tracked& a = active_[i];
         if (!a.prefill_done()) {
             const units::Tokens chunk = step_append_tokens(a);
             StepPlan::PrefillEntry entry;
-            entry.session = &a.session;
+            entry.session = &*a.session;
             if (functional_) {
                 entry.tokens = std::span<const int>(a.feed).subspan(
                     a.prompt_fed.value(), chunk.value());
@@ -860,9 +809,10 @@ Scheduler::step()
             plan.prefills.push_back(entry);
             prefill_owner.push_back(i);
         } else {
-            plan.decode_sessions.push_back(&a.session);
+            plan.decode_sessions.push_back(&*a.session);
             if (functional_) {
-                plan.decode_tokens.push_back(a.pending_token);
+                // The last emission is the next decode input.
+                plan.decode_tokens.push_back(a.tokens.back());
             }
             decode_owner.push_back(i);
         }
@@ -886,14 +836,14 @@ Scheduler::step()
                    result.outputs[k].next_token);
     }
     for (std::size_t k = 0; k < result.prefill_outputs.size(); ++k) {
-        ActiveRequest& a = active_[prefill_owner[k]];
+        Tracked& a = active_[prefill_owner[k]];
         a.prompt_fed += plan.prefills[k].size();
         if (!a.prefill_done()) {
             continue;
         }
         // Prefill complete: the chunk's final logits already carry
-        // the next generated token.  A resumed request (generated >
-        // 0) just replayed its history -- its TTFT stands and its
+        // the next generated token.  A preempted request (generated
+        // > 0) just replayed its history -- its TTFT stands and its
         // next emission continues where eviction cut it off.
         if (a.generated == units::Tokens(0)) {
             if (a.request.max_new_tokens == units::Tokens(0)) {
@@ -913,13 +863,13 @@ Scheduler::step()
     // iteration's token, then the request retires with its KV blocks
     // released exactly as on a natural finish.
     expire_deadlines();
-    for (const ActiveRequest& a : active_) {
+    for (const Tracked& a : active_) {
         if (a.done) {
             deregister_prefix_owner(a);
         }
     }
     active_.erase(std::remove_if(active_.begin(), active_.end(),
-                                 [](const ActiveRequest& a) {
+                                 [](const Tracked& a) {
                                      return a.done;
                                  }),
                   active_.end());
@@ -952,7 +902,7 @@ Scheduler::check_invariants() const
         for (const std::uint64_t owner : owners) {
             const auto holder = std::find_if(
                 active_.begin(), active_.end(),
-                [owner](const ActiveRequest& a) {
+                [owner](const Tracked& a) {
                     return a.id == owner;
                 });
             if (holder == active_.end()) {
@@ -980,8 +930,8 @@ Scheduler::check_invariants() const
     // refcount total must equal the sum of the sessions' tables, or a
     // cache leaked / double-freed a reference.
     units::Blocks table_blocks{0};
-    for (const ActiveRequest& a : active_) {
-        table_blocks += a.session.kv_block_count();
+    for (const Tracked& a : active_) {
+        table_blocks += a.session->kv_block_count();
     }
     if (table_blocks.value() != pool_.ref_total()) {
         out << "resident sessions hold " << table_blocks
@@ -1044,22 +994,17 @@ Scheduler::stats() const
             sum_queue_s_ / static_cast<double>(finished_count_);
     }
     // Each latency mean divides by the count of requests it is
-    // defined over, not by every finished request.
-    if (ttft_count_ > 0) {
-        s.mean_ttft_s =
-            sum_ttft_s_ / static_cast<double>(ttft_count_);
-        s.max_ttft_s = max_ttft_s_;
-    }
-    if (tpot_count_ > 0) {
-        s.mean_tpot_s =
-            sum_tpot_s_ / static_cast<double>(tpot_count_);
-    }
+    // defined over, not by every finished request, and sums in
+    // finishing order before the sorted copies below.
+    s.mean_ttft_s = mean_of(ttft_samples_);
+    s.mean_tpot_s = mean_of(tpot_samples_);
     {
         // Exact nearest-rank percentiles over the same per-request
         // samples the means use (sorted on demand: stats() is a
         // report call, not a per-step one).
         std::vector<double> ttft = ttft_samples_;
         std::sort(ttft.begin(), ttft.end());
+        s.max_ttft_s = ttft.empty() ? 0.0 : ttft.back();
         s.p50_ttft_s = nearest_rank(ttft, 50.0);
         s.p95_ttft_s = nearest_rank(ttft, 95.0);
         s.p99_ttft_s = nearest_rank(ttft, 99.0);

@@ -27,11 +27,13 @@
  *    (head-of-line blocking, no starvation);
  *  - **preemption**: when decode growth would run the pool dry, the
  *    lowest-priority running request (ties: latest admitted) is
- *    evicted -- its blocks freed immediately -- and re-queued at the
- *    front for recompute-style re-prefill through the existing
- *    chunked-prefill path (its prompt plus the tokens it had already
- *    generated are replayed, so its remaining output is bit-identical
- *    to an uncontended run);
+ *    evicted -- its session reset, so its blocks free immediately --
+ *    and its record moves back to the queue front for
+ *    recompute-style re-prefill through the existing chunked-prefill
+ *    path (its prompt plus the tokens it had already generated are
+ *    replayed, so its remaining output is bit-identical to an
+ *    uncontended run).  A request keeps that one record from submit
+ *    to retirement; queue and active set only move it;
  *  - **prefix caching**: a content-addressed index of the resident
  *    requests' prompt-block runs (chained hashes at block
  *    granularity, per KV precision).  When a new request's prompt
@@ -280,19 +282,20 @@ struct ServerStats {
     double mean_worker_busy = 0.0;
     double mean_worker_idle = 0.0;
 
-    // Over finished requests, on the modeled clock.  TTFT aggregates
-    // are over requests that emitted >= 1 token and TPOT over those
-    // that emitted >= 2 -- a max_new_tokens == 0 request has no first
-    // token and a single-token request has no inter-token gap, so
-    // neither may dilute the means (they still count toward queue
-    // stats and finished).
+    // Over finished requests, on the modeled clock.  Every TTFT
+    // figure (mean, max, percentiles) comes from one sample list, of
+    // the requests that emitted >= 1 token, and every TPOT figure
+    // from one list of those that emitted >= 2 -- a max_new_tokens ==
+    // 0 request has no first token and a single-token request has no
+    // inter-token gap, so neither may dilute the means (they still
+    // count toward queue stats and finished).
     double mean_queue_s = 0.0;
     double mean_ttft_s = 0.0;
     double max_ttft_s = 0.0;
     double mean_tpot_s = 0.0;
 
-    // Latency *percentiles* over the same per-request samples the
-    // means are computed from (exact nearest-rank over every
+    // Latency *percentiles* over the same sample lists the means
+    // and max are computed from (exact nearest-rank over every
     // finished request, not a reservoir -- serving horizons here are
     // at most tens of thousands of requests).  Tail latency is the
     // serving number that matters: a mean TTFT hides the p99 queue
@@ -390,10 +393,34 @@ class Scheduler {
     [[nodiscard]] std::string check_invariants() const;
 
   private:
-    struct ActiveRequest {
-        std::uint64_t id = 0;
-        Request request;
-        Session session;
+    /**
+     * One request from submit() to retirement.  The queue and the
+     * active set hold the same record: admission moves it from the
+     * queue head into active_, and a preemption moves it back to the
+     * queue front, so nothing is copied across either hop.
+     */
+    struct Tracked {
+        std::uint64_t id{};
+        Request request{};
+        /** max(arrival_time_s, clock at submit). */
+        double arrival_s{};
+        /** First admission; a preemption keeps it. */
+        std::optional<double> admitted_s{};
+        double first_token_s{};
+        std::size_t preempt_count{};
+        /**
+         * Chain keys of the request's shareable prompt-block runs,
+         * hashed once at submit (they depend only on the prompt /
+         * prefix declaration and precision) -- the prefix-index
+         * entries it owns while resident.
+         */
+        std::vector<std::uint64_t> prefix_keys{};
+        /** Tokens emitted so far (functional). */
+        std::vector<int> tokens{};
+        units::Tokens generated{};
+
+        // Set at each admission.
+        std::optional<Session> session{};
         /**
          * Tokens chunked prefill feeds (functional): the prompt,
          * plus -- after a preemption -- the tokens generated before
@@ -401,60 +428,15 @@ class Scheduler {
          */
         std::vector<int> feed{};
         /** Effective prompt length (analytic: prompt + replayed). */
-        units::Tokens feed_tokens{0};
-        units::Tokens prompt_fed{0};
-        std::vector<int> tokens{};
-        units::Tokens generated{0};
-        int pending_token = -1;  ///< Next decode input.
-        /**
-         * Positions adopted from a resident request's KV blocks at
-         * admission (prefix-cache hit); their prefill chunks were
-         * skipped.
-         */
-        units::Tokens shared_prefix_tokens{0};
-        /** Block groups those positions cover. */
-        units::Blocks shared_prefix_blocks{0};
-        /**
-         * Chain keys of this request's shareable prompt-block runs
-         * -- the prefix-index entries it owns while resident.
-         */
-        std::vector<std::uint64_t> prefix_keys{};
-        std::uint64_t admission_seq = 0;
-        std::size_t preempt_count = 0;
-        double arrival_s = 0.0;
-        double admitted_s = 0.0;
-        double first_token_s = 0.0;
-        bool done = false;
+        units::Tokens feed_tokens{};
+        units::Tokens prompt_fed{};
+        bool done{};
 
         bool
         prefill_done() const
         {
             return prompt_fed >= feed_tokens;
         }
-    };
-
-    struct QueuedRequest {
-        std::uint64_t id = 0;
-        Request request;
-        /** max(arrival_time_s, clock at submit). */
-        double arrival_s = 0.0;
-
-        /**
-         * Chain keys of the request's shareable prompt blocks,
-         * computed once at submit (they depend only on the prompt /
-         * prefix declaration and precision) and moved into the
-         * ActiveRequest at admission; find_prefix_match walks them
-         * on every admission attempt without re-hashing the prompt.
-         */
-        std::vector<std::uint64_t> prefix_keys;
-
-        // Resume state carried across a preemption.
-        bool resumed = false;
-        std::vector<int> resume_tokens;
-        units::Tokens resume_generated{0};
-        double original_admitted_s = 0.0;
-        double first_token_s = 0.0;
-        std::size_t preempt_count = 0;
     };
 
     std::size_t
@@ -490,17 +472,18 @@ class Scheduler {
      * leaving >= 1 token to feed, so the completing chunk's logits
      * still emit the first token).
      */
-    PrefixMatch find_prefix_match(const QueuedRequest& queued) const;
+    PrefixMatch find_prefix_match(const Tracked& queued) const;
     /** Publish @p req's prompt blocks in the prefix index. */
-    void register_prefix_owner(ActiveRequest& req);
+    void register_prefix_owner(const Tracked& req);
     /** Remove @p req's prefix-index entries (retire / preempt). */
-    void deregister_prefix_owner(const ActiveRequest& req);
+    void deregister_prefix_owner(const Tracked& req);
     /**
      * Bytes admission must charge for @p queued: the blocks covering
-     * its (possibly resumed) prompt plus the first decode append; a
-     * prefix-cache hit charges only the unshared tail.
+     * its prompt, any tokens it generated before a preemption and the
+     * first decode append; a prefix-cache hit charges only the
+     * unshared tail.
      */
-    units::Bytes admission_bytes(const QueuedRequest& queued,
+    units::Bytes admission_bytes(const Tracked& queued,
                                  units::Blocks shared_blocks) const;
     /** Watermark headroom at the largest resident block group. */
     units::Bytes watermark_bytes(quant::KvPrecision head_precision)
@@ -508,14 +491,17 @@ class Scheduler {
     /** Bytes @p req still needs to cover @p tokens positions, beyond
      *  the blocks its session holds (shared blocks therefore counted
      *  once). */
-    units::Bytes growth_slack_bytes(const ActiveRequest& req,
+    units::Bytes growth_slack_bytes(const Tracked& req,
                                     units::Tokens tokens) const;
     units::Bytes committed_total() const;
     /** KV positions @p req will append this iteration. */
-    units::Tokens step_append_tokens(const ActiveRequest& req) const;
+    units::Tokens step_append_tokens(const Tracked& req) const;
     /** Evict active requests until this iteration's appends fit. */
     void preempt_for_pressure();
-    /** Evict active_[index]: free its blocks, re-queue at the front. */
+    /**
+     * Evict active_[index]: reset its session (freeing its blocks)
+     * and move its record to the queue front.
+     */
     void preempt(std::size_t index);
     /**
      * Retire active_[index] with @p reason right now: finish it,
@@ -524,8 +510,13 @@ class Scheduler {
      * of the end-of-step retire path.
      */
     void retire_active(std::size_t index, FinishReason reason);
-    /** Retire a (still-)queued request with @p reason. */
-    void finish_queued(QueuedRequest&& queued, FinishReason reason);
+    /**
+     * Record @p req's retirement with @p reason and mark it done; the
+     * caller erases it.  Milestones clamp to its arrival, so a request
+     * retired before arriving or before admission reports no negative
+     * wait, and a preempted one keeps its first admission stamp.
+     */
+    void finish(Tracked& req, FinishReason reason);
     /** Retire queued+active requests whose deadline_s passed. */
     void expire_deadlines();
     /**
@@ -540,12 +531,11 @@ class Scheduler {
     void shed_for_capacity();
     /** Retire queued requests whose admission timeout expired. */
     void expire_admission_timeouts();
-    /** Fold @p f into the latency aggregates and the finished list. */
+    /** Fold @p f into the counters, sample lists and finished list. */
     void record_finished(FinishedRequest f);
     void admit_arrivals();
     /** Emit one generated token; returns true when req is finished. */
-    bool emit_token(ActiveRequest& req, int token);
-    void finish(ActiveRequest& req, FinishReason reason);
+    bool emit_token(Tracked& req, int token);
 
     const Engine& engine_;
     SchedulerConfig config_;
@@ -553,8 +543,12 @@ class Scheduler {
     bool functional_ = false;
 
     quant::BlockPool pool_;
-    std::deque<QueuedRequest> queue_;
-    std::vector<ActiveRequest> active_;
+    std::deque<Tracked> queue_;
+    /**
+     * Admitted requests in admission order: they only join by
+     * push_back and only leave by order-keeping erases.
+     */
+    std::vector<Tracked> active_;
     std::vector<FinishedRequest> finished_;
 
     /**
@@ -584,20 +578,16 @@ class Scheduler {
     std::size_t prefix_hits_ = 0;
     units::Blocks shared_blocks_{0};
     units::Tokens saved_prefill_tokens_{0};
-    std::uint64_t admission_seq_ = 0;
     double sum_queue_s_ = 0.0;
-    double sum_ttft_s_ = 0.0;
-    double max_ttft_s_ = 0.0;
-    double sum_tpot_s_ = 0.0;
     /** Pooled-step worker-utilization sums (stats() divides). */
     std::size_t pooled_steps_ = 0;
     double sum_worker_busy_ = 0.0;
-    /** Finished requests that emitted >= 1 token (TTFT divisor). */
-    std::size_t ttft_count_ = 0;
-    /** Finished requests that emitted >= 2 tokens (TPOT divisor). */
-    std::size_t tpot_count_ = 0;
-    /** Per-request latency samples behind the stats() percentiles
-     *  (same inclusion rules as the ttft/tpot counts above). */
+    /**
+     * Per-request latency samples in finishing order, the only
+     * latency record: every TTFT figure of stats() comes from the
+     * requests that emitted >= 1 token, every TPOT figure from those
+     * that emitted >= 2.
+     */
     std::vector<double> ttft_samples_;
     std::vector<double> tpot_samples_;
 };

@@ -40,11 +40,16 @@ seed_from_entropy()
  * any finite double, so every cast the API narrows through must
  * reject non-finite and out-of-range values here -- casting inf or a
  * negative to an unsigned integral is undefined behaviour.
+ *
+ * A token count is at most 2^32: at the largest per-position KV
+ * footprint in the repo (70B with float KV, 655,360 B) that many
+ * positions are about 2.8e15 bytes, far inside the 64-bit byte
+ * arithmetic of units::bytes_for, which aborts on overflow.
  */
 bool
 to_count(double value, std::size_t* out)
 {
-    if (!std::isfinite(value) || value < 0.0 || value > 1e15) {
+    if (!std::isfinite(value) || value < 0.0 || value > 4294967296.0) {
         return false;
     }
     *out = static_cast<std::size_t>(value);
@@ -307,9 +312,11 @@ Frontend::handle_generate(Connection& connection,
     request.max_new_tokens = units::Tokens(max_new);
     if (const json::Value* stop = body->find("stop_token")) {
         int stop_id = 0;
-        if (stop->is_number() && to_int(stop->number, &stop_id)) {
-            request.stop_token = stop_id;
+        if (!stop->is_number() || !to_int(stop->number, &stop_id)) {
+            reject_numbers();
+            return;
         }
+        request.stop_token = stop_id;
     }
     request.priority = priority;
     request.prefix_group = prefix_group;
@@ -332,11 +339,25 @@ Frontend::handle_generate(Connection& connection,
     }
     const bool stream = body->bool_or("stream", true);
 
-    if (server_.engine().has_model() && request.prompt.empty()) {
-        connection.write_response(
-            400, "application/json",
-            "{\"error\":\"functional engine needs a prompt\"}");
-        return;
+    if (server_.engine().has_model()) {
+        if (request.prompt.empty()) {
+            connection.write_response(
+                400, "application/json",
+                "{\"error\":\"functional engine needs a prompt\"}");
+            return;
+        }
+        // The model looks every prompt token up in its embedding
+        // table, so an id outside [0, vocab) is out of range.
+        const std::size_t vocab = server_.engine().model_config()->vocab;
+        if (std::any_of(request.prompt.begin(), request.prompt.end(),
+                        [vocab](int token) {
+                            return token < 0 ||
+                                   static_cast<std::size_t>(token) >=
+                                       vocab;
+                        })) {
+            reject_numbers();
+            return;
+        }
     }
     if (!server_.accepting()) {
         connection.write_response(503, "application/json",

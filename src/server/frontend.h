@@ -11,12 +11,14 @@
  *  - POST /v1/generate -- submit one request.  JSON body fields
  *    (all optional unless the engine is functional, which requires
  *    "prompt"):
- *      prompt            array of token ints (functional engines)
- *      prompt_tokens     analytic prompt length
- *      max_new_tokens    generation cap (default 16)
- *      stop_token        early-stop token id
+ *      prompt            array of token ints; a functional engine
+ *                        takes ids in [0, vocab) only
+ *      prompt_tokens     analytic prompt length (at most 2^32)
+ *      max_new_tokens    generation cap (default 16, at most 2^32)
+ *      stop_token        early-stop token id (an int when present)
  *      priority          preemption priority
  *      prefix_group / prefix_tokens   analytic shared-prefix decl.
+ *                        (prefix_tokens at most 2^32)
  *      arrival_time_s    modeled-clock arrival (trace replay)
  *      deadline_s        absolute modeled-clock deadline
  *      timeout_s         relative deadline: modeled now + timeout
@@ -43,7 +45,10 @@
  * TPOT: ceil((queued + active) x p50 TPOT x nominal tokens), clamped
  * to [1, 60] seconds.  A known route hit with the wrong method gets
  * 405; malformed JSON and non-finite / out-of-range numeric fields
- * get 400 before anything is submitted.  A client that stops
+ * get 400 before anything is submitted -- among them a token count
+ * over 2^32 (whose KV bytes could overflow 64 bits), a prompt token
+ * outside [0, vocab) on a functional engine, and a stop_token that
+ * is not an int.  A client that stops
  * draining its stream for longer than the write timeout (or
  * vanishes) has its request cancelled -- KV blocks release
  * immediately -- and is counted in slow_client_cancels.

@@ -1,7 +1,9 @@
 #include "server/http.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -445,7 +447,10 @@ Client::request(const std::string& method, const std::string& target,
     const auto te = response.headers.find("transfer-encoding");
     if (te != response.headers.end() &&
         lower(te->second) == "chunked") {
-        // De-chunk: size-line CRLF data CRLF ... 0 CRLF CRLF.
+        // De-chunk: size-line CRLF data CRLF ... 0 CRLF CRLF.  A
+        // size is all the hex digits before CRLF or a ';' extension;
+        // anything else in them, a size past the received bytes or a
+        // chunk without its CRLF refuses the response.
         std::string decoded;
         std::size_t pos = 0;
         for (;;) {
@@ -453,17 +458,26 @@ Client::request(const std::string& method, const std::string& target,
             if (crlf == std::string::npos) {
                 return std::nullopt;
             }
-            const std::size_t size = static_cast<std::size_t>(
-                std::strtoull(payload.c_str() + pos, nullptr, 16));
+            const char* digits = payload.data() + pos;
+            const char* digits_end =
+                payload.data() + std::min(crlf, payload.find(';', pos));
+            std::size_t size = 0;
+            const auto [ptr, ec] =
+                std::from_chars(digits, digits_end, size, 16);
+            if (ec != std::errc() || ptr != digits_end) {
+                return std::nullopt;
+            }
             if (size == 0) {
                 break;
             }
             const std::size_t data_start = crlf + 2;
-            if (data_start + size > payload.size()) {
+            // Compared against what is left, so it cannot wrap.
+            if (size > payload.size() - data_start ||
+                payload.compare(data_start + size, 2, "\r\n") != 0) {
                 return std::nullopt;
             }
-            decoded += payload.substr(data_start, size);
-            pos = data_start + size + 2;  // Skip trailing CRLF.
+            decoded.append(payload, data_start, size);
+            pos = data_start + size + 2;
         }
         response.body = std::move(decoded);
     } else {

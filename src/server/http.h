@@ -24,7 +24,7 @@
  * Unhappy-path hardening: every read/send retries EINTR, sends use
  * MSG_NOSIGNAL (and mugi_server additionally ignores SIGPIPE
  * process-wide) so a vanished client surfaces as a failed write --
- * never a signal death -- short writes are resumed, and EAGAIN from
+ * never a signal death -- short writes are continued, and EAGAIN from
  * an expired SO_SNDTIMEO (set_write_timeout) fails the write so a
  * stalled client cannot wedge its connection thread.  write paths
  * carry the "http.write" / "http.write.short" fault sites

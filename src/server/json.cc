@@ -235,69 +235,6 @@ struct Parser {
     }
 };
 
-void
-dump_to(const Value& value, std::string& out)
-{
-    switch (value.kind) {
-      case Value::Kind::kNull:
-        out += "null";
-        break;
-      case Value::Kind::kBool:
-        out += value.boolean ? "true" : "false";
-        break;
-      case Value::Kind::kNumber: {
-        // Integral values print without a decimal point, so token
-        // ids and counts round-trip textually.
-        if (value.number == std::floor(value.number) &&
-            std::abs(value.number) < 1e15) {
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "%lld",
-                          static_cast<long long>(value.number));
-            out += buf;
-        } else {
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "%.17g", value.number);
-            out += buf;
-        }
-        break;
-      }
-      case Value::Kind::kString:
-        out += '"';
-        out += escape(value.string);
-        out += '"';
-        break;
-      case Value::Kind::kArray: {
-        out += '[';
-        bool first = true;
-        for (const Value& v : value.array) {
-            if (!first) {
-                out += ',';
-            }
-            first = false;
-            dump_to(v, out);
-        }
-        out += ']';
-        break;
-      }
-      case Value::Kind::kObject: {
-        out += '{';
-        bool first = true;
-        for (const auto& [key, v] : value.object) {
-            if (!first) {
-                out += ',';
-            }
-            first = false;
-            out += '"';
-            out += escape(key);
-            out += "\":";
-            dump_to(v, out);
-        }
-        out += '}';
-        break;
-      }
-    }
-}
-
 }  // namespace
 
 const Value*
@@ -341,14 +278,6 @@ parse(const std::string& text)
 }
 
 std::string
-dump(const Value& value)
-{
-    std::string out;
-    dump_to(value, out);
-    return out;
-}
-
-std::string
 escape(const std::string& text)
 {
     std::string out;
@@ -377,10 +306,16 @@ escape(const std::string& text)
 ObjectWriter&
 ObjectWriter::field(const std::string& key, double value)
 {
-    Value v;
-    v.kind = Value::Kind::kNumber;
-    v.number = value;
-    return field_raw(key, dump(v));
+    // Integral values print without a decimal point, so token ids
+    // and counts read back as the integers they are.
+    char buf[32];
+    if (value == std::floor(value) && std::abs(value) < 1e15) {
+        std::snprintf(buf, sizeof(buf), "%lld",
+                      static_cast<long long>(value));
+    } else {
+        std::snprintf(buf, sizeof(buf), "%.17g", value);
+    }
+    return field_raw(key, buf);
 }
 
 ObjectWriter&

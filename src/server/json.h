@@ -15,8 +15,8 @@
  * gate agree on one grammar.
  *
  * Thread-safety: externally serialized -- Value is a plain value
- * type and parse()/dump() are pure functions of their arguments;
- * distinct threads may parse distinct documents freely.
+ * type and parse() is a pure function of its argument; distinct
+ * threads may parse distinct documents freely.
  */
 
 #include <cstddef>
@@ -38,7 +38,6 @@ struct Value {
     double number = 0.0;
     std::string string;
     std::vector<Value> array;
-    /** Ordered map: dump() round-trips keys deterministically. */
     std::map<std::string, Value> object;
 
     bool is_null() const { return kind == Kind::kNull; }
@@ -57,9 +56,6 @@ struct Value {
 
 /** Parse one JSON document; nullopt on any syntax error. */
 std::optional<Value> parse(const std::string& text);
-
-/** Serialize @p value back to compact JSON. */
-std::string dump(const Value& value);
 
 /** Escape @p text as the inside of a JSON string literal. */
 std::string escape(const std::string& text);

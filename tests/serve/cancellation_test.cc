@@ -8,6 +8,7 @@
  * acceptance number the serving front-end rests on.
  */
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -265,6 +266,72 @@ TEST(Cancellation, ShutdownWithInFlightAndQueuedReleasesEverything)
     }
     EXPECT_FALSE(scheduler.step());  // Nothing left to do.
 
+    EXPECT_EQ(scheduler.kv_bytes_in_use(), units::Bytes(0));
+    EXPECT_EQ(scheduler.check_invariants(), "");
+}
+
+TEST(Cancellation, PreemptedRequestCancelledWhileRequeued)
+{
+    // A preempted request waits at the queue front for re-prefill.
+    // Cancelled there, it retires with the tokens it emitted before
+    // the eviction and its first admission stamp.
+    const model::ModelConfig config =
+        model::llama2_70b().scaled_for_eval(2, 32, 64);
+    auto transformer =
+        std::make_shared<model::TransformerModel>(config, 556);
+    const Engine engine(sim::make_mugi(64), transformer);
+    Request low;
+    low.prompt = model::synthetic_tokens(6, config.vocab, 81);
+    low.max_new_tokens = units::Tokens(10);
+    low.priority = -1;
+    Request high = low;
+    high.prompt = model::synthetic_tokens(6, config.vocab, 82);
+    high.priority = 0;
+
+    // Reference: the victim alone, uncontended.
+    std::vector<int> full;
+    {
+        Scheduler scheduler(engine, {});
+        scheduler.submit(low);
+        std::vector<FinishedRequest> finished = scheduler.run();
+        ASSERT_EQ(finished.size(), 1u);
+        full = finished[0].tokens;
+    }
+
+    // The budget of Scheduler.PriorityChoosesThePreemptionVictim:
+    // both prompts fit, both generations do not, and the
+    // lower-priority request is the one evicted.
+    const units::Bytes group = sim::kv_footprint(
+        config, units::Positions(1), quant::KvPrecision::kInt4,
+        units::Tokens(4)).paged_bytes;
+    SchedulerConfig sched_config;
+    sched_config.kv_block_tokens = units::Tokens(4);
+    sched_config.kv_budget_bytes = group * 5;
+    sched_config.max_batch = 2;
+    Scheduler scheduler(engine, sched_config);
+    const std::uint64_t low_id = scheduler.submit(low);
+    scheduler.submit(high);
+    while (scheduler.preemptions() != 1 || scheduler.queued() != 1) {
+        ASSERT_TRUE(scheduler.step());
+    }
+    EXPECT_TRUE(scheduler.cancel(low_id));
+
+    std::vector<FinishedRequest> finished =
+        scheduler.take_finished();
+    ASSERT_EQ(finished.size(), 1u);
+    const FinishedRequest& f = finished[0];
+    EXPECT_EQ(f.id, low_id);
+    EXPECT_EQ(f.reason, FinishReason::kCancelled);
+    EXPECT_EQ(f.preemptions, 1u);
+    EXPECT_EQ(f.generated, units::Tokens(f.tokens.size()));
+    ASSERT_GE(f.tokens.size(), 1u);
+    ASSERT_LT(f.tokens.size(), full.size());
+    EXPECT_TRUE(std::equal(f.tokens.begin(), f.tokens.end(),
+                           full.begin()));
+    // Admitted on arrival, before the eviction: no queue wait.
+    EXPECT_EQ(f.queue_s(), 0.0);
+
+    scheduler.run();
     EXPECT_EQ(scheduler.kv_bytes_in_use(), units::Bytes(0));
     EXPECT_EQ(scheduler.check_invariants(), "");
 }

@@ -367,6 +367,16 @@ TEST(Scheduler, PreemptionKeepsOutputBitIdentical)
         preempted_requests += f.preemptions > 0 ? 1 : 0;
     }
     EXPECT_GE(preempted_requests, 1u);
+    // Equal priorities: the tie-break evicts the later-admitted
+    // request, never the first.
+    for (const FinishedRequest& f : finished) {
+        if (f.id == ids[1]) {
+            EXPECT_GE(f.preemptions, 1u);
+        } else {
+            EXPECT_EQ(f.id, ids[0]);
+            EXPECT_EQ(f.preemptions, 0u);
+        }
+    }
     const ServerStats stats = scheduler.stats();
     EXPECT_EQ(stats.preemptions, scheduler.preemptions());
     // Recompute work shows up as extra prefill tokens: both prompts
@@ -974,6 +984,20 @@ TEST(Scheduler, StaggeredArrivalsRespectTheModeledClock)
     EXPECT_GT(stats.mean_ttft_s, 0.0);
     EXPECT_GE(stats.max_ttft_s, stats.mean_ttft_s);
     EXPECT_GT(stats.mean_tpot_s, 0.0);
+    // Every latency figure comes from the per-request samples, summed
+    // in finishing order: the exact bits of adding up the finished
+    // requests in the order run() returns them.
+    double sum_ttft = 0.0;
+    double sum_tpot = 0.0;
+    double max_ttft = 0.0;
+    for (const FinishedRequest& f : finished) {
+        sum_ttft += f.ttft_s();
+        sum_tpot += f.tpot_s();
+        max_ttft = std::max(max_ttft, f.ttft_s());
+    }
+    EXPECT_EQ(stats.mean_ttft_s, sum_ttft / 2.0);
+    EXPECT_EQ(stats.mean_tpot_s, sum_tpot / 2.0);
+    EXPECT_EQ(stats.max_ttft_s, max_ttft);
     EXPECT_GT(stats.horizon.tokens, 0.0);
     EXPECT_FALSE(std::isnan(stats.horizon.energy_per_token_j));
     EXPECT_GT(stats.horizon.energy_per_token_j, 0.0);

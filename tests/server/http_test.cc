@@ -1,8 +1,9 @@
 /**
  * @file
  * Contract of the sockets-only HTTP front-end layer: the JSON
- * grammar round-trips, Listener/Connection/Client speak HTTP/1.1
- * (including chunked streaming) over loopback, and server::Frontend
+ * grammar parses and writes, Listener/Connection/Client speak
+ * HTTP/1.1 (including chunked streaming, and refusing malformed
+ * chunk framing) over loopback, and server::Frontend
  * routes generate/cancel/metrics/health correctly -- with a real
  * mid-stream DELETE driven over a raw socket, gated on zero KV bytes
  * left behind.
@@ -42,7 +43,8 @@ TEST(Json, ParsesTheServingRequestShape)
 {
     const std::optional<json::Value> v = json::parse(
         "{\"prompt\":[3,1,4],\"max_new_tokens\":8,"
-        "\"stream\":false,\"note\":\"a \\\"b\\\" \\n c\"}");
+        "\"stream\":false,\"note\":\"a \\\"b\\\" \\n c \\\\ d\","
+        "\"opts\":{\"c\":true,\"d\":null}}");
     ASSERT_TRUE(v.has_value());
     ASSERT_TRUE(v->is_object());
     const json::Value* prompt = v->find("prompt");
@@ -52,27 +54,17 @@ TEST(Json, ParsesTheServingRequestShape)
     EXPECT_EQ(prompt->array[1].number, 1.0);
     EXPECT_EQ(v->number_or("max_new_tokens", 0.0), 8.0);
     EXPECT_FALSE(v->bool_or("stream", true));
-    EXPECT_EQ(v->find("note")->string, "a \"b\" \n c");
+    EXPECT_EQ(v->find("note")->string, "a \"b\" \n c \\ d");
+    // Nested objects and null.
+    const json::Value* opts = v->find("opts");
+    ASSERT_NE(opts, nullptr);
+    ASSERT_TRUE(opts->is_object());
+    EXPECT_TRUE(opts->bool_or("c", false));
+    ASSERT_NE(opts->find("d"), nullptr);
+    EXPECT_TRUE(opts->find("d")->is_null());
     // Absent / mistyped members fall back.
     EXPECT_EQ(v->number_or("missing", -1.0), -1.0);
     EXPECT_TRUE(v->bool_or("prompt", true));
-}
-
-TEST(Json, RoundTripsThroughDump)
-{
-    const std::string text =
-        "{\"a\":[1,2.5,-3],\"b\":{\"c\":true,\"d\":null},"
-        "\"e\":\"x\\\"y\\\\z\"}";
-    const std::optional<json::Value> v = json::parse(text);
-    ASSERT_TRUE(v.has_value());
-    // dump() then parse() again: identical structure.
-    const std::optional<json::Value> again =
-        json::parse(json::dump(*v));
-    ASSERT_TRUE(again.has_value());
-    EXPECT_EQ(json::dump(*v), json::dump(*again));
-    // Integral numbers print without a decimal point.
-    EXPECT_NE(json::dump(*v).find("\"a\":[1,2.5,-3]"),
-              std::string::npos);
 }
 
 TEST(Json, RejectsMalformedDocuments)
@@ -95,7 +87,13 @@ TEST(Json, ObjectWriterEscapes)
     w.field("s", std::string("a\"b"))
         .field_int("n", -7)
         .field_bool("t", true)
-        .field_raw("arr", "[1,2]");
+        .field_raw("arr", "[1,2]")
+        .field("whole", 3.0)
+        .field("frac", 2.5);
+    // Integral numbers print without a decimal point.
+    EXPECT_NE(w.str().find("\"whole\":3,\"frac\":2.5}"),
+              std::string::npos)
+        << w.str();
     const std::optional<json::Value> v = json::parse(w.str());
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(v->find("s")->string, "a\"b");
@@ -162,6 +160,58 @@ TEST(Http, ChunkedResponseIsReassembled)
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->status, 200);
     EXPECT_EQ(response->body, "one two three");
+}
+
+TEST(Http, MalformedChunkSizesAreRefused)
+{
+    // Raw chunked bodies on the wire: a size that is not all hex
+    // digits, one past the bytes received (near 2^64, where an offset
+    // sum would wrap) or a chunk without its CRLF refuses the
+    // response, never reads as a short or empty body.
+    struct Case {
+        const char* chunks;
+        const char* body;  ///< nullptr: the response is refused.
+    };
+    const std::vector<Case> cases = {
+        {"zz\r\nhello\r\n0\r\n\r\n", nullptr},
+        {"fffffffffffffffe\r\n0\r\n\r\n", nullptr},
+        {"-1\r\nhello\r\n0\r\n\r\n", nullptr},
+        {"5\r\nhelloXX0\r\n\r\n", nullptr},
+        {"5\r\nhello\r\n0\r\n\r\n", "hello"},
+    };
+    Listener listener;
+    ASSERT_TRUE(listener.bind_and_listen(0));
+    std::thread serverThread([&listener, &cases] {
+        for (const Case& c : cases) {
+            const int fd = listener.accept_fd(5000);
+            ASSERT_GE(fd, 0);
+            Connection connection(fd);
+            HttpRequest request;
+            ASSERT_TRUE(connection.read_request(&request));
+            const std::string response =
+                std::string("HTTP/1.1 200 OK\r\n"
+                            "Transfer-Encoding: chunked\r\n"
+                            "Connection: close\r\n\r\n") +
+                c.chunks;
+            ASSERT_EQ(::send(fd, response.data(), response.size(),
+                             MSG_NOSIGNAL),
+                      static_cast<ssize_t>(response.size()));
+        }
+    });
+
+    for (const Case& c : cases) {
+        Client client;
+        ASSERT_TRUE(client.connect(listener.port()));
+        const std::optional<HttpResponse> response =
+            client.request("GET", "/chunks");
+        if (c.body == nullptr) {
+            EXPECT_FALSE(response.has_value()) << c.chunks;
+        } else {
+            ASSERT_TRUE(response.has_value()) << c.chunks;
+            EXPECT_EQ(response->body, c.body);
+        }
+    }
+    serverThread.join();
 }
 
 TEST(Http, AcceptTimesOutAndClosedListenerRefuses)
@@ -582,19 +632,67 @@ TEST_F(FrontendTest, GarbageRequestLineIsRejected)
 TEST_F(FrontendTest, OverflowingNumbersAreRejected)
 {
     // json.cc's strtod maps 1e999 to inf; every narrowing cast in
-    // the API must range-check instead of invoking UB.
-    for (const char* body :
-         {"{\"prompt\":[1,2],\"max_new_tokens\":1e999}",
-          "{\"prompt\":[1e999],\"max_new_tokens\":4}",
-          "{\"prompt\":[1,2],\"max_new_tokens\":-3}",
-          "{\"prompt\":[1,2],\"priority\":1e12}",
-          "{\"prompt\":[1,2],\"deadline_s\":1e999}",
-          "{\"prompt\":[1,2],\"admission_timeout_s\":1e999}"}) {
+    // the API must range-check instead of invoking UB.  Prompt tokens
+    // must also lie in [0, vocab): the model indexes its embedding
+    // table with them.  A stop_token that is no int is refused, not
+    // ignored.
+    const std::string vocab = std::to_string(config_.vocab);
+    for (const std::string& body : std::vector<std::string>{
+             "{\"prompt\":[1,2],\"max_new_tokens\":1e999}",
+             "{\"prompt\":[1e999],\"max_new_tokens\":4}",
+             "{\"prompt\":[1,2],\"max_new_tokens\":-3}",
+             "{\"prompt\":[1,2],\"priority\":1e12}",
+             "{\"prompt\":[1,2],\"deadline_s\":1e999}",
+             "{\"prompt\":[1,2],\"admission_timeout_s\":1e999}",
+             "{\"prompt\":[-1],\"max_new_tokens\":2}",
+             "{\"prompt\":[-100000000],\"max_new_tokens\":2}",
+             "{\"prompt\":[" + vocab + "],\"max_new_tokens\":2}",
+             "{\"prompt\":[1,2],\"stop_token\":1e12}"}) {
         const std::optional<HttpResponse> response =
             roundtrip("POST", "/v1/generate", body);
         ASSERT_TRUE(response.has_value()) << body;
         EXPECT_EQ(response->status, 400) << body;
     }
+    // The server survived them all, and both ends of the vocabulary
+    // are still served.
+    const std::optional<HttpResponse> valid = roundtrip(
+        "POST", "/v1/generate",
+        "{\"prompt\":[0," + std::to_string(config_.vocab - 1) +
+            "],\"max_new_tokens\":2,\"stop_token\":3,"
+            "\"stream\":false}");
+    ASSERT_TRUE(valid.has_value());
+    EXPECT_EQ(valid->status, 200);
+}
+
+TEST(AnalyticFrontend, PromptCountsPastTheByteRangeAreRejected)
+{
+    // mugi_server's default engine: analytic Llama-2 70B under a
+    // 1 GiB KV budget.  1e15 prompt positions overflow the 64-bit
+    // byte arithmetic of admission, which aborts the process.
+    const serve::Engine engine(sim::make_mugi(256),
+                               model::llama2_70b());
+    serve::ServerConfig config;
+    config.scheduler.kv_budget_bytes =
+        units::Bytes(std::size_t{1} << 30);
+    serve::Server server(engine, config);
+    Frontend frontend(server);
+    ASSERT_TRUE(frontend.bind(0));
+    std::thread accept_thread([&frontend] { frontend.run(); });
+    std::vector<int> statuses;
+    for (const char* body :
+         {"{\"prompt_tokens\":1e15}",
+          "{\"prompt_tokens\":8,\"max_new_tokens\":2}"}) {
+        Client client;
+        const std::optional<HttpResponse> response =
+            client.connect(frontend.port())
+                ? client.request("POST", "/v1/generate", body)
+                : std::nullopt;
+        statuses.push_back(response ? response->status : 0);
+    }
+    frontend.stop();
+    accept_thread.join();
+    EXPECT_EQ(statuses, (std::vector<int>{400, 200}));
+    EXPECT_EQ(server.stats().kv_bytes_in_use, units::Bytes(0));
 }
 
 TEST_F(FrontendTest, InvalidUtf8BodyIsRejected)

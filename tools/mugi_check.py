@@ -103,15 +103,17 @@ ADMISSION_FUNCTIONS = {
 }
 
 #: Scheduler retire paths: everything that hands KV blocks back to
-#: the pool (cancellation, shutdown, deadline expiry) or retires a
-#: request before admission (capacity shedding, admission timeouts --
-#: PR 10's overload sweeps).  The release accounting must stay as
+#: the pool (cancellation, shutdown, deadline expiry, preemption) or
+#: retires a request before admission (capacity shedding, admission
+#: timeouts -- PR 10's overload sweeps), and the one finish() they
+#: all record through.  The release accounting must stay as
 #: unit-typed as the admission accounting.
 RETIRE_FUNCTIONS = {
     "cancel",
     "cancel_all",
     "retire_active",
-    "finish_queued",
+    "finish",
+    "preempt",
     "expire_deadlines",
     "expire_admission_timeouts",
     "shed_for_capacity",
