@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "serve/engine.h"
+#include "sim/cost_model.h"
 #include "vlp/vlp_approximator.h"
 
 using namespace mugi;
@@ -105,10 +105,8 @@ main()
         "D. buffer minimization: FIFO area, Mugi vs Carat (mm^2)");
     bench::print_header("H", {"mugi-fifo", "carat-fifo", "ratio"});
     for (const std::size_t h : {64, 128, 256, 512}) {
-        const double mugi =
-            serve::Engine(sim::make_mugi(h)).area().fifo;
-        const double carat =
-            serve::Engine(sim::make_carat(h)).area().fifo;
+        const double mugi = sim::node_area(sim::make_mugi(h)).fifo;
+        const double carat = sim::node_area(sim::make_carat(h)).fifo;
         bench::print_row(std::to_string(h),
                          {mugi, carat, carat / mugi}, "%10.4f");
     }
@@ -119,9 +117,9 @@ main()
                               "array-total-L/array-total"});
     for (const std::size_t h : {128, 256}) {
         const sim::AreaBreakdown m =
-            serve::Engine(sim::make_mugi(h)).area();
+            sim::node_area(sim::make_mugi(h));
         const sim::AreaBreakdown l =
-            serve::Engine(sim::make_mugi_l(h)).area();
+            sim::node_area(sim::make_mugi_l(h));
         bench::print_row(std::to_string(h),
                          {m.nonlinear, l.nonlinear,
                           l.array_total() / m.array_total()},

@@ -15,7 +15,7 @@
 
 #include "bench_util.h"
 #include "model/workload.h"
-#include "serve/engine.h"
+#include "sim/performance_model.h"
 
 using namespace mugi;
 
@@ -60,8 +60,7 @@ geomean_over_llama(const sim::DesignConfig& d, bool softmax,
     for (const model::ModelConfig& m : family) {
         const model::NonlinearWork w =
             softmax ? softmax_work(m, batch, seq) : silu_work(m, batch);
-        const sim::NonlinearPerf perf =
-            serve::Engine(d).evaluate_nonlinear(w);
+        const sim::NonlinearPerf perf = sim::run_nonlinear_only(d, w);
         t *= perf.elements_per_s;
         e *= perf.energy_efficiency;
         p *= perf.power_efficiency;

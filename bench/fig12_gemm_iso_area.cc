@@ -12,7 +12,7 @@
 #include "arch/tech_model.h"
 #include "bench_util.h"
 #include "model/workload.h"
-#include "serve/engine.h"
+#include "sim/performance_model.h"
 
 using namespace mugi;
 
@@ -29,13 +29,12 @@ gemm_class_metrics(const sim::DesignConfig& d,
                    const model::ModelConfig& m, model::OpClass cls)
 {
     const model::Workload w = model::build_decode_workload(m, 8, 4096);
-    const serve::Engine engine(d);
     double cycles = 0.0;
     double energy_pj = 0.0;
     double macs = 0.0;
     for (const model::GemmOp& g : w.gemms) {
         if (g.cls != cls) continue;
-        const sim::OpCost cost = engine.gemm_cost(g);
+        const sim::OpCost cost = sim::gemm_cost(d, g);
         cycles += cost.cycles;
         energy_pj += cost.dynamic_energy_pj;
         macs += static_cast<double>(g.macs());

@@ -13,7 +13,8 @@
 
 #include "bench_util.h"
 #include "model/workload.h"
-#include "serve/engine.h"
+#include "sim/cost_model.h"
+#include "sim/performance_model.h"
 
 using namespace mugi;
 
@@ -42,7 +43,7 @@ main()
     bench::print_header("design", {"acc", "fifo", "pe", "nonlin",
                                    "vector", "tc", "ctrl", "array"});
     for (const auto& [label, d] : designs) {
-        const sim::AreaBreakdown a = serve::Engine(d).area();
+        const sim::AreaBreakdown a = sim::node_area(d);
         bench::print_row(label,
                          {a.acc, a.fifo, a.pe, a.nonlinear, a.vector,
                           a.tc, a.control, a.array_total()},
@@ -53,9 +54,8 @@ main()
     bench::print_header("design",
                         {"array", "sram", "total", "power_mW"});
     for (const auto& [label, d] : designs) {
-        const serve::Engine engine(d);
-        const sim::AreaBreakdown a = engine.area();
-        const sim::PerfReport r = engine.perf(w);
+        const sim::AreaBreakdown a = sim::node_area(d);
+        const sim::PerfReport r = sim::run_workload(d, w);
         bench::print_row(label, {a.array_total(), a.sram, a.total(),
                                  r.power_w * 1000.0},
                          "%9.3f");
@@ -66,9 +66,8 @@ main()
                                    "power_W"});
     for (const auto& [label, d] : designs) {
         const sim::DesignConfig mesh = d.with_noc(4, 4);
-        const serve::Engine engine(mesh);
-        const sim::AreaBreakdown a = engine.area();
-        const sim::PerfReport r = engine.perf(w);
+        const sim::AreaBreakdown a = sim::node_area(mesh);
+        const sim::PerfReport r = sim::run_workload(mesh, w);
         bench::print_row(label,
                          {16.0 * a.array_total(), 16.0 * a.sram,
                           16.0 * a.noc, sim::total_area_mm2(mesh),

@@ -14,7 +14,7 @@
 #include "bench_util.h"
 #include "carbon/carbon_model.h"
 #include "model/workload.h"
-#include "serve/engine.h"
+#include "sim/performance_model.h"
 
 using namespace mugi;
 
@@ -68,7 +68,7 @@ main()
 
         // Normalize to Mugi's total carbon per token.
         const sim::PerfReport mugi_perf =
-            serve::Engine(sim::make_mugi(256)).perf(w);
+            sim::run_workload(sim::make_mugi(256), w);
         const carbon::CarbonReport mugi_carbon =
             carbon::assess(sim::make_mugi(256), mugi_perf);
         const double norm = mugi_carbon.total_g_per_token();
@@ -76,7 +76,7 @@ main()
         bench::print_header("design", {"proj", "attn", "ffn",
                                        "nonlin", "embodied", "total"});
         for (const auto& [dlabel, d] : designs) {
-            const sim::PerfReport perf = serve::Engine(d).perf(w);
+            const sim::PerfReport perf = sim::run_workload(d, w);
             const carbon::CarbonReport c = carbon::assess(d, perf);
             // Split the operational share by per-class dynamic
             // energy (leakage follows the same split).

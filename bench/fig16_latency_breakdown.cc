@@ -51,7 +51,7 @@ main()
         const model::Workload w =
             model::build_decode_workload(mconfig, 8, 4096);
         const double norm =
-            serve::Engine(sim::make_mugi(256)).perf(w).total_cycles;
+            sim::run_workload(sim::make_mugi(256), w).total_cycles;
 
         bench::print_subtitle(std::string("Llama 2 ") + mlabel +
                               " (cycles normalized to Mugi total)");

@@ -12,7 +12,7 @@
 
 #include "bench_util.h"
 #include "model/workload.h"
-#include "serve/engine.h"
+#include "sim/performance_model.h"
 
 using namespace mugi;
 
@@ -32,7 +32,7 @@ geomean(const sim::DesignConfig& d)
     for (const model::ModelConfig& m : family) {
         const model::Workload w =
             model::build_decode_workload(m, 8, 4096);
-        const sim::PerfReport r = serve::Engine(d).perf(w);
+        const sim::PerfReport r = sim::run_workload(d, w);
         t *= r.throughput_tokens_per_s;
         e *= r.energy_efficiency;
         p *= r.power_efficiency;

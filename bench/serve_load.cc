@@ -50,6 +50,7 @@
 #include "bench_util.h"
 #include "model/accuracy.h"
 #include "model/transformer.h"
+#include "model/workload.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
 #include "server/frontend.h"
@@ -111,9 +112,15 @@ capacity_req_s(const serve::Engine& engine,
                const model::ModelConfig& model)
 {
     const double prefill_s =
-        engine.evaluate_prefill(model, 1, 1024).perf.runtime_s;
+        sim::run_workload(
+            engine.design(),
+            model::build_prefill_workload(model, 1, 1024))
+            .runtime_s;
     const double step_s =
-        engine.evaluate_decode(model, 8, 1024).perf.runtime_s;
+        sim::run_workload(
+            engine.design(),
+            model::build_decode_workload(model, 8, 1024))
+            .runtime_s;
     const double mean_gen = 32.0;
     const double service_s = prefill_s + mean_gen * step_s / 8.0;
     return 1.0 / service_s;

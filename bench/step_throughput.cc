@@ -2,9 +2,9 @@
  * @file
  * Pooled Engine::step throughput (library-quality check; not a paper
  * figure): end-to-end decode tokens/s of the fused batched step run
- * serially (StepPlan::threads == 0) vs fanned across a worker pool
- * with 1/2/4 threads, at batch 4 and 16, plus a mixed
- * prefill-and-decode iteration at each thread count.
+ * serially (no pool) vs fanned across a worker pool with 1/2/4
+ * threads, at batch 4 and 16, plus a mixed prefill-and-decode
+ * iteration at each thread count.
  *
  * With --json PATH the same numbers are written machine-readable
  * (BENCH_step.json in CI, uploaded as an artifact).  With --check the
@@ -31,6 +31,7 @@
 #include "model/transformer.h"
 #include "serve/engine.h"
 #include "serve/scheduler.h"
+#include "support/thread_pool.h"
 
 using namespace mugi;
 
@@ -102,12 +103,15 @@ run_decode(const serve::Engine& engine,
            quant::KvPrecision precision, std::size_t threads,
            std::vector<int>& tokens, double& worker_busy)
 {
+    std::unique_ptr<support::ThreadPool> pool;
+    if (threads > 0) {
+        pool = std::make_unique<support::ThreadPool>(threads);
+    }
     double wall_s = 1e300;
     for (int repeat = 0; repeat < 3; ++repeat) {
         std::vector<serve::Session> sessions =
             make_sessions(engine, config, batch, precision);
         serve::StepPlan plan;
-        plan.threads = threads;
         for (serve::Session& s : sessions) {
             plan.decode_sessions.push_back(&s);
         }
@@ -120,7 +124,7 @@ run_decode(const serve::Engine& engine,
         double busy_sum = 0.0;
         const bench::Timer timer;
         for (int step = 0; step < kDecodeSteps; ++step) {
-            const serve::StepResult r = engine.step(plan);
+            const serve::StepResult r = engine.step(plan, pool.get());
             busy_sum += r.workers.busy_fraction;
             for (std::size_t i = 0; i < batch; ++i) {
                 tokens.push_back(r.outputs[i].next_token);
@@ -197,8 +201,11 @@ mixed_step_identical(const serve::Engine& engine,
                 5 + 2 * i, config.vocab,
                 static_cast<std::uint32_t>(2000 + i)));
         }
+        std::unique_ptr<support::ThreadPool> pool;
+        if (t > 0) {
+            pool = std::make_unique<support::ThreadPool>(t);
+        }
         serve::StepPlan plan;
-        plan.threads = t;
         for (serve::Session& s : decoders) {
             plan.decode_sessions.push_back(&s);
             plan.decode_tokens.push_back(static_cast<int>(
@@ -210,7 +217,7 @@ mixed_step_identical(const serve::Engine& engine,
             entry.tokens = prompts[i];
             plan.prefills.push_back(entry);
         }
-        const serve::StepResult r = engine.step(plan);
+        const serve::StepResult r = engine.step(plan, pool.get());
         std::vector<int> out;
         for (const serve::StepResult::SessionOutput& o : r.outputs) {
             out.push_back(o.next_token);

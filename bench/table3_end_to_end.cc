@@ -25,6 +25,7 @@
 #include "model/workload.h"
 #include "serve/engine.h"
 #include "serve/scheduler.h"
+#include "support/thread_pool.h"
 
 using namespace mugi;
 
@@ -33,8 +34,7 @@ namespace {
 void
 print_design(const sim::DesignConfig& d, const model::Workload& w)
 {
-    const serve::Engine engine(d);
-    const sim::PerfReport r = engine.perf(w);
+    const sim::PerfReport r = sim::run_workload(d, w);
     std::printf("%-18s %10.2f %9.2f %12.2f %12.2f\n", d.name.c_str(),
                 r.throughput_tokens_per_s, sim::total_area_mm2(d),
                 r.energy_efficiency, r.power_efficiency);
@@ -56,8 +56,11 @@ functional_decode_tok_s(const serve::Engine& engine,
                            4 + i % 3, config.vocab,
                            static_cast<std::uint32_t>(400 + i)));
     }
+    std::unique_ptr<support::ThreadPool> pool;
+    if (threads > 0) {
+        pool = std::make_unique<support::ThreadPool>(threads);
+    }
     serve::StepPlan plan;
-    plan.threads = threads;
     for (serve::Session& s : sessions) {
         plan.decode_sessions.push_back(&s);
     }
@@ -68,7 +71,7 @@ functional_decode_tok_s(const serve::Engine& engine,
     }
     const bench::Timer timer;
     for (int step = 0; step < steps; ++step) {
-        const serve::StepResult r = engine.step(plan);
+        const serve::StepResult r = engine.step(plan, pool.get());
         for (std::size_t i = 0; i < batch; ++i) {
             plan.decode_tokens[i] = r.outputs[i].next_token;
         }
@@ -133,9 +136,9 @@ main(int argc, char** argv)
 
     // Headline ratios of Sec. 6.3.1.
     const sim::PerfReport mugi256 =
-        serve::Engine(sim::make_mugi(256)).perf(w);
+        sim::run_workload(sim::make_mugi(256), w);
     const sim::PerfReport sa16 =
-        serve::Engine(sim::make_systolic(16)).perf(w);
+        sim::run_workload(sim::make_systolic(16), w);
     std::printf(
         "\nHeadline Mugi(256) vs SA(16): throughput %.2fx (paper "
         "2.07x), energy\nefficiency %.2fx (paper 3.11x), power "

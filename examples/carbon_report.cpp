@@ -3,8 +3,8 @@
  * Sustainability report (Sec. 2.4, 6.3.2): operational vs embodied
  * carbon of serving Llama-2 models on Mugi and the baselines, under
  * the ACT-style model of Eq. 6/7, including a sensitivity sweep over
- * grid carbon intensity.  Each design is evaluated through its
- * serve::Engine.
+ * grid carbon intensity.  Each design's performance report
+ * (sim::run_workload) feeds carbon::assess.
  *
  * Build & run:  ./build/examples/carbon_report
  */
@@ -13,7 +13,8 @@
 #include <vector>
 
 #include "carbon/carbon_model.h"
-#include "serve/engine.h"
+#include "model/workload.h"
+#include "sim/performance_model.h"
 
 using namespace mugi;
 
@@ -38,10 +39,9 @@ main()
                     "vs Mugi");
         double mugi_total = 0.0;
         for (const auto& [label, d] : designs) {
-            const serve::Engine engine(d);
-            const serve::SystemReport report =
-                engine.evaluate_decode(m, 8, 4096);
-            const carbon::CarbonReport& c = report.carbon;
+            const carbon::CarbonReport c = carbon::assess(
+                d, sim::run_workload(
+                       d, model::build_decode_workload(m, 8, 4096)));
             if (mugi_total == 0.0) {
                 mugi_total = c.total_g_per_token();
             }
@@ -60,14 +60,15 @@ main()
                 "Mugi(256)):\n");
     std::printf("%-18s %12s %12s %10s\n", "grid gCO2e/kWh",
                 "operational", "embodied", "embodied%%");
-    const serve::Engine mugi(sim::make_mugi(256));
-    const sim::PerfReport perf = mugi.perf(
+    const sim::DesignConfig mugi = sim::make_mugi(256);
+    const sim::PerfReport perf = sim::run_workload(
+        mugi,
         model::build_decode_workload(model::llama2_70b(), 8, 4096));
     for (const double ci : {700.0, 475.0, 200.0, 50.0}) {
         carbon::CarbonParams params;
         params.carbon_intensity_g_per_kwh = ci;
         const carbon::CarbonReport c =
-            carbon::assess(mugi.design(), perf, params);
+            carbon::assess(mugi, perf, params);
         std::printf("%-18.0f %12.2f %12.2f %9.1f%%\n", ci,
                     c.operational_g_per_token * 1e6,
                     c.embodied_g_per_token * 1e6,

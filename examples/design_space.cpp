@@ -3,8 +3,8 @@
  * Design-space exploration with the Mugi architecture models: sweep
  * array heights and NoC shapes for a deployment target (Llama-2 70B
  * decode, batch 8, seq 4096) and print the throughput / area / power
- * trade-off, flagging the Pareto-efficient points.  One serve::Engine
- * per candidate design.
+ * trade-off, flagging the Pareto-efficient points.  One
+ * performance-model run (sim::run_workload) per candidate design.
  *
  * Build & run:  ./build/examples/design_space
  */
@@ -12,7 +12,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "serve/engine.h"
+#include "model/workload.h"
+#include "sim/performance_model.h"
 
 using namespace mugi;
 
@@ -46,13 +47,14 @@ main()
     candidates.push_back({sim::make_systolic(16)});
     candidates.push_back({sim::make_tensor()});
 
+    const model::Workload workload =
+        model::build_decode_workload(target, 8, 4096);
     for (Candidate& c : candidates) {
-        const serve::Engine engine(c.design);
-        const serve::SystemReport report =
-            engine.evaluate_decode(target, 8, 4096);
-        c.throughput = report.perf.throughput_tokens_per_s;
+        const sim::PerfReport perf =
+            sim::run_workload(c.design, workload);
+        c.throughput = perf.throughput_tokens_per_s;
         c.area = sim::total_area_mm2(c.design);
-        c.power = report.perf.power_w;
+        c.power = perf.power_w;
     }
 
     std::printf("%-20s %10s %10s %9s %12s %7s\n", "design", "tokens/s",

@@ -48,8 +48,7 @@ main()
     support::MatrixF activations(128, 8);
     support::fill_gaussian(weights, rng, 0.0f, 0.5f);
     support::fill_gaussian(activations, rng, 0.0f, 1.0f);
-    const serve::PreparedWeights prepared =
-        engine->prepare_weights(weights, /*group_size=*/32);
+    const serve::PreparedWeights prepared(weights, /*group_size=*/32);
     const serve::GemmRun gemm =
         engine->run_woq_gemm(prepared, activations);
     const support::MatrixF reference =
@@ -68,8 +67,8 @@ main()
 
     // --- 3. Accelerator evaluation. ---
     const serve::SystemReport report =
-        engine->evaluate_decode(model::llama2_70b(), /*batch=*/8,
-                                /*context=*/4096);
+        engine->evaluate(model::build_decode_workload(
+            model::llama2_70b(), /*batch=*/8, /*context=*/4096));
     std::printf(
         "Llama-2 70B decode on %s: %.2f tokens/s, %.2f mm^2, %.2f "
         "tokens/s/W,\n  %.2f gCO2e/Mtoken operational + %.2f "

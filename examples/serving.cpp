@@ -43,6 +43,7 @@
 
 #include "model/accuracy.h"
 #include "model/transformer.h"
+#include "model/workload.h"
 #include "serve/scheduler.h"
 
 using namespace mugi;
@@ -138,7 +139,10 @@ main(int argc, char** argv)
     // 256..3072 tokens, generations 24..46 tokens.
     std::size_t streamed = 0;
     const double stagger_s =
-        4.0 * engine.evaluate_decode(model, 8, 1024).perf.runtime_s;
+        4.0 * sim::run_workload(engine.design(),
+                                model::build_decode_workload(model, 8,
+                                                             1024))
+                  .runtime_s;
     for (int i = 0; i < 12; ++i) {
         serve::Request request;
         request.analytic_prompt_tokens = units::Tokens(
@@ -217,10 +221,10 @@ main(int argc, char** argv)
     sim::PerfAccumulator serial;
     for (const serve::FinishedRequest& f : finished) {
         for (std::size_t t = 0; t < f.generated.value(); ++t) {
-            serial.add(engine
-                           .evaluate_decode(model, 1,
-                                            f.prompt_tokens.value() + t + 1)
-                           .perf);
+            serial.add(sim::run_workload(
+                engine.design(),
+                model::build_decode_workload(
+                    model, 1, f.prompt_tokens.value() + t + 1)));
         }
     }
     std::printf(

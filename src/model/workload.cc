@@ -1,6 +1,7 @@
 #include "model/workload.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace mugi {
 namespace model {
@@ -55,20 +56,37 @@ Workload::total_nonlinear_elements() const
 
 namespace {
 
-/** Emit the per-layer op stream shared by decode and prefill. */
+/**
+ * One attention entry of the op stream: its QK^T and PV GEMMs (per
+ * KV head and layer) and its softmax.
+ */
+struct AttentionEntry {
+    std::string qk_name;
+    std::string pv_name;
+    std::string softmax_name;
+    std::size_t q_rows = 0;  ///< Query rows per KV head.
+    std::size_t kv_len = 0;  ///< Attended K/V positions.
+    /** Softmax elements per layer and query head. */
+    std::size_t softmax_elements = 0;
+    std::size_t row_length = 0;  ///< Softmax row length.
+};
+
+/**
+ * Emit the per-layer op stream over @p m activation rows: the Q/K/V/O
+ * projections, every entry's attention GEMMs, the FFN, every entry's
+ * softmax, then the FFN activation.
+ */
 void
-emit_layer_ops(const ModelConfig& c, std::size_t batch,
-               std::size_t q_tokens, std::size_t kv_len,
-               Workload& w)
+emit_ops(const ModelConfig& c, std::size_t m,
+         std::vector<AttentionEntry> entries, Workload& w)
 {
     const std::size_t d = c.d_model;
     const std::size_t hd = c.head_dim();
     const std::size_t kv_dim = c.num_kv_heads * hd;
-    const std::size_t group = c.gqa_group();
     const std::size_t L = c.num_layers;
-    const std::size_t m = batch * q_tokens;  // Activation rows.
 
-    // --- Projections (WOQ INT4 weights). ---
+    // --- Projections (WOQ INT4 weights): every row batches into one
+    // GEMM, so the weights stream from DRAM once for all rows. ---
     w.gemms.push_back({"q_proj", OpClass::kProjection, m, d, d, L, 4,
                        16, true});
     w.gemms.push_back({"k_proj", OpClass::kProjection, m, kv_dim, d, L,
@@ -78,17 +96,17 @@ emit_layer_ops(const ModelConfig& c, std::size_t batch,
     w.gemms.push_back({"o_proj", OpClass::kProjection, m, d, d, L, 4,
                        16, true});
 
-    // --- Attention against the (KVQ INT4) cache. ---
-    // Per KV head, the GQA group's queries batch together: the Mugi
-    // mapping places these group x batch Q tokens on the columns
-    // (Sec. 4.2).
-    const std::size_t q_rows = batch * group * q_tokens;
-    w.gemms.push_back({"attn_qk", OpClass::kAttention, q_rows, kv_len,
-                       hd, L * c.num_kv_heads, 4, 16, false});
-    w.gemms.push_back({"attn_pv", OpClass::kAttention, q_rows, hd,
-                       kv_len, L * c.num_kv_heads, 4, 16, false});
+    // --- Attention against the (KVQ INT4) cache, per entry. ---
+    for (AttentionEntry& e : entries) {
+        w.gemms.push_back({std::move(e.qk_name), OpClass::kAttention,
+                           e.q_rows, e.kv_len, hd, L * c.num_kv_heads,
+                           4, 16, false});
+        w.gemms.push_back({std::move(e.pv_name), OpClass::kAttention,
+                           e.q_rows, hd, e.kv_len, L * c.num_kv_heads,
+                           4, 16, false});
+    }
 
-    // --- FFN (WOQ INT4 weights). ---
+    // --- FFN (WOQ INT4 weights), batched like the projections. ---
     if (c.gated_ffn()) {
         w.gemms.push_back({"ffn_gate", OpClass::kFfn, m, c.d_ff, d, L,
                            4, 16, true});
@@ -98,22 +116,40 @@ emit_layer_ops(const ModelConfig& c, std::size_t batch,
     w.gemms.push_back({"ffn_down", OpClass::kFfn, m, d, c.d_ff, L, 4,
                        16, true});
 
-    // --- Nonlinear work. ---
-    NonlinearWork softmax;
-    softmax.name = "softmax";
-    softmax.op = nonlinear::NonlinearOp::kExp;
-    softmax.is_softmax = true;
-    softmax.row_length = kv_len;
-    softmax.elements = L * c.num_heads * batch * q_tokens * kv_len;
-    w.nonlinears.push_back(softmax);
-
+    // --- Nonlinear work: softmax per entry, activation batched. ---
+    for (AttentionEntry& e : entries) {
+        NonlinearWork softmax;
+        softmax.name = std::move(e.softmax_name);
+        softmax.op = nonlinear::NonlinearOp::kExp;
+        softmax.is_softmax = true;
+        softmax.row_length = e.row_length;
+        softmax.elements = L * c.num_heads * e.softmax_elements;
+        w.nonlinears.push_back(std::move(softmax));
+    }
     NonlinearWork act;
     act.name = c.activation() == nonlinear::NonlinearOp::kSilu
                    ? "silu"
                    : "gelu";
     act.op = c.activation();
     act.elements = L * m * c.d_ff;
-    w.nonlinears.push_back(act);
+    w.nonlinears.push_back(std::move(act));
+}
+
+/**
+ * @p batch sequences of @p q_tokens queries each attending @p kv_len
+ * positions, as one batched attention entry.  Per KV head, the GQA
+ * group's queries batch together: the Mugi mapping places these
+ * group x batch Q tokens on the columns (Sec. 4.2).
+ */
+void
+emit_layer_ops(const ModelConfig& c, std::size_t batch,
+               std::size_t q_tokens, std::size_t kv_len, Workload& w)
+{
+    std::vector<AttentionEntry> entries;
+    entries.push_back({"attn_qk", "attn_pv", "softmax",
+                       batch * c.gqa_group() * q_tokens, kv_len,
+                       batch * q_tokens * kv_len, kv_len});
+    emit_ops(c, batch * q_tokens, std::move(entries), w);
 }
 
 }  // namespace
@@ -184,102 +220,35 @@ build_mixed_step_workload(const ModelConfig& c,
         return w;
     }
 
-    const std::size_t d = c.d_model;
-    const std::size_t hd = c.head_dim();
-    const std::size_t kv_dim = c.num_kv_heads * hd;
-    const std::size_t group = c.gqa_group();
-    const std::size_t L = c.num_layers;
-    const std::size_t m = D + P;  // Activation rows per projection.
-
-    // --- Projections: every decode token and every chunk token
-    // batches into one GEMM, so the WOQ weights stream from DRAM once
-    // per step, not once per request -- chunked prefill rides the
-    // decode batch's weight stream for free. ---
-    w.gemms.push_back({"q_proj", OpClass::kProjection, m, d, d, L, 4,
-                       16, true});
-    w.gemms.push_back({"k_proj", OpClass::kProjection, m, kv_dim, d, L,
-                       4, 16, true});
-    w.gemms.push_back({"v_proj", OpClass::kProjection, m, kv_dim, d, L,
-                       4, 16, true});
-    w.gemms.push_back({"o_proj", OpClass::kProjection, m, d, d, L, 4,
-                       16, true});
-
-    // --- Attention: per request, against its own (KVQ INT4) cache
+    // Attention and softmax run per request, against its own cache
     // length.  Decode entries are shaped exactly like a batch-1
     // decode at the same context; chunk entries fold the ragged
     // causal rows into one op whose reduction volume is the exact
-    // attended() sum, so per-request MACs are preserved exactly. ---
+    // attended() sum, so per-request MACs are preserved exactly.
+    std::vector<AttentionEntry> entries;
+    entries.reserve(D + prefill_chunks.size());
     for (std::size_t i = 0; i < D; ++i) {
-        const std::size_t kv_len = decode_contexts[i];
-        std::string qk_name = "attn_qk#";
-        qk_name += std::to_string(i);
-        std::string pv_name = "attn_pv#";
-        pv_name += std::to_string(i);
-        w.gemms.push_back({std::move(qk_name), OpClass::kAttention,
-                           group, kv_len, hd, L * c.num_kv_heads, 4,
-                           16, false});
-        w.gemms.push_back({std::move(pv_name), OpClass::kAttention,
-                           group, hd, kv_len, L * c.num_kv_heads, 4,
-                           16, false});
-    }
-    for (std::size_t j = 0; j < prefill_chunks.size(); ++j) {
-        const std::size_t attended =
-            static_cast<std::size_t>(prefill_chunks[j].attended());
-        std::string qk_name = "prefill_qk#";
-        qk_name += std::to_string(j);
-        std::string pv_name = "prefill_pv#";
-        pv_name += std::to_string(j);
-        w.gemms.push_back({std::move(qk_name), OpClass::kAttention,
-                           group, attended, hd, L * c.num_kv_heads, 4,
-                           16, false});
-        w.gemms.push_back({std::move(pv_name), OpClass::kAttention,
-                           group, hd, attended, L * c.num_kv_heads, 4,
-                           16, false});
-    }
-
-    // --- FFN: batched like the projections. ---
-    if (c.gated_ffn()) {
-        w.gemms.push_back({"ffn_gate", OpClass::kFfn, m, c.d_ff, d, L,
-                           4, 16, true});
-    }
-    w.gemms.push_back({"ffn_up", OpClass::kFfn, m, c.d_ff, d, L, 4, 16,
-                       true});
-    w.gemms.push_back({"ffn_down", OpClass::kFfn, m, d, c.d_ff, L, 4,
-                       16, true});
-
-    // --- Nonlinear work: softmax rows are per-request (decode rows
-    // at the request's context, chunk rows over the exact causal
-    // sum); the FFN activation batches. ---
-    for (std::size_t i = 0; i < D; ++i) {
-        NonlinearWork softmax;
-        softmax.name = "softmax#";
-        softmax.name += std::to_string(i);
-        softmax.op = nonlinear::NonlinearOp::kExp;
-        softmax.is_softmax = true;
-        softmax.row_length = decode_contexts[i];
-        softmax.elements = L * c.num_heads * decode_contexts[i];
-        w.nonlinears.push_back(softmax);
+        const std::string index = std::to_string(i);
+        entries.push_back({"attn_qk#" + index, "attn_pv#" + index,
+                           "softmax#" + index, c.gqa_group(),
+                           decode_contexts[i], decode_contexts[i],
+                           decode_contexts[i]});
     }
     for (std::size_t j = 0; j < prefill_chunks.size(); ++j) {
         const PrefillChunk& chunk = prefill_chunks[j];
-        NonlinearWork softmax;
-        softmax.name = "prefill_softmax#";
-        softmax.name += std::to_string(j);
-        softmax.op = nonlinear::NonlinearOp::kExp;
-        softmax.is_softmax = true;
-        softmax.row_length = chunk.start + chunk.tokens;
-        softmax.elements =
-            L * c.num_heads *
+        const std::size_t attended =
             static_cast<std::size_t>(chunk.attended());
-        w.nonlinears.push_back(softmax);
+        const std::string index = std::to_string(j);
+        entries.push_back({"prefill_qk#" + index,
+                           "prefill_pv#" + index,
+                           "prefill_softmax#" + index, c.gqa_group(),
+                           attended, attended,
+                           chunk.start + chunk.tokens});
     }
-    NonlinearWork act;
-    act.name = c.activation() == nonlinear::NonlinearOp::kSilu
-                   ? "silu"
-                   : "gelu";
-    act.op = c.activation();
-    act.elements = L * m * c.d_ff;
-    w.nonlinears.push_back(act);
+    // Every decode token and chunk token shares the projection and
+    // FFN GEMMs: chunked prefill rides the decode batch's weight
+    // stream for free.
+    emit_ops(c, D + P, std::move(entries), w);
     return w;
 }
 

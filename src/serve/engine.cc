@@ -233,7 +233,7 @@ Engine::step(std::span<Session* const> sessions,
 }
 
 StepResult
-Engine::step(const StepPlan& plan) const
+Engine::step(const StepPlan& plan, support::ThreadPool* pool) const
 {
     assert(model_config_.has_value());
     assert(plan.decode_tokens.size() ==
@@ -270,16 +270,15 @@ Engine::step(const StepPlan& plan) const
         *model_config_, contexts, chunks);
 
     StepResult result;
-    result.perf = perf(workload);
+    result.perf = sim::run_workload(design_, workload);
 
-    // Pooled execution: hold the shared worker pool for the whole
-    // functional region and meter its busy/task counters around it.
+    // Pooled execution: meter the pool's busy/task counters around
+    // the functional region, which analytic engines do not have.
     // The pool only decides *when* disjoint-output tasks run, never
-    // what they compute, so the pooled pass is bit-identical to
-    // plan.threads == 0.
-    std::shared_ptr<support::ThreadPool> pool;
-    if (plan.threads > 0 && model_ != nullptr) {
-        pool = worker_pool(plan.threads);
+    // what they compute, so the pooled pass is bit-identical to a
+    // serial one.
+    if (!model_) {
+        pool = nullptr;
     }
     const auto wall_start = std::chrono::steady_clock::now();
     const std::uint64_t busy_start = pool ? pool->busy_ns() : 0;
@@ -287,7 +286,7 @@ Engine::step(const StepPlan& plan) const
 
     support::MatrixF logits;
     if (model_) {
-        logits = forward_rows(plan, pool.get());
+        logits = forward_rows(plan, pool);
         result.gemm = projection_charge(*model_config_, design_, rows,
                                         logits.rows());
     }
@@ -348,16 +347,6 @@ Engine::step(const StepPlan& plan) const
     return result;
 }
 
-std::shared_ptr<support::ThreadPool>
-Engine::worker_pool(std::size_t threads) const
-{
-    support::MutexLock lock(pool_mutex_);
-    if (!pool_ || pool_->num_threads() != threads) {
-        pool_ = std::make_shared<support::ThreadPool>(threads);
-    }
-    return pool_;
-}
-
 StepResult
 Engine::step(Session& session, int token) const
 {
@@ -398,73 +387,12 @@ Engine::evaluate(const model::Workload& workload) const
     return report;
 }
 
-SystemReport
-Engine::evaluate_decode(const model::ModelConfig& model,
-                        std::size_t batch, std::size_t context) const
-{
-    return evaluate(model::build_decode_workload(model, batch, context));
-}
-
-SystemReport
-Engine::evaluate_prefill(const model::ModelConfig& model,
-                         std::size_t batch, std::size_t seq_len) const
-{
-    return evaluate(
-        model::build_prefill_workload(model, batch, seq_len));
-}
-
-sim::PerfReport
-Engine::perf(const model::Workload& workload) const
-{
-    return sim::run_workload(design_, workload);
-}
-
-sim::NonlinearPerf
-Engine::evaluate_nonlinear(const model::NonlinearWork& work) const
-{
-    return sim::run_nonlinear_only(design_, work);
-}
-
-sim::OpCost
-Engine::gemm_cost(const model::GemmOp& op) const
-{
-    return sim::gemm_cost(design_, op);
-}
-
-sim::OpCost
-Engine::nonlinear_cost(const model::NonlinearWork& work) const
-{
-    return sim::nonlinear_cost(design_, work);
-}
-
-sim::AreaBreakdown
-Engine::area() const
-{
-    return sim::node_area(design_);
-}
-
-PreparedWeights
-Engine::prepare_weights(const support::MatrixF& weights,
-                        std::size_t group_size) const
-{
-    return PreparedWeights(weights, group_size);
-}
-
 GemmRun
 Engine::run_woq_gemm(const PreparedWeights& weights,
                      const support::MatrixF& activations) const
 {
     return run_prepared_gemm(weights, activations, design_.array_rows,
                              design_.array_cols);
-}
-
-GemmRun
-Engine::run_woq_gemm(const support::MatrixF& weights,
-                     const support::MatrixF& activations,
-                     std::size_t group_size) const
-{
-    return run_woq_gemm(prepare_weights(weights, group_size),
-                        activations);
 }
 
 std::vector<float>

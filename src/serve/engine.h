@@ -8,10 +8,12 @@
  * The Engine is the immutable half of the request/engine split
  * production LLM servers use: it owns the accelerator design
  * (sim/design.h), a KernelRegistry of lazily-built shared VLP
- * kernels, optionally a functional transformer whose weights are
- * fixed at load time, and PreparedWeights handles that run INT4
- * group quantization exactly once.  Everything mutable belongs to a
- * Session (serve/session.h).
+ * kernels, and optionally a functional transformer whose weights are
+ * fixed at load time.  Everything mutable belongs to a Session
+ * (serve/session.h), and what a caller sizes or caches belongs to
+ * the caller: a WOQ GEMM runs on a PreparedWeights handle the caller
+ * quantized once (serve/prepared_weights.h), and a pooled step runs
+ * on the support::ThreadPool the caller passes in.
  *
  * Engine::step is the continuous-batching primitive: one call takes
  * a batch of heterogeneous sessions (different context lengths, KV
@@ -24,21 +26,20 @@
  * each session's all-layer KV cache grows by block bookkeeping alone
  * (quant::KvCache::extend), so analytic serving accounts KV in the
  * same pool blocks functional serving writes.  The area, carbon and
- * event-sim models run only on request, through evaluate().
+ * event-sim models run only on request, through evaluate(); the
+ * other simulator models are sim:: functions of design().
  *
  * Thread-safety: every member function is const and safe to call
  * concurrently, provided no Session appears in two concurrent step()
  * batches (sessions are single-request streams).  The engine's
- * mutable state is the relaxed-atomic session-id counter, the
- * internally-synchronized KernelRegistry, and the lazily-built
- * worker pool behind pool_mutex_ (a support::ThreadPool shared
- * across steps; step() holds a shared_ptr for its duration, so a
- * concurrent step that swaps the pool for a different thread count
- * never destroys one in use); everything else is immutable after
- * construction.
+ * mutable state is the relaxed-atomic session-id counter and the
+ * internally-synchronized KernelRegistry; everything else is
+ * immutable after construction.  Concurrent steps may share one
+ * worker pool, which is internally synchronized
+ * (support/thread_pool.h).
  * tests/concurrency/engine_step_stress_test.cc drives N threads of
  * step() over disjoint sessions through one engine under TSan, and
- * the registry/pool lock discipline is capability-checked by
+ * the registry's lock discipline is capability-checked by
  * -Wthread-safety (support/thread_annotations.h).
  */
 
@@ -57,8 +58,6 @@
 #include "serve/session.h"
 #include "sim/event_sim.h"
 #include "sim/performance_model.h"
-#include "support/mutex.h"
-#include "support/thread_annotations.h"
 #include "support/thread_pool.h"
 
 namespace mugi {
@@ -123,7 +122,7 @@ struct StepResult {
         double busy_fraction = 0.0;
         double idle_fraction = 0.0;
     };
-    /** Zeroed unless the step ran with StepPlan::threads > 0. */
+    /** Zeroed unless the step ran on a worker pool. */
     WorkerStats workers;
 };
 
@@ -159,18 +158,6 @@ struct StepPlan {
     };
     /** Prefill chunks interleaved into this step. */
     std::vector<PrefillEntry> prefills;
-
-    /**
-     * Worker threads to fan the step's functional work across
-     * (0 = serial).  Pooled execution splits each layer's stages of
-     * the ragged forward pass into row-range and (cache, kv head)
-     * tasks, joining at the layer's stage barriers; every task writes
-     * disjoint outputs with the identical float-op sequence, so
-     * results are bit-identical to threads == 0 (pinned by
-     * tests/concurrency/pooled_step_test.cc).  Analytic engines
-     * ignore this field.
-     */
-    std::size_t threads = 0;
 
     bool
     empty() const
@@ -239,8 +226,17 @@ class Engine {
      * consecutive positions in that order, so occurrences behave as
      * that many sequential steps (positions and modeled contexts
      * advance per occurrence).
+     *
+     * With a @p pool, each layer's stages of the forward pass split
+     * into row-range and (cache, kv head) tasks on it, joining at the
+     * layer's stage barriers; every task writes disjoint outputs with
+     * the identical float-op sequence, so results are bit-identical
+     * to a serial step (pinned by
+     * tests/concurrency/pooled_step_test.cc).  Analytic engines
+     * ignore the pool.
      */
-    StepResult step(const StepPlan& plan) const;
+    StepResult step(const StepPlan& plan,
+                    support::ThreadPool* pool = nullptr) const;
 
     /**
      * Feed a prompt through a functional session without per-step
@@ -260,43 +256,16 @@ class Engine {
     std::vector<float> prefill_chunk(Session& session,
                                      std::span<const int> tokens) const;
 
-    // ---- Workload evaluation (the architecture-model facade). ----
+    // ---- Workload evaluation. ----
 
+    /** Performance, area, carbon and event-sim of @p workload. */
     SystemReport evaluate(const model::Workload& workload) const;
-    SystemReport evaluate_decode(const model::ModelConfig& model,
-                                 std::size_t batch,
-                                 std::size_t context) const;
-    SystemReport evaluate_prefill(const model::ModelConfig& model,
-                                  std::size_t batch,
-                                  std::size_t seq_len) const;
-
-    /** Performance model only (cheap; for sweeps). */
-    sim::PerfReport perf(const model::Workload& workload) const;
-
-    /** Nonlinear-only throughput study (Fig. 11). */
-    sim::NonlinearPerf
-    evaluate_nonlinear(const model::NonlinearWork& work) const;
-
-    /** Per-op costs (Fig. 12-style class breakdowns). */
-    sim::OpCost gemm_cost(const model::GemmOp& op) const;
-    sim::OpCost nonlinear_cost(const model::NonlinearWork& work) const;
-
-    sim::AreaBreakdown area() const;
 
     // ---- Functional kernels. ----
-
-    /** Quantize @p weights once; reuse the handle across requests. */
-    PreparedWeights prepare_weights(const support::MatrixF& weights,
-                                    std::size_t group_size) const;
 
     /** WOQ GEMM against a prepared handle (no re-quantization). */
     GemmRun run_woq_gemm(const PreparedWeights& weights,
                          const support::MatrixF& activations) const;
-
-    /** One-shot convenience: prepare + run.  Bit-identical to above. */
-    GemmRun run_woq_gemm(const support::MatrixF& weights,
-                         const support::MatrixF& activations,
-                         std::size_t group_size) const;
 
     /** Functional VLP softmax over @p logits (one row). */
     std::vector<float> run_softmax(std::span<const float> logits) const;
@@ -325,22 +294,11 @@ class Engine {
      */
     support::MatrixF forward_rows(const StepPlan& plan,
                                   support::ThreadPool* pool) const;
-    /**
-     * The shared worker pool sized to @p threads, built lazily and
-     * rebuilt when a plan asks for a different size.  Callers hold
-     * the returned shared_ptr for the duration of their step, so a
-     * rebuild never destroys a pool that still has work in flight.
-     */
-    std::shared_ptr<support::ThreadPool>
-    worker_pool(std::size_t threads) const;
 
     sim::DesignConfig design_;
     std::optional<model::ModelConfig> model_config_;
     std::shared_ptr<const model::TransformerModel> model_;
     KernelRegistry registry_;
-    mutable support::Mutex pool_mutex_;
-    mutable std::shared_ptr<support::ThreadPool> pool_
-        MUGI_GUARDED_BY(pool_mutex_);
     /**
      * Session-id source; the engine's only mutable state.  Bumped
      * with a relaxed fetch_add: uniqueness needs only RMW atomicity,

@@ -133,6 +133,10 @@ Scheduler::Scheduler(const Engine& engine,
                                       kPolicyContext);
     }
     config_.step_threads = resolve_step_threads(config.step_threads);
+    if (functional_ && config_.step_threads > 0) {
+        step_pool_ = std::make_unique<support::ThreadPool>(
+            config_.step_threads);
+    }
 }
 
 std::uint64_t
@@ -818,8 +822,7 @@ Scheduler::step()
         }
     }
 
-    plan.threads = config_.step_threads;
-    const StepResult result = engine_.step(plan);
+    const StepResult result = engine_.step(plan, step_pool_.get());
     if (result.workers.threads > 0) {
         ++pooled_steps_;
         sum_worker_busy_ += result.workers.busy_fraction;

@@ -79,8 +79,8 @@
  * thread at a time).  serve::Server is the push-based front: it owns
  * the one thread that calls these members and feeds it submissions /
  * cancellations through a support::Channel, so callers never touch
- * the scheduler directly; the engine it drives and the block pool it
- * owns are the internally-synchronized pieces.
+ * the scheduler directly; the engine it drives and the block pool and
+ * worker pool it owns are the internally-synchronized pieces.
  * Every step ends with an invariant audit under
  * MUGI_AUDIT_INVARIANTS (support/audit.h): check_invariants()
  * recomputes the pool's and the prefix index's accounting from
@@ -90,6 +90,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -100,6 +101,7 @@
 #include "serve/engine.h"
 #include "serve/request.h"
 #include "sim/performance_model.h"
+#include "support/thread_pool.h"
 
 namespace mugi {
 namespace serve {
@@ -155,14 +157,15 @@ struct SchedulerConfig {
     double admission_timeout_s = 0.0;
 
     /**
-     * Worker threads every mixed step fans its functional work
-     * across (StepPlan::threads); 0 = serial.  Pooled steps are
-     * bit-identical to serial ones, so this knob changes wall-clock
-     * only -- never tokens, numerics, or the modeled clock.
-     * kAutoThreads resolves at Scheduler construction to
-     * hardware_concurrency() - 1 (one core left for the loop
-     * thread), clamped to kMaxAutoThreads, and to 0 (serial) on a
-     * single-core box.
+     * Workers of the pool the Scheduler builds once, at construction,
+     * and passes to every mixed Engine::step to fan its functional
+     * work across; 0 = serial, and analytic engines get no pool.
+     * Pooled steps are bit-identical to serial ones, so this knob
+     * changes wall-clock only -- never tokens, numerics, or the
+     * modeled clock.  kAutoThreads resolves at Scheduler
+     * construction to hardware_concurrency() - 1 (one core left for
+     * the loop thread), clamped to kMaxAutoThreads, and to 0
+     * (serial) on a single-core box.
      */
     std::size_t step_threads = 0;
 
@@ -543,6 +546,8 @@ class Scheduler {
     bool functional_ = false;
 
     quant::BlockPool pool_;
+    /** Every step's worker pool; null when steps run serially. */
+    std::unique_ptr<support::ThreadPool> step_pool_;
     std::deque<Tracked> queue_;
     /**
      * Admitted requests in admission order: they only join by

@@ -8,6 +8,15 @@
 
 namespace mugi {
 namespace serve {
+namespace {
+
+/**
+ * Submission-channel depth: submit() blocks (backpressure, never
+ * drops) once this many commands are queued ahead of the loop thread.
+ */
+constexpr std::size_t kCommandQueueDepth = 256;
+
+}  // namespace
 
 /**
  * Shared per-request state: the delta stream plus the finished slot.
@@ -79,8 +88,7 @@ RequestHandle::cancel()
 }
 
 Server::Server(const Engine& engine, const ServerConfig& config)
-    : engine_(engine), config_(config),
-      commands_(config.command_queue_depth),
+    : engine_(engine), commands_(kCommandQueueDepth),
       scheduler_(engine, config.scheduler)
 {
     publish_stats();

@@ -79,12 +79,6 @@ namespace serve {
 struct ServerConfig {
     /** The scheduler the loop thread drives. */
     SchedulerConfig scheduler;
-    /**
-     * Submission-channel depth: submit() blocks (backpressure, never
-     * drops) once this many commands are queued ahead of the loop
-     * thread.
-     */
-    std::size_t command_queue_depth = 256;
 };
 
 /** One streamed token: request, 0-based emission index, token id. */
@@ -243,7 +237,6 @@ class Server {
                             FinishReason reason);
 
     const Engine& engine_;
-    ServerConfig config_;
 
     /** MPSC: any caller thread -> the loop thread. */
     support::Channel<Command> commands_;

@@ -9,12 +9,16 @@
 #include <system_error>
 #include <utility>
 
+#include "quant/kv_cache.h"
 #include "server/json.h"
 #include "support/fault.h"
 
 namespace mugi {
 namespace server {
 namespace {
+
+/** Slow-client write timeout of every connection (SO_SNDTIMEO). */
+constexpr double kWriteTimeoutS = 10.0;
 
 /** splitmix64: the uuid mixer (id -> two well-mixed 64-bit halves). */
 std::uint64_t
@@ -166,7 +170,7 @@ Frontend::run()
             // blocking, so the close does not reset the connection
             // before the client has read the 503.
             Connection connection(unserved);
-            connection.set_write_timeout(write_timeout_s_);
+            connection.set_write_timeout(kWriteTimeoutS);
             connection.write_response(
                 503, "application/json",
                 "{\"error\":\"no connection thread\"}",
@@ -208,7 +212,7 @@ void
 Frontend::handle(int fd)
 {
     Connection connection(fd);
-    connection.set_write_timeout(write_timeout_s_);
+    connection.set_write_timeout(kWriteTimeoutS);
     HttpRequest request;
     if (!connection.read_request(&request)) {
         connection.write_response(
@@ -356,6 +360,27 @@ Frontend::handle_generate(Connection& connection,
                                        vocab;
                         })) {
             reject_numbers();
+            return;
+        }
+    }
+    // A request whose KV outgrows the budget could only run by
+    // overcommitting it: the scheduler admits it when nothing else is
+    // resident, and its block table then grows without bound.
+    const units::Bytes budget = server_.stats().kv_budget_bytes;
+    if (budget > units::Bytes(0)) {
+        const model::ModelConfig& model =
+            *server_.engine().model_config();
+        const units::Bytes per_token =
+            quant::KvCache::bytes_per_position(
+                model.num_kv_heads, model.head_dim(),
+                request.session.kv_precision) *
+            model.num_layers;
+        if (units::bytes_for(request.prompt_tokens() +
+                                 request.max_new_tokens,
+                             per_token) > budget) {
+            connection.write_response(
+                400, "application/json",
+                "{\"error\":\"request KV exceeds the KV budget\"}");
             return;
         }
     }

@@ -48,9 +48,11 @@
  * get 400 before anything is submitted -- among them a token count
  * over 2^32 (whose KV bytes could overflow 64 bits), a prompt token
  * outside [0, vocab) on a functional engine, and a stop_token that
- * is not an int.  A client that stops
- * draining its stream for longer than the write timeout (or
- * vanishes) has its request cancelled -- KV blocks release
+ * is not an int.  So does a request whose KV (prompt plus
+ * max_new_tokens) exceeds the server's KV budget, which it could only
+ * run by overcommitting that budget.  A client that stops draining
+ * its stream for longer than the 10 s write timeout (SO_SNDTIMEO),
+ * or vanishes, has its request cancelled -- KV blocks release
  * immediately -- and is counted in slow_client_cancels.
  *
  * Shutdown: stop() (the SIGINT/SIGTERM path) closes the listener,
@@ -109,16 +111,6 @@ class Frontend {
      */
     void stop();
 
-    /**
-     * Slow-client write timeout applied to every accepted
-     * connection (SO_SNDTIMEO); 0 disables.  Configuration: set
-     * before run(), not concurrently with it.
-     */
-    void set_write_timeout_s(double seconds)
-    {
-        write_timeout_s_ = seconds;
-    }
-
   private:
     void handle(int fd);
     void handle_generate(Connection& connection,
@@ -149,9 +141,6 @@ class Frontend {
 
     /** Per-process UUID seed (std::random_device at construction). */
     const std::uint64_t uuid_seed_;
-
-    /** See set_write_timeout_s (configuration: set before run()). */
-    double write_timeout_s_ = 10.0;
 };
 
 }  // namespace server

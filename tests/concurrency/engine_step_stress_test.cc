@@ -135,8 +135,7 @@ TEST(EngineStepStress, SharedPreparedWeightsGemmIsBitIdentical)
     }
 
     // One quantization, one handle, shared by every thread.
-    const PreparedWeights prepared =
-        engine.prepare_weights(weights, kGroup);
+    const PreparedWeights prepared(weights, kGroup);
     const GemmRun reference =
         engine.run_woq_gemm(prepared, activations);
 

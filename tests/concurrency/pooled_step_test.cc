@@ -1,16 +1,16 @@
 /**
  * @file
- * Bit-identity of the pooled Engine::step (StepPlan::threads > 0)
- * against the serial pass (threads == 0): mixed prefill-and-decode
+ * Bit-identity of the pooled Engine::step (a worker pool passed in)
+ * against the serial pass (no pool): mixed prefill-and-decode
  * plans, mixed KV precisions (INT4 + float), ragged contexts, a
  * single-session 32-token chunk, a batch-1 decode and a one-token
  * prefill, across 1/2/4-worker pools -- every logit and token must
  * match the serial run exactly, since pooled partitioning only
  * reorders *when* disjoint outputs are computed, never what is
  * computed (thread_pool.h's determinism contract).  Run under TSan
- * in CI: the column-panel, row-range and (cache, kv head) tasks and
- * the shared worker pool are exactly the interleavings the sanitizer
- * should see.
+ * in CI: the column-panel, row-range and (cache, kv head) tasks on
+ * the caller's worker pool are exactly the interleavings the
+ * sanitizer should see.
  */
 
 #include "serve/engine.h"
@@ -25,6 +25,7 @@
 
 #include "model/accuracy.h"
 #include "quant/block_allocator.h"
+#include "support/thread_pool.h"
 
 namespace mugi {
 namespace serve {
@@ -36,9 +37,10 @@ struct PlanOutputs {
 };
 
 /**
- * Run @p steps mixed iterations at @p threads: 4 decode lanes with
- * alternating KV precision and ragged prompts, plus 2 prefill chunks
- * per iteration feeding two more sessions chunk by chunk; then one
+ * Run @p steps mixed iterations on a pool of @p threads workers
+ * (none when 0): 4 decode lanes with alternating KV precision and
+ * ragged prompts, plus 2 prefill chunks per iteration feeding two
+ * more sessions chunk by chunk; then one
  * plan holding a single session's 32-token chunk, whose rows share
  * one cache (one attention task per kv head); then two one-row
  * plans, a batch-1 decode of that session and a one-token prefill
@@ -49,6 +51,10 @@ run_mixed(const Engine& engine, const model::ModelConfig& config,
           std::size_t threads, std::size_t steps,
           quant::BlockPool* pool)
 {
+    std::unique_ptr<support::ThreadPool> workers;
+    if (threads > 0) {
+        workers = std::make_unique<support::ThreadPool>(threads);
+    }
     constexpr std::size_t kDecode = 4;
     std::vector<Session> decoders;
     std::vector<int> feed(kDecode);
@@ -85,7 +91,6 @@ run_mixed(const Engine& engine, const model::ModelConfig& config,
     PlanOutputs out;
     for (std::size_t step = 0; step < steps; ++step) {
         StepPlan plan;
-        plan.threads = threads;
         for (std::size_t i = 0; i < kDecode; ++i) {
             plan.decode_sessions.push_back(&decoders[i]);
             plan.decode_tokens.push_back(feed[i]);
@@ -98,7 +103,7 @@ run_mixed(const Engine& engine, const model::ModelConfig& config,
             plan.prefills.push_back(entry);
             fed[i] += 4;
         }
-        const StepResult r = engine.step(plan);
+        const StepResult r = engine.step(plan, workers.get());
         for (std::size_t i = 0; i < kDecode; ++i) {
             feed[i] = r.outputs[i].next_token;
             out.tokens.push_back(r.outputs[i].next_token);
@@ -116,25 +121,22 @@ run_mixed(const Engine& engine, const model::ModelConfig& config,
     const std::vector<int> chunk =
         model::synthetic_tokens(32, config.vocab, 90);
     StepPlan plan;
-    plan.threads = threads;
     plan.prefills.push_back({&single, chunk});
-    const StepResult r = engine.step(plan);
+    const StepResult r = engine.step(plan, workers.get());
     out.tokens.push_back(r.prefill_outputs[0].next_token);
     out.logits.push_back(r.prefill_outputs[0].logits);
 
     StepPlan decode_one;
-    decode_one.threads = threads;
     decode_one.decode_sessions.push_back(&single);
     decode_one.decode_tokens.push_back(
         r.prefill_outputs[0].next_token);
     Session fresh = engine.create_session(options);
     const int first_token = 5;
     StepPlan prefill_one;
-    prefill_one.threads = threads;
     prefill_one.prefills.push_back(
         {&fresh, std::span<const int>(&first_token, 1)});
     for (const StepPlan* one_row : {&decode_one, &prefill_one}) {
-        const StepResult o = engine.step(*one_row);
+        const StepResult o = engine.step(*one_row, workers.get());
         const StepResult::SessionOutput& row =
             o.outputs.empty() ? o.prefill_outputs[0] : o.outputs[0];
         out.tokens.push_back(row.next_token);
@@ -201,12 +203,15 @@ TEST(PooledStep, WorkerStatsReportedOnlyForPooledSteps)
                                static_cast<std::uint32_t>(7 + i)));
         }
         StepPlan plan;
-        plan.threads = threads;
         for (std::size_t i = 0; i < sessions.size(); ++i) {
             plan.decode_sessions.push_back(&sessions[i]);
             plan.decode_tokens.push_back(static_cast<int>(i + 1));
         }
-        return engine.step(plan);
+        std::unique_ptr<support::ThreadPool> pool;
+        if (threads > 0) {
+            pool = std::make_unique<support::ThreadPool>(threads);
+        }
+        return engine.step(plan, pool.get());
     };
 
     const StepResult serial = one_step(0);

@@ -101,7 +101,7 @@ TEST(Integration, FullSystemEvaluationEndToEnd)
     for (const model::ModelConfig& m : model::llama_family()) {
         const serve::Engine engine(sim::make_mugi(256));
         const serve::SystemReport report =
-            engine.evaluate_decode(m, 8, 2048);
+            engine.evaluate(model::build_decode_workload(m, 8, 2048));
         // Bigger models take longer per step.
         EXPECT_GT(report.perf.runtime_s, prev_runtime) << m.name;
         prev_runtime = report.perf.runtime_s;

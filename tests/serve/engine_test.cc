@@ -201,7 +201,9 @@ TEST(EngineStep, ReportAggregatesBatchedWorkload)
     // (shared weight stream), at equal total tokens.
     sim::PerfAccumulator serial;
     for (const std::size_t context : {256u, 1024u, 4096u}) {
-        serial.add(engine.evaluate_decode(config, 1, context).perf);
+        serial.add(sim::run_workload(
+            engine.design(),
+            model::build_decode_workload(config, 1, context)));
     }
     EXPECT_GT(result.perf.throughput_tokens_per_s,
               serial.total().throughput_tokens_per_s);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Regression tests for the quantize-once serving path: a reused
- * PreparedWeights handle must give bit-identical outputs to the
- * one-shot quantize-and-run path the old facade used per call.
+ * PreparedWeights handle must give bit-identical outputs to
+ * quantizing the weights afresh for every call.
  */
 
 #include "serve/prepared_weights.h"
@@ -27,13 +27,13 @@ TEST(PreparedWeights, ReusedHandleIsBitIdenticalToOneShot)
     support::MatrixF weights(48, 96);
     support::fill_gaussian(weights, rng, 0.0f, 0.5f);
 
-    const PreparedWeights prepared =
-        engine.prepare_weights(weights, 32);
+    const PreparedWeights prepared(weights, 32);
     for (int trial = 0; trial < 3; ++trial) {
         support::MatrixF acts(96, 8);
         support::fill_gaussian(acts, rng, 0.0f, 1.0f);
         const GemmRun reused = engine.run_woq_gemm(prepared, acts);
-        const GemmRun one_shot = engine.run_woq_gemm(weights, acts, 32);
+        const GemmRun one_shot =
+            engine.run_woq_gemm(PreparedWeights(weights, 32), acts);
         ASSERT_EQ(reused.out.rows(), one_shot.out.rows());
         ASSERT_EQ(reused.out.cols(), one_shot.out.cols());
         for (std::size_t i = 0; i < reused.out.size(); ++i) {
@@ -48,12 +48,11 @@ TEST(PreparedWeights, QuantizesExactlyOnce)
 {
     // The handle shares one immutable quantization: copies alias the
     // same storage instead of re-quantizing.
-    const Engine engine(sim::make_mugi(32));
     std::mt19937 rng(77);
     support::MatrixF weights(16, 32);
     support::fill_gaussian(weights, rng, 0.0f, 0.5f);
 
-    const PreparedWeights a = engine.prepare_weights(weights, 16);
+    const PreparedWeights a(weights, 16);
     const PreparedWeights b = a;  // Handle copy, not a re-quantize.
     EXPECT_EQ(&a.quantized(), &b.quantized());
     EXPECT_EQ(a.group_size(), 16u);
@@ -133,7 +132,7 @@ TEST(PreparedWeights, GemmRunCarriesAllCounters)
     support::fill_gaussian(weights, rng, 0.0f, 0.5f);
     support::fill_gaussian(acts, rng, 0.0f, 1.0f);
     const GemmRun run =
-        engine.run_woq_gemm(engine.prepare_weights(weights, 32), acts);
+        engine.run_woq_gemm(PreparedWeights(weights, 32), acts);
     EXPECT_EQ(run.cycles,
               vlp::vlp_gemm_mugi_cycles(48, 8, 96, 64, 8));
     EXPECT_EQ(run.sweeps, run.cycles / 8);
@@ -150,8 +149,7 @@ TEST(PreparedWeights, AgreesWithDequantizedReference)
     support::fill_gaussian(weights, rng, 0.0f, 0.5f);
     support::fill_gaussian(acts, rng, 0.0f, 1.0f);
 
-    const PreparedWeights prepared =
-        engine.prepare_weights(weights, 16);
+    const PreparedWeights prepared(weights, 16);
     const GemmRun run = engine.run_woq_gemm(prepared, acts);
     const support::MatrixF deq = quant::dequantize(prepared.quantized());
     const support::MatrixF expected = model::linear(deq, acts);

@@ -333,56 +333,76 @@ TEST(Scheduler, PreemptionKeepsOutputBitIdentical)
     // Budget admits both prompts but not both full generations: with
     // 4-token blocks, each request needs 2 block-groups at admission
     // (7 positions) and 4 by the end (16 positions), so a 5-group
-    // budget forces the later-admitted request out mid-decode.
+    // budget forces the later-admitted request out mid-decode.  The
+    // scheduled run goes twice, with serial steps and on the
+    // Scheduler's 2-worker step pool.
     const units::Bytes group = sim::kv_footprint(
         config, units::Positions(1), quant::KvPrecision::kInt4,
         units::Tokens(4)).paged_bytes;
-    SchedulerConfig sched_config;
-    sched_config.kv_block_tokens = units::Tokens(4);
-    sched_config.kv_budget_bytes = group * 5;
-    sched_config.max_batch = 2;
-    Scheduler scheduler(engine, sched_config);
-    std::vector<std::uint64_t> ids;
-    for (const std::vector<int>& prompt : prompts) {
-        Request request;
-        request.prompt = prompt;
-        request.max_new_tokens = units::Tokens(kMaxNew);
-        ids.push_back(scheduler.submit(std::move(request)));
-    }
-    const std::vector<FinishedRequest> finished = scheduler.run();
-
-    EXPECT_GE(scheduler.preemptions(), 1u)
-        << "the budget must actually trigger an eviction";
-    ASSERT_EQ(finished.size(), prompts.size());
-    std::size_t preempted_requests = 0;
-    for (const FinishedRequest& f : finished) {
-        const std::size_t idx = static_cast<std::size_t>(
-            std::distance(ids.begin(),
-                          std::find(ids.begin(), ids.end(), f.id)));
-        ASSERT_LT(idx, expected.size());
-        EXPECT_EQ(f.tokens, expected[idx])
-            << "request " << idx
-            << " diverged after preempt + re-prefill";
-        EXPECT_EQ(f.generated, units::Tokens(kMaxNew));
-        preempted_requests += f.preemptions > 0 ? 1 : 0;
-    }
-    EXPECT_GE(preempted_requests, 1u);
-    // Equal priorities: the tie-break evicts the later-admitted
-    // request, never the first.
-    for (const FinishedRequest& f : finished) {
-        if (f.id == ids[1]) {
-            EXPECT_GE(f.preemptions, 1u);
-        } else {
-            EXPECT_EQ(f.id, ids[0]);
-            EXPECT_EQ(f.preemptions, 0u);
+    std::vector<std::vector<FinishedRequest>> runs;
+    for (const std::size_t step_threads : {0u, 2u}) {
+        SCOPED_TRACE(step_threads);
+        SchedulerConfig sched_config;
+        sched_config.kv_block_tokens = units::Tokens(4);
+        sched_config.kv_budget_bytes = group * 5;
+        sched_config.max_batch = 2;
+        sched_config.step_threads = step_threads;
+        Scheduler scheduler(engine, sched_config);
+        std::vector<std::uint64_t> ids;
+        for (const std::vector<int>& prompt : prompts) {
+            Request request;
+            request.prompt = prompt;
+            request.max_new_tokens = units::Tokens(kMaxNew);
+            ids.push_back(scheduler.submit(std::move(request)));
         }
+        const std::vector<FinishedRequest> finished = scheduler.run();
+
+        EXPECT_GE(scheduler.preemptions(), 1u)
+            << "the budget must actually trigger an eviction";
+        ASSERT_EQ(finished.size(), prompts.size());
+        std::size_t preempted_requests = 0;
+        for (const FinishedRequest& f : finished) {
+            const std::size_t idx =
+                static_cast<std::size_t>(std::distance(
+                    ids.begin(),
+                    std::find(ids.begin(), ids.end(), f.id)));
+            ASSERT_LT(idx, expected.size());
+            EXPECT_EQ(f.tokens, expected[idx])
+                << "request " << idx
+                << " diverged after preempt + re-prefill";
+            EXPECT_EQ(f.generated, units::Tokens(kMaxNew));
+            preempted_requests += f.preemptions > 0 ? 1 : 0;
+        }
+        EXPECT_GE(preempted_requests, 1u);
+        // Equal priorities: the tie-break evicts the later-admitted
+        // request, never the first.
+        for (const FinishedRequest& f : finished) {
+            if (f.id == ids[1]) {
+                EXPECT_GE(f.preemptions, 1u);
+            } else {
+                EXPECT_EQ(f.id, ids[0]);
+                EXPECT_EQ(f.preemptions, 0u);
+            }
+        }
+        const ServerStats stats = scheduler.stats();
+        EXPECT_EQ(stats.preemptions, scheduler.preemptions());
+        // Recompute work shows up as extra prefill tokens: both
+        // prompts plus at least the victim's replayed history.
+        EXPECT_GT(stats.prefill_tokens,
+                  units::Tokens(2 * prompts[0].size()));
+        EXPECT_EQ(stats.pooled_steps,
+                  step_threads > 0 ? stats.steps : 0u);
+        runs.push_back(finished);
     }
-    const ServerStats stats = scheduler.stats();
-    EXPECT_EQ(stats.preemptions, scheduler.preemptions());
-    // Recompute work shows up as extra prefill tokens: both prompts
-    // plus at least the victim's replayed history.
-    EXPECT_GT(stats.prefill_tokens,
-              units::Tokens(2 * prompts[0].size()));
+    // The pool changes when work runs, never what it computes or the
+    // modeled clock.
+    ASSERT_EQ(runs[1].size(), runs[0].size());
+    for (std::size_t i = 0; i < runs[0].size(); ++i) {
+        EXPECT_EQ(runs[1][i].id, runs[0][i].id);
+        EXPECT_EQ(runs[1][i].tokens, runs[0][i].tokens);
+        EXPECT_EQ(runs[1][i].first_token_s, runs[0][i].first_token_s);
+        EXPECT_EQ(runs[1][i].finished_s, runs[0][i].finished_s);
+    }
 }
 
 TEST(Scheduler, PriorityChoosesThePreemptionVictim)

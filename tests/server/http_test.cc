@@ -668,7 +668,11 @@ TEST(AnalyticFrontend, PromptCountsPastTheByteRangeAreRejected)
 {
     // mugi_server's default engine: analytic Llama-2 70B under a
     // 1 GiB KV budget.  1e15 prompt positions overflow the 64-bit
-    // byte arithmetic of admission, which aborts the process.
+    // byte arithmetic of admission, which aborts the process.  A
+    // count in range whose KV outgrows the budget is refused too:
+    // admitted alone, 2^32 prompt positions grew the server's block
+    // table without bound.  At 84,480 B per INT4 position, 12,710
+    // positions fit in 1 GiB.
     const serve::Engine engine(sim::make_mugi(256),
                                model::llama2_70b());
     serve::ServerConfig config;
@@ -681,7 +685,10 @@ TEST(AnalyticFrontend, PromptCountsPastTheByteRangeAreRejected)
     std::vector<int> statuses;
     for (const char* body :
          {"{\"prompt_tokens\":1e15}",
-          "{\"prompt_tokens\":8,\"max_new_tokens\":2}"}) {
+          "{\"prompt_tokens\":8,\"max_new_tokens\":2}",
+          "{\"prompt_tokens\":4294967296,\"max_new_tokens\":1}",
+          "{\"prompt_tokens\":12700,\"max_new_tokens\":10}",
+          "{\"prompt_tokens\":12701,\"max_new_tokens\":10}"}) {
         Client client;
         const std::optional<HttpResponse> response =
             client.connect(frontend.port())
@@ -691,7 +698,7 @@ TEST(AnalyticFrontend, PromptCountsPastTheByteRangeAreRejected)
     }
     frontend.stop();
     accept_thread.join();
-    EXPECT_EQ(statuses, (std::vector<int>{400, 200}));
+    EXPECT_EQ(statuses, (std::vector<int>{400, 200, 400, 200, 400}));
     EXPECT_EQ(server.stats().kv_bytes_in_use, units::Bytes(0));
 }
 
