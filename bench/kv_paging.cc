@@ -57,7 +57,7 @@ serve_trace(const serve::Engine& engine, quant::KvPrecision precision,
         serve::Request request;
         request.analytic_prompt_tokens = units::Tokens(kPrompt);
         request.max_new_tokens = units::Tokens(kGen);
-        request.session.kv_precision = precision;
+        request.kv_precision = precision;
         scheduler.submit(std::move(request));
     }
     TraceResult result;

@@ -61,7 +61,7 @@ serve_trace(const serve::Engine& engine,
         serve::Request request;
         request.prompt = prompts[i];
         request.max_new_tokens = units::Tokens(kMaxNew);
-        request.session.kv_precision = precision;
+        request.kv_precision = precision;
         // The donor arrives first; everyone else one modeled instant
         // later, once its prefill has made the system prompt
         // resident.

@@ -25,7 +25,7 @@
 #include <optional>
 #include <vector>
 
-#include "serve/session.h"
+#include "quant/kv_cache.h"
 
 namespace mugi {
 namespace serve {
@@ -134,7 +134,7 @@ struct Request {
      * Analytic prefix caching: requests carrying the same nonzero
      * prefix_group share their first prefix_tokens prompt tokens (a
      * common system prompt in a modeled trace).  The scheduler's
-     * prefix index treats those blocks as content-equal: once a
+     * prefix scan treats those blocks as content-equal: once a
      * resident request has computed them, a new sharer adopts its
      * refcounted KV blocks (held once however many sharers are
      * resident) and skips their prefill chunks.
@@ -145,9 +145,8 @@ struct Request {
     /** Shared-prefix length in tokens (with prefix_group). */
     units::Tokens prefix_tokens{0};
 
-    /** Per-session knobs (KV precision); initial_context must be 0 --
-     *  context is built by the scheduler's chunked prefill. */
-    SessionOptions session;
+    /** KV-cache precision (KVQ INT4 by default, Sec. 2.3.3). */
+    quant::KvPrecision kv_precision = quant::KvPrecision::kInt4;
 
     /** Optional per-token streaming hook. */
     TokenCallback on_token;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <thread>
 
@@ -16,19 +17,6 @@
 namespace mugi {
 namespace serve {
 namespace {
-
-/** FNV-1a over one 64-bit value, little-endian byte order. */
-std::uint64_t
-fnv1a64(std::uint64_t h, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (value >> (8 * i)) & 0xFF;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 
 /** Context length of the BatchPolicy derivation sweep. */
 constexpr std::size_t kPolicyContext = 512;
@@ -153,9 +141,6 @@ Scheduler::submit_with_id(Request request, std::uint64_t id)
 {
     assert((!functional_ || !request.prompt.empty()) &&
            "functional requests need a non-empty prompt");
-    assert(request.session.initial_context == units::Tokens(0) &&
-           "context is built by the scheduler's chunked prefill");
-    request.session.initial_context = units::Tokens(0);
     ++submitted_;
     const double arrival =
         std::max(request.arrival_time_s, now_s_);
@@ -171,12 +156,6 @@ Scheduler::submit_with_id(Request request, std::uint64_t id)
         // stats() TTFT aggregates exclude the request.
         finish(queued, FinishReason::kMaxTokens);
         return id;
-    }
-    if (config_.prefix_caching) {
-        // Hash the shareable prompt blocks exactly once; admission
-        // attempts (there may be many while the head waits on the
-        // budget) only walk the cached chain.
-        queued.prefix_keys = prefix_keys_for(queued.request);
     }
     queue_.push_back(std::move(queued));
     return id;
@@ -201,140 +180,62 @@ Scheduler::blocks_for(units::Tokens tokens) const
     return units::blocks_for(tokens, config_.kv_block_tokens);
 }
 
-std::vector<std::uint64_t>
-Scheduler::prefix_keys_for(const Request& request) const
-{
-    const std::size_t bt = config_.kv_block_tokens.value();
-    std::size_t region = request.prompt_tokens().value();
-    if (!functional_) {
-        if (request.prefix_group == 0) {
-            return {};  // Nothing declared shareable.
-        }
-        region = std::min(region, request.prefix_tokens.value());
-    }
-    const std::size_t depth = region / bt;
-    std::vector<std::uint64_t> keys;
-    keys.reserve(depth);
-    // Seed with the precision (and, analytically, the group id):
-    // blocks only match between caches of identical layout.
-    std::uint64_t h = fnv1a64(
-        kFnvOffset,
-        static_cast<std::uint64_t>(request.session.kv_precision));
-    if (!functional_) {
-        h = fnv1a64(h, request.prefix_group);
-    }
-    for (std::size_t b = 0; b < depth; ++b) {
-        if (functional_) {
-            for (std::size_t t = b * bt; t < (b + 1) * bt; ++t) {
-                h = fnv1a64(h, static_cast<std::uint64_t>(
-                                   static_cast<std::int64_t>(
-                                       request.prompt[t])));
-            }
-        } else {
-            h = fnv1a64(h, b);
-        }
-        keys.push_back(h);
-    }
-    return keys;
-}
-
 Scheduler::PrefixMatch
 Scheduler::find_prefix_match(const Tracked& queued) const
 {
     PrefixMatch match;
-    if (!config_.prefix_caching) {
+    const Request& want = queued.request;
+    const units::Tokens prompt = want.prompt_tokens();
+    const units::Tokens feed = prompt + queued.generated;
+    if (!config_.prefix_caching || feed == units::Tokens(0) ||
+        (!functional_ && want.prefix_group == 0)) {
         return match;
     }
-    const std::size_t bt = config_.kv_block_tokens.value();
-    const quant::KvPrecision precision =
-        queued.request.session.kv_precision;
-    const std::size_t prompt_len =
-        queued.request.prompt_tokens().value();
-    const std::size_t feed = prompt_len + queued.generated.value();
-    if (feed == 0) {
-        return match;
-    }
-    const std::vector<std::uint64_t>& keys = queued.prefix_keys;
     // Never share the whole feed: the chunk completing prefill must
     // feed >= 1 real token so its logits emit the first token.
-    const std::size_t cap =
-        std::min(keys.size(), std::min(prompt_len, feed - 1) / bt);
-    for (std::size_t b = 1; b <= cap; ++b) {
-        const auto it = prefix_index_.find(keys[b - 1]);
-        if (it == prefix_index_.end()) {
-            break;  // Chain property: deeper runs cannot match.
+    units::Tokens cap = std::min(prompt, feed - units::Tokens(1));
+    if (!functional_) {
+        cap = std::min(cap, want.prefix_tokens);
+    }
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+        const Tracked& donor = active_[i];
+        if (donor.session->kv_precision() != want.kv_precision) {
+            continue;
         }
-        bool found = false;
-        for (const std::uint64_t owner_id : it->second) {
-            for (std::size_t i = 0; i < active_.size(); ++i) {
-                const Tracked& donor = active_[i];
-                if (donor.id != owner_id ||
-                    donor.session->kv_precision() != precision) {
-                    continue;
-                }
-                // The donor must have those positions resident --
-                // fed (or itself adopted), not merely promised.
-                if (donor.prompt_fed.value() < b * bt) {
-                    continue;
-                }
-                if (functional_ &&
-                    (donor.request.prompt.size() < b * bt ||
-                     !std::equal(queued.request.prompt.begin(),
-                                 queued.request.prompt.begin() +
-                                     static_cast<std::ptrdiff_t>(b *
-                                                                 bt),
-                                 donor.request.prompt.begin()))) {
-                    continue;  // Hash collision: verify content.
-                }
-                match.tokens = units::Tokens(b * bt);
-                match.blocks = units::Blocks(b);
-                match.donor = i;
-                found = true;
-                break;
-            }
-            if (found) {
-                break;
-            }
+        // The donor must have those positions resident -- fed (or
+        // itself adopted), not merely promised.
+        units::Tokens shared = std::min(cap, donor.prompt_fed);
+        if (functional_) {
+            const std::span<const int> mine(want.prompt.data(),
+                                            shared.value());
+            const auto agreed =
+                std::ranges::mismatch(mine, donor.request.prompt);
+            shared = units::Tokens(
+                static_cast<std::size_t>(agreed.in1 - mine.begin()));
+        } else if (donor.request.prefix_group == want.prefix_group) {
+            shared = std::min({shared, donor.request.prompt_tokens(),
+                               donor.request.prefix_tokens});
+        } else {
+            continue;
         }
-        if (!found) {
-            break;  // No deeper donor can exist (prefix property).
+        // Most whole blocks win; ties keep the earliest admitted.
+        const units::Blocks blocks =
+            units::full_blocks_for(shared, config_.kv_block_tokens);
+        if (blocks > match.blocks) {
+            match.tokens =
+                units::tokens_for(blocks, config_.kv_block_tokens);
+            match.blocks = blocks;
+            match.donor = i;
         }
     }
     return match;
-}
-
-void
-Scheduler::register_prefix_owner(const Tracked& req)
-{
-    for (const std::uint64_t key : req.prefix_keys) {
-        prefix_index_[key].push_back(req.id);
-    }
-}
-
-void
-Scheduler::deregister_prefix_owner(const Tracked& req)
-{
-    for (const std::uint64_t key : req.prefix_keys) {
-        const auto it = prefix_index_.find(key);
-        if (it == prefix_index_.end()) {
-            continue;
-        }
-        auto& owners = it->second;
-        owners.erase(
-            std::remove(owners.begin(), owners.end(), req.id),
-            owners.end());
-        if (owners.empty()) {
-            prefix_index_.erase(it);
-        }
-    }
 }
 
 units::Bytes
 Scheduler::admission_bytes(const Tracked& queued,
                            units::Blocks shared_blocks) const
 {
-    const quant::KvPrecision precision =
-        queued.request.session.kv_precision;
+    const quant::KvPrecision precision = queued.request.kv_precision;
     // The blocks covering the prompt and any tokens generated before
     // a preemption, plus the first decode append -- growth beyond
     // that is allocated on demand and defended by preemption.
@@ -416,12 +317,11 @@ Scheduler::preempt(std::size_t index)
     Tracked& victim = active_[index];
     ++preemptions_;
     ++victim.preempt_count;
-    deregister_prefix_owner(victim);
     // Resetting the session drops its caches' block references,
     // which is the point of preemption.  A block another request
     // shares survives (its refcount stays > 0) -- one owner's
-    // eviction never frees a sharer's storage.  The emitted tokens,
-    // milestones and chain keys stay in the record for re-admission.
+    // eviction never frees a sharer's storage.  The emitted tokens
+    // and milestones stay in the record for re-admission.
     victim.session.reset();
     // Front of the queue: the victim was admitted before anything
     // still waiting, and FIFO admission keeps it first in line.
@@ -492,7 +392,7 @@ Scheduler::admit_arrivals()
             const units::Bytes needed =
                 admission_bytes(head, match.blocks);
             const units::Bytes watermark =
-                watermark_bytes(head.request.session.kv_precision);
+                watermark_bytes(head.request.kv_precision);
             if (committed_total() + needed + watermark >
                 config_.kv_budget_bytes) {
                 // Would overcommit the KV budget.  The only
@@ -509,9 +409,9 @@ Scheduler::admit_arrivals()
                 }
             }
         }
-        SessionOptions options = head.request.session;
-        options.kv_pool = &pool_;
-        head.session = engine_.create_session(options);
+        head.session = engine_.create_session(
+            {.kv_precision = head.request.kv_precision,
+             .kv_pool = &pool_});
         if (functional_) {
             head.feed = head.request.prompt;
             head.feed.insert(head.feed.end(), head.tokens.begin(),
@@ -537,7 +437,6 @@ Scheduler::admit_arrivals()
             saved_prefill_tokens_ += match.tokens;
         }
         head.admitted_s = head.admitted_s.value_or(now_s_);
-        register_prefix_owner(head);
         active_.push_back(std::move(head));
         queue_.pop_front();
     }
@@ -630,7 +529,6 @@ Scheduler::retire_active(std::size_t index, FinishReason reason)
 {
     Tracked& req = active_[index];
     finish(req, reason);
-    deregister_prefix_owner(req);
     // Erasing destroys the session, whose caches drop their block
     // references -- the same release order the end-of-step retire
     // path uses, so shared prefix blocks survive while another
@@ -866,11 +764,6 @@ Scheduler::step()
     // iteration's token, then the request retires with its KV blocks
     // released exactly as on a natural finish.
     expire_deadlines();
-    for (const Tracked& a : active_) {
-        if (a.done) {
-            deregister_prefix_owner(a);
-        }
-    }
     active_.erase(std::remove_if(active_.begin(), active_.end(),
                                  [](const Tracked& a) {
                                      return a.done;
@@ -894,41 +787,7 @@ Scheduler::check_invariants() const
     if (!pool_violation.empty()) {
         return "pool: " + pool_violation;
     }
-    // Rung 2: every prefix-index entry names resident owners that
-    // actually hold the key (entries live exactly as long as their
-    // owner is resident).
-    for (const auto& [key, owners] : prefix_index_) {
-        if (owners.empty()) {
-            out << "prefix index key " << key << " has no owners";
-            return out.str();
-        }
-        for (const std::uint64_t owner : owners) {
-            const auto holder = std::find_if(
-                active_.begin(), active_.end(),
-                [owner](const Tracked& a) {
-                    return a.id == owner;
-                });
-            if (holder == active_.end()) {
-                out << "prefix index key " << key
-                    << " owned by non-resident request " << owner;
-                return out.str();
-            }
-            if (std::find(holder->prefix_keys.begin(),
-                          holder->prefix_keys.end(),
-                          key) == holder->prefix_keys.end()) {
-                out << "prefix index key " << key << " not among "
-                    << "request " << owner << "'s prefix keys";
-                return out.str();
-            }
-            if (std::count(owners.begin(), owners.end(), owner) !=
-                1) {
-                out << "request " << owner
-                    << " listed twice for prefix key " << key;
-                return out.str();
-            }
-        }
-    }
-    // Rung 3: every pool reference is a resident session's
+    // Rung 2: every pool reference is a resident session's
     // block-table entry, functional or analytic alike: the per-slot
     // refcount total must equal the sum of the sessions' tables, or a
     // cache leaked / double-freed a reference.

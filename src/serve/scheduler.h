@@ -34,20 +34,19 @@
  *    replayed, so its remaining output is bit-identical to an
  *    uncontended run).  A request keeps that one record from submit
  *    to retirement; queue and active set only move it;
- *  - **prefix caching**: a content-addressed index of the resident
- *    requests' prompt-block runs (chained hashes at block
- *    granularity, per KV precision).  When a new request's prompt
- *    prefix matches blocks a resident request has already computed,
- *    admission maps its session onto those physical blocks under
- *    pool refcounts (copy-on-write protected), charges only the
- *    unshared tail against the budget, and skips the shared blocks'
- *    prefill chunks entirely -- under Mugi's INT4-KVQ layout a hit
- *    saves both the recompute and the quantization pass.  Analytic
- *    requests declaring a common Request::prefix_group share blocks
- *    and skip the shared chunks the same way, through the same
- *    Session::adopt_kv_prefix.  Preemption interacts through the
- *    refcounts: evicting one sharer never frees a block another
- *    sharer still reads;
+ *  - **prefix caching**: admission scans the resident requests for
+ *    the one at the new request's KV precision that has already
+ *    computed the most whole blocks of its prompt prefix, maps its
+ *    session onto those physical blocks under pool refcounts
+ *    (copy-on-write protected), charges only the unshared tail
+ *    against the budget, and skips the shared blocks' prefill chunks
+ *    entirely -- under Mugi's INT4-KVQ layout a hit saves both the
+ *    recompute and the quantization pass.  Functional prompts match
+ *    on their real tokens; analytic requests declaring a common
+ *    Request::prefix_group share blocks and skip the shared chunks
+ *    the same way, through the same Session::adopt_kv_prefix.
+ *    Preemption interacts through the refcounts: evicting one sharer
+ *    never frees a block another sharer still reads;
  *  - chunked prefill: admitted prompts are fed at most
  *    prefill_chunk_tokens per iteration, interleaved with the decode
  *    batch in one Engine::step(StepPlan) whose mixed workload shares
@@ -83,8 +82,8 @@
  * worker pool it owns are the internally-synchronized pieces.
  * Every step ends with an invariant audit under
  * MUGI_AUDIT_INVARIANTS (support/audit.h): check_invariants()
- * recomputes the pool's and the prefix index's accounting from
- * scratch and any drift aborts.
+ * recomputes the pool's accounting and the resident block tables
+ * from scratch and any drift aborts.
  */
 
 #include <cstddef>
@@ -93,7 +92,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "quant/block_allocator.h"
@@ -386,10 +384,9 @@ class Scheduler {
     /**
      * Recompute the scheduler's cross-structure accounting from
      * scratch and return a description of the first violation (empty
-     * string: consistent).  Checks the pool's own invariants, that
-     * every prefix-index entry names a resident owner holding that
-     * key, and that the resident sessions' block tables account for
-     * every pool reference.
+     * string: consistent).  Checks the pool's own invariants and
+     * that the resident sessions' block tables account for every
+     * pool reference.
      * Available in every build type; step() runs it automatically
      * under MUGI_AUDIT_INVARIANTS.
      */
@@ -411,13 +408,6 @@ class Scheduler {
         std::optional<double> admitted_s{};
         double first_token_s{};
         std::size_t preempt_count{};
-        /**
-         * Chain keys of the request's shareable prompt-block runs,
-         * hashed once at submit (they depend only on the prompt /
-         * prefix declaration and precision) -- the prefix-index
-         * entries it owns while resident.
-         */
-        std::vector<std::uint64_t> prefix_keys{};
         /** Tokens emitted so far (functional). */
         std::vector<int> tokens{};
         units::Tokens generated{};
@@ -449,7 +439,7 @@ class Scheduler {
                                  : policy_.target_batch();
     }
 
-    /** What a prefix-index lookup found for a queued request. */
+    /** What the prefix scan found for a queued request. */
     struct PrefixMatch {
         units::Tokens tokens{0};  ///< Block-aligned shared positions.
         units::Blocks blocks{0};  ///< Block groups those cover.
@@ -462,24 +452,17 @@ class Scheduler {
     /** Blocks covering @p tokens at the pool's block geometry. */
     units::Blocks blocks_for(units::Tokens tokens) const;
     /**
-     * Chain keys over @p request's shareable prompt-block runs, one
-     * per depth (functional: hashes of the real token runs; analytic:
-     * synthesized from prefix_group within prefix_tokens).  Empty
-     * when the request has nothing shareable.
-     */
-    std::vector<std::uint64_t> prefix_keys_for(const Request& request)
-        const;
-    /**
      * Longest block-aligned prompt prefix of @p queued already
-     * computed by a resident request at the same precision (always
-     * leaving >= 1 token to feed, so the completing chunk's logits
-     * still emit the first token).
+     * computed by a resident request at the same precision, found by
+     * one scan of active_ (always leaving >= 1 token to feed, so the
+     * completing chunk's logits still emit the first token).  A
+     * resident shares the prompt positions it has fed that agree
+     * with @p queued's: the common prefix of the real tokens
+     * (functional), or the declared prefix when both carry the same
+     * nonzero prefix_group (analytic).  Ties go to the earliest
+     * admitted.
      */
     PrefixMatch find_prefix_match(const Tracked& queued) const;
-    /** Publish @p req's prompt blocks in the prefix index. */
-    void register_prefix_owner(const Tracked& req);
-    /** Remove @p req's prefix-index entries (retire / preempt). */
-    void deregister_prefix_owner(const Tracked& req);
     /**
      * Bytes admission must charge for @p queued: the blocks covering
      * its prompt, any tokens it generated before a preemption and the
@@ -507,10 +490,9 @@ class Scheduler {
      */
     void preempt(std::size_t index);
     /**
-     * Retire active_[index] with @p reason right now: finish it,
-     * drop its prefix-index entries, and erase it (its session's
-     * destructor releases the KV blocks) -- the cancel/deadline twin
-     * of the end-of-step retire path.
+     * Retire active_[index] with @p reason right now: finish it and
+     * erase it (its session's destructor releases the KV blocks) --
+     * the cancel/deadline twin of the end-of-step retire path.
      */
     void retire_active(std::size_t index, FinishReason reason);
     /**
@@ -555,14 +537,6 @@ class Scheduler {
      */
     std::vector<Tracked> active_;
     std::vector<FinishedRequest> finished_;
-
-    /**
-     * Prefix index: chain key of a prompt-block run -> ids of the
-     * resident requests whose prompts contain that run (entries live
-     * exactly as long as their owner is resident).
-     */
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
-        prefix_index_;
 
     sim::PerfAccumulator horizon_;
     /** Clock: horizon_.elapsed_s() + idle fast-forward skips. */

@@ -100,7 +100,7 @@ class Session {
      * identical KV precision, and donor position >= @p positions.
      * Growth by either session copy-on-writes shared blocks, so both
      * keep byte-identical reads; serve::Scheduler calls this when its
-     * prefix index maps a new prompt onto resident blocks.
+     * prefix scan maps a new prompt onto resident blocks.
      */
     void adopt_kv_prefix(const Session& donor,
                          units::Positions positions);

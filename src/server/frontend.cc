@@ -17,8 +17,8 @@ namespace mugi {
 namespace server {
 namespace {
 
-/** Slow-client write timeout of every connection (SO_SNDTIMEO). */
-constexpr double kWriteTimeoutS = 10.0;
+/** Slow-client send and read timeout of every connection. */
+constexpr double kTimeoutS = 10.0;
 
 /** splitmix64: the uuid mixer (id -> two well-mixed 64-bit halves). */
 std::uint64_t
@@ -170,7 +170,7 @@ Frontend::run()
             // blocking, so the close does not reset the connection
             // before the client has read the 503.
             Connection connection(unserved);
-            connection.set_write_timeout(kWriteTimeoutS);
+            connection.set_timeout(kTimeoutS);
             connection.write_response(
                 503, "application/json",
                 "{\"error\":\"no connection thread\"}",
@@ -212,7 +212,7 @@ void
 Frontend::handle(int fd)
 {
     Connection connection(fd);
-    connection.set_write_timeout(kWriteTimeoutS);
+    connection.set_timeout(kTimeoutS);
     HttpRequest request;
     if (!connection.read_request(&request)) {
         connection.write_response(
@@ -373,7 +373,7 @@ Frontend::handle_generate(Connection& connection,
         const units::Bytes per_token =
             quant::KvCache::bytes_per_position(
                 model.num_kv_heads, model.head_dim(),
-                request.session.kv_precision) *
+                request.kv_precision) *
             model.num_layers;
         if (units::bytes_for(request.prompt_tokens() +
                                  request.max_new_tokens,

@@ -53,7 +53,11 @@
  * run by overcommitting that budget.  A client that stops draining
  * its stream for longer than the 10 s write timeout (SO_SNDTIMEO),
  * or vanishes, has its request cancelled -- KV blocks release
- * immediately -- and is counted in slow_client_cancels.
+ * immediately -- and is counted in slow_client_cancels.  The same
+ * 10 s bounds each read of the request (SO_RCVTIMEO): a client that
+ * sends nothing for that long gets 400 and loses the connection, so
+ * an idle connection cannot hold its thread, or stop()'s join,
+ * indefinitely.
  *
  * Shutdown: stop() (the SIGINT/SIGTERM path) closes the listener,
  * drains the serve::Server (in-flight requests complete and their

@@ -185,7 +185,7 @@ Connection::read_request(HttpRequest* out, std::size_t max_body_bytes)
 }
 
 bool
-Connection::set_write_timeout(double seconds)
+Connection::set_timeout(double seconds)
 {
     if (seconds < 0.0) {
         return false;
@@ -195,6 +195,8 @@ Connection::set_write_timeout(double seconds)
     tv.tv_usec = static_cast<long>(
         (seconds - std::floor(seconds)) * 1e6);
     return ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv,
+                        sizeof(tv)) == 0 &&
+           ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv,
                         sizeof(tv)) == 0;
 }
 

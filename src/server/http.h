@@ -25,11 +25,11 @@
  * MSG_NOSIGNAL (and mugi_server additionally ignores SIGPIPE
  * process-wide) so a vanished client surfaces as a failed write --
  * never a signal death -- short writes are continued, and EAGAIN from
- * an expired SO_SNDTIMEO (set_write_timeout) fails the write so a
- * stalled client cannot wedge its connection thread.  write paths
- * carry the "http.write" / "http.write.short" fault sites
- * (support/fault.h) so the chaos bench can inject exactly these
- * failures deterministically.
+ * an expired SO_SNDTIMEO or SO_RCVTIMEO (set_timeout) fails the write
+ * or the request read, so a stalled or silent client cannot wedge
+ * its connection thread.  write paths carry the "http.write" /
+ * "http.write.short" fault sites (support/fault.h) so the chaos bench
+ * can inject exactly these failures deterministically.
  *
  * Thread-safety: externally serialized per object -- each
  * Connection/Client has exactly one owning thread (the front-end
@@ -81,14 +81,16 @@ class Connection {
                       std::size_t max_body_bytes = 1 << 20);
 
     /**
-     * Bound every blocking send on this connection (SO_SNDTIMEO): a
-     * client that stops draining its socket for longer than
-     * @p seconds fails the write instead of wedging the connection
-     * thread forever.  0 disables the bound.  The front-end maps a
-     * failed mid-stream write onto cancelling the request, so a slow
-     * client releases its KV blocks instead of holding them.
+     * Bound every blocking send and read on this connection
+     * (SO_SNDTIMEO and SO_RCVTIMEO): a client that stops draining its
+     * socket, or sends nothing, for longer than @p seconds fails the
+     * write or read_request instead of wedging the connection thread
+     * forever.  0 disables the bounds.  The front-end maps a failed
+     * mid-stream write onto cancelling the request, so a slow client
+     * releases its KV blocks instead of holding them, and answers a
+     * failed read with 400.
      */
-    bool set_write_timeout(double seconds);
+    bool set_timeout(double seconds);
 
     /** Write a complete fixed-length response. */
     bool write_response(int status, const std::string& content_type,

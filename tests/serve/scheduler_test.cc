@@ -829,6 +829,103 @@ TEST(Scheduler, SameGroupRequestsAdmittedTogetherEachHoldTheirBlocks)
     EXPECT_EQ(bytes_after_first_step(2), one * 2);
 }
 
+TEST(Scheduler, PrefixMatchTakesTheDeepestResidentPrefixOfOneLayout)
+{
+    // A match needs the same KV precision and prefix group, reaches
+    // only as far as the donor has fed and declared, and takes the
+    // donor with the most whole blocks, not the earliest admitted
+    // one.
+    const model::ModelConfig config = model::llama2_7b();
+    const Engine engine(sim::make_mugi(256), config);
+    SchedulerConfig sched_config;
+    sched_config.kv_block_tokens = units::Tokens(16);
+    sched_config.prefill_chunk_tokens = units::Tokens(16);
+    sched_config.max_batch = 16;
+    Scheduler scheduler(engine, sched_config);
+    const auto submit = [&](std::uint64_t group, std::size_t prefix,
+                            quant::KvPrecision precision) {
+        Request request;
+        request.analytic_prompt_tokens = units::Tokens(80);
+        request.max_new_tokens = units::Tokens(4);
+        request.prefix_group = group;
+        request.prefix_tokens = units::Tokens(prefix);
+        request.kv_precision = precision;
+        return scheduler.submit(std::move(request));
+    };
+    constexpr quant::KvPrecision kInt4 = quant::KvPrecision::kInt4;
+    constexpr quant::KvPrecision kFloat = quant::KvPrecision::kFloat;
+    submit(1, 32, kInt4);
+    const std::uint64_t deep_donor = submit(1, 64, kInt4);
+    submit(2, 64, kInt4);
+    submit(3, 64, kFloat);
+    ASSERT_TRUE(scheduler.step());
+
+    // Its donor has fed one block of the four it declares.
+    submit(2, 64, kInt4);
+    ASSERT_TRUE(scheduler.step());
+    EXPECT_EQ(scheduler.stats().prefix_hits, 1u);
+    EXPECT_EQ(scheduler.stats().shared_blocks, units::Blocks(1));
+
+    for (int i = 0; i < 4; ++i) {
+        ASSERT_TRUE(scheduler.step());
+    }
+    ASSERT_EQ(scheduler.active(), 5u) << "every donor still resident";
+    // 4 blocks of the second donor, not the first donor's 2.
+    const std::uint64_t deep_sharer = submit(1, 64, kInt4);
+    submit(3, 64, kInt4);   // Group 3's donor is float: no match.
+    submit(3, 48, kFloat);  // 3 blocks, capped by its own prefix.
+    ASSERT_TRUE(scheduler.step());
+    const ServerStats stats = scheduler.stats();
+    EXPECT_EQ(stats.prefix_hits, 3u);
+    EXPECT_EQ(stats.shared_blocks, units::Blocks(8));
+    EXPECT_EQ(stats.saved_prefill_tokens, units::Tokens(128));
+
+    // With only the first donor left in group 1, its own 32-token
+    // declaration bounds the match.
+    ASSERT_TRUE(scheduler.cancel(deep_donor));
+    ASSERT_TRUE(scheduler.cancel(deep_sharer));
+    submit(1, 64, kInt4);
+    ASSERT_TRUE(scheduler.step());
+    EXPECT_EQ(scheduler.stats().shared_blocks, units::Blocks(10));
+
+    scheduler.run();
+    EXPECT_EQ(scheduler.kv_bytes_in_use(), units::Bytes(0));
+}
+
+TEST(Scheduler, FunctionalPromptsShareOnlyTheirWholeCommonBlocks)
+{
+    // A prompt that diverges inside a block shares the whole blocks
+    // before it and computes the rest.
+    const model::ModelConfig config =
+        model::llama2_70b().scaled_for_eval(2, 32, 64);
+    auto transformer =
+        std::make_shared<model::TransformerModel>(config, 811);
+    const Engine engine(sim::make_mugi(64), transformer);
+    SchedulerConfig sched_config;
+    sched_config.kv_block_tokens = units::Tokens(4);
+    sched_config.prefill_chunk_tokens = units::Tokens(64);
+    sched_config.max_batch = 2;
+    Scheduler scheduler(engine, sched_config);
+
+    Request donor;
+    donor.prompt = model::synthetic_tokens(14, config.vocab, 950);
+    donor.max_new_tokens = units::Tokens(4);
+    Request sharer = donor;
+    sharer.prompt[10] = (sharer.prompt[10] + 1) %
+                        static_cast<int>(config.vocab);
+    // Arrives once the donor's prefill made its prompt resident.
+    sharer.arrival_time_s = 1e-12;
+    scheduler.submit(std::move(donor));
+    scheduler.submit(std::move(sharer));
+    scheduler.run();
+
+    const ServerStats stats = scheduler.stats();
+    EXPECT_EQ(stats.prefix_hits, 1u);
+    EXPECT_EQ(stats.shared_blocks, units::Blocks(2));
+    EXPECT_EQ(stats.saved_prefill_tokens, units::Tokens(8));
+    EXPECT_EQ(scheduler.kv_bytes_in_use(), units::Bytes(0));
+}
+
 // ---- Stats bugfix sweep (regressions). ----
 
 TEST(Scheduler, MeanTpotExcludesSingleTokenRequests)
@@ -921,12 +1018,12 @@ TEST(Scheduler, WatermarkSizedToTheLargestResidentPrecision)
     Request a;
     a.analytic_prompt_tokens = units::Tokens(16);
     a.max_new_tokens = units::Tokens(4);
-    a.session.kv_precision = quant::KvPrecision::kFloat;
+    a.kv_precision = quant::KvPrecision::kFloat;
     scheduler.submit(std::move(a));
     Request b;
     b.analytic_prompt_tokens = units::Tokens(16);
     b.max_new_tokens = units::Tokens(4);
-    b.session.kv_precision = quant::KvPrecision::kInt4;
+    b.kv_precision = quant::KvPrecision::kInt4;
     scheduler.submit(std::move(b));
 
     std::size_t max_active = 0;

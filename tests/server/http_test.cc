@@ -14,6 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -616,6 +617,23 @@ TEST(Http, ContentLengthMustBeOneWholeNumber)
             EXPECT_EQ(request.body, c.body);
         }
     }
+}
+
+TEST(Http, SilentClientTimesOutTheRequestRead)
+{
+    // A peer that connects and sends nothing must not hold the
+    // reading thread: the read timeout fails read_request, so the
+    // Frontend answers 400 and its stop() can join the thread.
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    Connection connection(fds[0]);
+    ASSERT_TRUE(connection.set_timeout(0.2));
+    const auto start = std::chrono::steady_clock::now();
+    HttpRequest request;
+    EXPECT_FALSE(connection.read_request(&request));
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5));
+    ::close(fds[1]);
 }
 
 TEST_F(FrontendTest, GarbageRequestLineIsRejected)

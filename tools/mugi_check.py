@@ -34,7 +34,7 @@ R4  admission-unwrap: the admission/reservation functions in
     blocks), and the Server submission/cancellation paths in
     ``src/serve/server.cc`` must stay ``.value()``-free end to end;
     they speak units types only, via the named helpers.  Index-math
-    functions (prefix keys, token emission) are exempt.  The audit
+    functions (prefix matching, token emission) are exempt.  The audit
     goes by name, so an audited name with no definition in its file
     (deleted or renamed) is itself a finding: it would otherwise drop
     out of the audit without a trace.
@@ -90,8 +90,8 @@ CONVERSION_HELPERS = {
 
 #: serve::Scheduler admission/reservation functions that must stay
 #: .value()-free (R4).  Index-math functions (find_prefix_match,
-#: prefix_keys_for, emit_token, step, check_invariants, ...) may
-#: unwrap at their arithmetic leaves and are deliberately absent.
+#: emit_token, step, check_invariants, ...) may unwrap at their
+#: arithmetic leaves and are deliberately absent.
 ADMISSION_FUNCTIONS = {
     "admission_bytes",
     "watermark_bytes",
