@@ -1,8 +1,14 @@
 #include "model/transformer.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <new>
 #include <utility>
 
 #include "nonlinear/reference.h"
@@ -14,13 +20,49 @@ namespace mugi {
 namespace model {
 namespace {
 
-support::MatrixF
-gaussian_matrix(std::size_t rows, std::size_t cols,
-                support::Mt19937& rng, float stddev)
+/** Each weight tensor starts on a 64-byte boundary (a cache line). */
+constexpr std::size_t kTensorAlignFloats = 64 / sizeof(float);
+
+/**
+ * A private anonymous mapping for @p floats weights, unmapped when
+ * the last handle drops: it starts on a 2 MB boundary and spans
+ * whole pages, no more, and is advised MADV_HUGEPAGE, so where the
+ * kernel's THP mode allows it (`madvise` or `always`) each 2 MB of
+ * the block is one huge page, one fault, instead of 512 small ones.
+ * With THP off, or no huge page free, it gets 4 KB pages.  The
+ * kernel hands out zeroed pages; nothing here writes them.
+ */
+std::shared_ptr<float[]>
+map_weight_block(std::size_t floats)
 {
-    support::MatrixF m(rows, cols);
-    support::fill_gaussian(m, rng, 0.0f, stddev);
-    return m;
+    constexpr std::size_t kHugePage = std::size_t{2} << 20;
+    const auto page =
+        static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t bytes =
+        (floats * sizeof(float) + page - 1) / page * page;
+    // Map a huge page less one page more than needed, keep the part
+    // from the first 2 MB boundary on, and unmap the rest.
+    const std::size_t mapped = bytes + kHugePage - page;
+    void* const raw = ::mmap(nullptr, mapped, PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw == MAP_FAILED) {
+        throw std::bad_alloc();
+    }
+    const auto at = reinterpret_cast<std::uintptr_t>(raw);
+    const std::size_t lead = (kHugePage - at % kHugePage) % kHugePage;
+    char* const base = static_cast<char*>(raw);
+    char* const start = base + lead;
+    if (lead > 0) {
+        ::munmap(base, lead);
+    }
+    if (lead + bytes < mapped) {
+        ::munmap(start + bytes, mapped - lead - bytes);
+    }
+    ::madvise(start, bytes, MADV_HUGEPAGE);
+    // On failure the constructor calls the deleter, which unmaps.
+    return std::shared_ptr<float[]>(
+        static_cast<float*>(static_cast<void*>(start)),
+        [bytes](float* p) { ::munmap(p, bytes); });
 }
 
 /**
@@ -71,10 +113,13 @@ attend_heads(const float* q_row, const float* keys,
 
 TransformerModel::TransformerModel(const ModelConfig& config,
                                    std::uint32_t seed)
-    : config_(config), layer_hooks_(config.num_layers)
+    : config_(config),
+      layers_(config.num_layers),
+      layer_hooks_(config.num_layers)
 {
     support::Mt19937 rng(seed);
     const std::size_t d = config_.d_model;
+    const std::size_t ff = config_.d_ff;
     const std::size_t kv_dim = config_.num_kv_heads * config_.head_dim();
     // Variance-aware init: the pre-norm input is ~unit RMS, so a
     // weight std of a/sqrt(fan_in) yields outputs ~ N(0, a^2).  The
@@ -87,33 +132,53 @@ TransformerModel::TransformerModel(const ModelConfig& config,
         1.0f / std::sqrt(static_cast<float>(config_.d_ff));
     const float resid_gain =
         1.0f / std::sqrt(2.0f * config_.num_layers);
+    const float qk_std = 1.5f * inv_sqrt_d;
 
-    embedding_ = gaussian_matrix(config_.vocab, d, rng, 1.0f);
-    lm_head_ = gaussian_matrix(d, config_.vocab, rng, inv_sqrt_d);
-    final_norm_gain_.assign(d, 1.0f);
-    final_norm_bias_.assign(d, 0.0f);
-
-    layers_.reserve(config_.num_layers);
-    for (std::size_t l = 0; l < config_.num_layers; ++l) {
-        LayerWeights w;
-        const float qk_std = 1.5f * inv_sqrt_d;
-        w.wq = gaussian_matrix(d, d, rng, qk_std);
-        w.wk = gaussian_matrix(d, kv_dim, rng, qk_std);
-        w.wv = gaussian_matrix(d, kv_dim, rng, inv_sqrt_d);
-        w.wo = gaussian_matrix(d, d, rng, inv_sqrt_d * resid_gain);
+    // Every weight matrix in draw order, with its shape and stddev.
+    struct Draw {
+        support::MatrixF* weights;
+        std::size_t rows, cols;
+        float stddev;
+    };
+    std::vector<Draw> draws = {
+        {&embedding_, config_.vocab, d, 1.0f},
+        {&lm_head_, d, config_.vocab, inv_sqrt_d}};
+    for (LayerWeights& w : layers_) {
+        draws.push_back({&w.wq, d, d, qk_std});
+        draws.push_back({&w.wk, d, kv_dim, qk_std});
+        draws.push_back({&w.wv, d, kv_dim, inv_sqrt_d});
+        draws.push_back({&w.wo, d, d, inv_sqrt_d * resid_gain});
         if (config_.gated_ffn()) {
-            w.w_gate =
-                gaussian_matrix(d, config_.d_ff, rng, 2.0f * inv_sqrt_d);
+            draws.push_back({&w.w_gate, d, ff, 2.0f * inv_sqrt_d});
         }
-        w.w_up = gaussian_matrix(d, config_.d_ff, rng,
-                                 2.0f * inv_sqrt_d);
-        w.w_down = gaussian_matrix(config_.d_ff, d, rng,
-                                   inv_sqrt_ff * resid_gain);
+        draws.push_back({&w.w_up, d, ff, 2.0f * inv_sqrt_d});
+        draws.push_back({&w.w_down, ff, d, inv_sqrt_ff * resid_gain});
         w.norm1_gain.assign(d, 1.0f);
         w.norm1_bias.assign(d, 0.0f);
         w.norm2_gain.assign(d, 1.0f);
         w.norm2_bias.assign(d, 0.0f);
-        layers_.push_back(std::move(w));
+    }
+    final_norm_gain_.assign(d, 1.0f);
+    final_norm_bias_.assign(d, 0.0f);
+
+    // One block holds them all, each on a 64-byte boundary, and each
+    // is drawn in place: no per-tensor allocation, no zero-fill.
+    const auto aligned = [](std::size_t n) {
+        return (n + kTensorAlignFloats - 1) / kTensorAlignFloats *
+               kTensorAlignFloats;
+    };
+    std::size_t floats = 0;
+    for (const Draw& draw : draws) {
+        floats = aligned(floats) + draw.rows * draw.cols;
+    }
+    const std::shared_ptr<float[]> block = map_weight_block(floats);
+    std::size_t first = 0;
+    for (const Draw& draw : draws) {
+        first = aligned(first);
+        *draw.weights =
+            support::MatrixF(draw.rows, draw.cols, block, first);
+        support::fill_gaussian(*draw.weights, rng, 0.0f, draw.stddev);
+        first += draw.rows * draw.cols;
     }
 }
 
@@ -150,7 +215,9 @@ TransformerModel::apply_woq(std::size_t group_size)
         // immaterial.
         const quant::QuantizedMatrix q =
             quant::quantize_int4(w, group_size);
-        w = quant::dequantize(q);
+        // Into w's own elements: a new matrix would leave w's slice
+        // of the weight block unused beside the copy.
+        w.data() = quant::dequantize(q).data();
     };
     for (LayerWeights& layer : layers_) {
         fake_quant(layer.wq);

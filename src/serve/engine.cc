@@ -373,7 +373,7 @@ Engine::prefill_chunk(Session& session,
     plan.prefills.push_back({&session, tokens});
     const support::MatrixF logits = forward_rows(plan, nullptr);
     session.position_ += tokens.size();
-    return logits.data();
+    return {logits.data().begin(), logits.data().end()};
 }
 
 SystemReport

@@ -144,6 +144,7 @@ Frontend::run()
                         finished_.push_back(
                             std::this_thread::get_id());
                     });
+                    reading_.insert(fd);
                 } catch (const std::system_error&) {
                     unserved = fd;
                 }
@@ -201,6 +202,11 @@ Frontend::stop()
     std::vector<std::thread> workers;
     {
         support::MutexLock lock(mu_);
+        // A connection still reading its request would otherwise
+        // hold its worker, and this join, for the read timeout.
+        for (const int fd : reading_) {
+            ::shutdown(fd, SHUT_RD);
+        }
         workers.swap(workers_);
     }
     for (std::thread& worker : workers) {
@@ -214,7 +220,12 @@ Frontend::handle(int fd)
     Connection connection(fd);
     connection.set_timeout(kTimeoutS);
     HttpRequest request;
-    if (!connection.read_request(&request)) {
+    const bool got_request = connection.read_request(&request);
+    {
+        support::MutexLock lock(mu_);
+        reading_.erase(fd);
+    }
+    if (!got_request) {
         connection.write_response(
             400, "application/json",
             "{\"error\":\"malformed request\"}");

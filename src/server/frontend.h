@@ -56,12 +56,13 @@
  * immediately -- and is counted in slow_client_cancels.  The same
  * 10 s bounds each read of the request (SO_RCVTIMEO): a client that
  * sends nothing for that long gets 400 and loses the connection, so
- * an idle connection cannot hold its thread, or stop()'s join,
- * indefinitely.
+ * an idle connection cannot hold its thread indefinitely.
  *
  * Shutdown: stop() (the SIGINT/SIGTERM path) closes the listener,
  * drains the serve::Server (in-flight requests complete and their
- * streams end normally), then joins every connection thread.
+ * streams end normally), ends the reads of connections that have not
+ * sent their request (they get 400 at once, not after the read
+ * timeout), then joins every connection thread.
  *
  * Thread-safety: internally synchronized.  One accept loop (run())
  * hands each connection to its own worker thread; workers share the
@@ -74,6 +75,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "serve/server.h"
@@ -110,8 +112,10 @@ class Frontend {
 
     /**
      * Graceful drain: stop accepting, let serve::Server finish
-     * in-flight work, join every connection thread.  Idempotent;
-     * callable from any thread (a signal-flag watcher, a test).
+     * in-flight work, shut down the reading side of connections
+     * still waiting for their request, join every connection thread.
+     * Idempotent; callable from any thread (a signal-flag watcher, a
+     * test).
      */
     void stop();
 
@@ -141,6 +145,12 @@ class Frontend {
     std::vector<std::thread> workers_ MUGI_GUARDED_BY(mu_);
     /** Workers whose handler returned; run() joins them. */
     std::vector<std::thread::id> finished_ MUGI_GUARDED_BY(mu_);
+    /**
+     * Fds of connections still reading their request, for stop() to
+     * shut down.  A worker erases its fd before closing it, so stop()
+     * never shuts down a reused fd.
+     */
+    std::unordered_set<int> reading_ MUGI_GUARDED_BY(mu_);
     bool stopping_ MUGI_GUARDED_BY(mu_) = false;
 
     /** Per-process UUID seed (std::random_device at construction). */

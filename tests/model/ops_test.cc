@@ -233,7 +233,7 @@ TEST(Ops, ApplyActivationSpanMatchesMatrixForm)
     support::MatrixF x(1, 32);
     support::fill_gaussian(x, rng, 0.0f, 2.0f);
     support::MatrixF as_matrix = x;
-    std::vector<float> as_span(x.data());
+    std::vector<float> as_span(x.data().begin(), x.data().end());
     apply_activation(as_matrix, nonlinear::NonlinearOp::kGelu,
                      nullptr);
     apply_activation_span(as_span, nonlinear::NonlinearOp::kGelu,

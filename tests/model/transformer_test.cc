@@ -1,8 +1,11 @@
 #include "model/transformer.h"
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -279,6 +282,56 @@ TEST(Transformer, WoqPerturbsButPreservesScale)
     }
     EXPECT_GT(dot / std::sqrt(nb * na), 0.95);
     EXPECT_NE(before.data(), after.data());
+}
+
+/** Start and length of every weight matrix, in draw order. */
+std::vector<std::pair<const float*, std::size_t>>
+weight_tensors(const TransformerModel& model)
+{
+    const ModelConfig& config = model.config();
+    std::vector<std::pair<const float*, std::size_t>> tensors = {
+        {model.embedding(0).data(), config.vocab * config.d_model},
+        {model.lm_head().row_data(0), model.lm_head().size()}};
+    for (std::size_t l = 0; l < model.num_layers(); ++l) {
+        const LayerWeights& w = model.layer(l);
+        for (const support::MatrixF* m :
+             {&w.wq, &w.wk, &w.wv, &w.wo, &w.w_gate, &w.w_up,
+              &w.w_down}) {
+            if (m->size() > 0) {
+                tensors.emplace_back(m->row_data(0), m->size());
+            }
+        }
+    }
+    return tensors;
+}
+
+TEST(Transformer, WeightsLieInOneBlockInDrawOrder)
+{
+    // Gated (llama) and ungated (whisper) FFNs.
+    for (const ModelConfig& config : {tiny_llama(), tiny_whisper()}) {
+        SCOPED_TRACE(config.name);
+        TransformerModel model(config, 5);
+        const auto tensors = weight_tensors(model);
+        ASSERT_EQ(tensors.size(),
+                  2 + config.num_layers *
+                          (config.gated_ffn() ? 7u : 6u));
+        const auto address = [](const float* p) {
+            return reinterpret_cast<std::uintptr_t>(p);
+        };
+        // The block starts on a 2 MB (huge page) boundary, and each
+        // tensor at the first 64-byte boundary past the one before.
+        EXPECT_EQ(address(tensors[0].first) % (std::size_t{2} << 20),
+                  0u);
+        for (std::size_t i = 1; i < tensors.size(); ++i) {
+            const std::uintptr_t end =
+                address(tensors[i - 1].first + tensors[i - 1].second);
+            EXPECT_EQ(address(tensors[i].first), (end + 63) / 64 * 64)
+                << "tensor " << i;
+        }
+        // WOQ rewrites the weights where they lie.
+        model.apply_woq(32);
+        EXPECT_EQ(weight_tensors(model), tensors);
+    }
 }
 
 TEST(Transformer, HooksChangeSoftmaxPath)

@@ -583,6 +583,28 @@ TEST_F(FrontendTest, TruncatedBodyIsRejected)
         << response.substr(0, 128);
 }
 
+TEST_F(FrontendTest, StopDoesNotWaitForIdleConnections)
+{
+    // A client that connects and sends nothing.  The accept loop
+    // takes connections in order, so once a later one has been
+    // served the idle one has its worker, blocked in its read.
+    RawStream idle(frontend_->port());
+    ASSERT_TRUE(idle.ok());
+    const std::optional<HttpResponse> health =
+        roundtrip("GET", "/healthz");
+    ASSERT_TRUE(health.has_value());
+    ASSERT_EQ(health->status, 200);
+    // stop() ends that read at once instead of joining the worker
+    // after the 10 s read timeout.
+    const auto start = std::chrono::steady_clock::now();
+    frontend_->stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(2));
+    const std::string response = idle.read_to_eof();
+    EXPECT_NE(response.find(" 400 "), std::string::npos)
+        << response.substr(0, 128);
+}
+
 TEST(Http, ContentLengthMustBeOneWholeNumber)
 {
     // Raw bytes on the wire: a Content-Length that is not one whole
