@@ -17,27 +17,17 @@
  */
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench_util.h"
 #include "model/accuracy.h"
 #include "nonlinear/pwl.h"
 #include "nonlinear/taylor.h"
-#include "serve/kernel_registry.h"
 #include "vlp/vlp_approximator.h"
 
 using namespace mugi;
 
 namespace {
-
-/** One sweep-wide kernel cache (paper-default mapping rows). */
-const serve::KernelRegistry&
-registry()
-{
-    static const serve::KernelRegistry kRegistry(128);
-    return kRegistry;
-}
 
 model::EvalOptions
 options()
@@ -74,12 +64,12 @@ sweep_vlp(model::TransformerModel& m, nonlinear::NonlinearOp op)
             config.op = op;
             config.lut_max_exp = max_exp;
             config.lut_min_exp = max_exp - size + 1;
-            const auto vlp = registry().get(config);
+            const vlp::VlpApproximator vlp(config);
             model::NonlinearHooks hooks;
             if (op == nonlinear::NonlinearOp::kExp) {
-                hooks.softmax_exp = vlp.get();
+                hooks.softmax_exp = &vlp;
             } else {
-                hooks.activation = vlp.get();
+                hooks.activation = &vlp;
             }
             row.push_back(eval_with(m, hooks));
         }

@@ -45,8 +45,8 @@ main()
     const double base_ppl =
         model::evaluate_base(*transformer, options).perplexity;
 
-    // The same kernels every session deploys by default, shared from
-    // the engine's registry (softmax exp over [-3, 4], SiLU over
+    // The same kernels every session deploys by default, the
+    // engine's one per op (softmax exp over [-3, 4], SiLU over
     // [-6, 1]).
     const model::NonlinearHooks hooks = engine.default_hooks();
     const double vlp_ppl =

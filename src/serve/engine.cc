@@ -74,24 +74,56 @@ projection_charge(const model::ModelConfig& config,
  */
 constexpr std::size_t kRowBlock = 32;
 
+/** The node-default kernel of every op, indexed by its value. */
+std::array<vlp::VlpApproximator, 3>
+node_kernels(std::size_t rows)
+{
+    const auto kernel = [rows](nonlinear::NonlinearOp op) {
+        return vlp::VlpApproximator(default_vlp_config(op, rows));
+    };
+    return {kernel(nonlinear::NonlinearOp::kExp),
+            kernel(nonlinear::NonlinearOp::kSilu),
+            kernel(nonlinear::NonlinearOp::kGelu)};
+}
+
 }  // namespace
 
+vlp::VlpConfig
+default_vlp_config(nonlinear::NonlinearOp op,
+                   std::size_t mapping_rows)
+{
+    vlp::VlpConfig config;
+    config.op = op;
+    if (op == nonlinear::NonlinearOp::kExp) {
+        // Softmax window covering the profiled [-3, 4] exponent band.
+        config.lut_min_exp = -3;
+        config.lut_max_exp = 4;
+    } else {
+        // SiLU/GELU cluster around zero (Fig. 4).
+        config.lut_min_exp = -6;
+        config.lut_max_exp = 1;
+    }
+    config.mapping_rows = mapping_rows;
+    return config;
+}
+
 Engine::Engine(const sim::DesignConfig& design)
-    : design_(design), registry_(design.array_rows)
+    : design_(design), kernels_(node_kernels(design.array_rows))
 {
 }
 
 Engine::Engine(const sim::DesignConfig& design,
                const model::ModelConfig& model)
     : design_(design), model_config_(model),
-      registry_(design.array_rows)
+      kernels_(node_kernels(design.array_rows))
 {
 }
 
 Engine::Engine(const sim::DesignConfig& design,
                std::shared_ptr<const model::TransformerModel> model)
     : design_(design), model_config_(model->config()),
-      model_(std::move(model)), registry_(design.array_rows)
+      model_(std::move(model)),
+      kernels_(node_kernels(design.array_rows))
 {
 }
 
@@ -104,14 +136,10 @@ Engine::default_mugi()
 model::NonlinearHooks
 Engine::default_hooks() const
 {
-    model::NonlinearHooks hooks;
-    hooks.softmax_exp =
-        registry_.get_default(nonlinear::NonlinearOp::kExp).get();
     const nonlinear::NonlinearOp act =
         model_config_ ? model_config_->activation()
                       : nonlinear::NonlinearOp::kSilu;
-    hooks.activation = registry_.get_default(act).get();
-    return hooks;
+    return {&kernel(nonlinear::NonlinearOp::kExp), &kernel(act)};
 }
 
 Session
@@ -122,13 +150,8 @@ Engine::create_session(const SessionOptions& options) const
     assert((!model_ || options.initial_context.value() == 0) &&
            "functional sessions build context by prefilling tokens");
     const std::size_t layers = model_config_->num_layers;
-    // Relaxed is sufficient (and deliberate): the counter only has to
-    // hand every concurrent create_session a distinct id, which the
-    // RMW's atomicity alone guarantees.  No other memory is published
-    // through it, so no acquire/release ordering is required.
-    Session session(
-        next_session_id_.fetch_add(1, std::memory_order_relaxed),
-        options.kv_precision, options.initial_context.value(), layers);
+    Session session(options.kv_precision,
+                    options.initial_context.value(), layers);
     if (model_) {
         session.caches_.reserve(layers);
         for (std::size_t l = 0; l < layers; ++l) {
@@ -148,18 +171,7 @@ Engine::create_session(const SessionOptions& options) const
         session.caches_.front().extend(
             units::positions_for(options.initial_context));
     }
-    // Retain the default kernels so the session stays valid even if
-    // it outlives this engine (sessions are movable value types).
-    const auto exp_kernel =
-        registry_.get_default(nonlinear::NonlinearOp::kExp);
-    const auto act_kernel =
-        registry_.get_default(model_config_->activation());
-    model::NonlinearHooks hooks;
-    hooks.softmax_exp = exp_kernel.get();
-    hooks.activation = act_kernel.get();
-    session.set_hooks(hooks);
-    session.retain_kernel(exp_kernel);
-    session.retain_kernel(act_kernel);
+    session.set_hooks(default_hooks());
     return session;
 }
 
@@ -303,7 +315,6 @@ Engine::step(const StepPlan& plan, support::ThreadPool* pool) const
     // D + j the last token of chunk j.
     const auto output = [&](Session& session, std::size_t row) {
         StepResult::SessionOutput out;
-        out.session_id = session.id();
         out.position = units::Positions(session.position_);
         if (model_) {
             const float* begin = logits.row_data(row);
@@ -317,7 +328,6 @@ Engine::step(const StepPlan& plan, support::ThreadPool* pool) const
     for (std::size_t i = 0; i < D; ++i) {
         Session& session = *plan.decode_sessions[i];
         advance(session, 1);
-        session.tokens_generated_ += 1;
         result.outputs.push_back(output(session, i));
     }
     for (std::size_t j = 0; j < plan.prefills.size(); ++j) {
@@ -398,10 +408,9 @@ Engine::run_woq_gemm(const PreparedWeights& weights,
 std::vector<float>
 Engine::run_softmax(std::span<const float> logits) const
 {
-    const auto exp_kernel =
-        registry_.get_default(nonlinear::NonlinearOp::kExp);
     std::vector<float> out(logits.size());
-    nonlinear::softmax_with(*exp_kernel, logits, out);
+    nonlinear::softmax_with(kernel(nonlinear::NonlinearOp::kExp),
+                            logits, out);
     return out;
 }
 
@@ -410,9 +419,8 @@ Engine::run_activation(nonlinear::NonlinearOp op,
                        std::span<const float> values) const
 {
     assert(op != nonlinear::NonlinearOp::kExp);
-    const auto kernel = registry_.get_default(op);
     std::vector<float> out(values.size());
-    kernel->apply_batch(values, out);
+    kernel(op).apply_batch(values, out);
     return out;
 }
 

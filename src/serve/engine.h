@@ -7,13 +7,14 @@
  *
  * The Engine is the immutable half of the request/engine split
  * production LLM servers use: it owns the accelerator design
- * (sim/design.h), a KernelRegistry of lazily-built shared VLP
- * kernels, and optionally a functional transformer whose weights are
- * fixed at load time.  Everything mutable belongs to a Session
- * (serve/session.h), and what a caller sizes or caches belongs to
- * the caller: a WOQ GEMM runs on a PreparedWeights handle the caller
- * quantized once (serve/prepared_weights.h), and a pooled step runs
- * on the support::ThreadPool the caller passes in.
+ * (sim/design.h), one node-default VLP kernel per nonlinear op
+ * (the LUT of Sec. 3.1 is static per-node state, so one kernel per
+ * op serves every request), and optionally a functional transformer
+ * whose weights are fixed at load time.  Everything mutable belongs
+ * to a Session (serve/session.h), and what a caller sizes or caches
+ * belongs to the caller: a WOQ GEMM runs on a PreparedWeights handle
+ * the caller quantized once (serve/prepared_weights.h), and a pooled
+ * step runs on the support::ThreadPool the caller passes in.
  *
  * Engine::step is the continuous-batching primitive: one call takes
  * a batch of heterogeneous sessions (different context lengths, KV
@@ -31,19 +32,16 @@
  *
  * Thread-safety: every member function is const and safe to call
  * concurrently, provided no Session appears in two concurrent step()
- * batches (sessions are single-request streams).  The engine's
- * mutable state is the relaxed-atomic session-id counter and the
- * internally-synchronized KernelRegistry; everything else is
- * immutable after construction.  Concurrent steps may share one
- * worker pool, which is internally synchronized
+ * batches (sessions are single-request streams).  The engine has no
+ * mutable state: its kernels are built in the constructor and are
+ * deeply immutable (vlp/vlp_approximator.h).  Concurrent steps may
+ * share one worker pool, which is internally synchronized
  * (support/thread_pool.h).
  * tests/concurrency/engine_step_stress_test.cc drives N threads of
- * step() over disjoint sessions through one engine under TSan, and
- * the registry's lock discipline is capability-checked by
- * -Wthread-safety (support/thread_annotations.h).
+ * step() over disjoint sessions through one engine under TSan.
  */
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -53,12 +51,12 @@
 #include "carbon/carbon_model.h"
 #include "model/transformer.h"
 #include "model/workload.h"
-#include "serve/kernel_registry.h"
 #include "serve/prepared_weights.h"
 #include "serve/session.h"
 #include "sim/event_sim.h"
 #include "sim/performance_model.h"
 #include "support/thread_pool.h"
+#include "vlp/vlp_approximator.h"
 
 namespace mugi {
 namespace serve {
@@ -71,10 +69,18 @@ struct SystemReport {
     sim::EventSimResult event_sim;
 };
 
+/**
+ * The per-op default VLP configuration a Mugi node deploys: the
+ * profiled softmax exponent band [-3, 4] for exp and the
+ * zero-clustered [-6, 1] band for SiLU/GELU (Fig. 4), with one
+ * mapping per @p mapping_rows inputs (one array load, Sec. 3.3).
+ */
+vlp::VlpConfig default_vlp_config(nonlinear::NonlinearOp op,
+                                  std::size_t mapping_rows);
+
 /** What one batched Engine::step produced. */
 struct StepResult {
     struct SessionOutput {
-        units::SessionId session_id{0};
         /** Context length after the step. */
         units::Positions position{0};
         /** Next-token logits (empty for analytic-only engines). */
@@ -187,7 +193,6 @@ class Engine {
     Engine& operator=(const Engine&) = delete;
 
     const sim::DesignConfig& design() const { return design_; }
-    const KernelRegistry& kernels() const { return registry_; }
     bool has_model() const { return model_ != nullptr; }
     /** Set iff constructed with a model config or functional model. */
     const std::optional<model::ModelConfig>&
@@ -199,8 +204,8 @@ class Engine {
     // ---- Request lifecycle. ----
 
     /**
-     * Admit a new request.  Sessions start with the engine-default
-     * VLP kernels (registry-built, shared) and may retune per layer.
+     * Admit a new request.  Sessions start on default_hooks() and may
+     * retune per layer; a session must not outlive its engine.
      */
     Session create_session(const SessionOptions& options = {}) const;
 
@@ -277,8 +282,8 @@ class Engine {
 
     /**
      * The engine-default nonlinear kernels (VLP softmax-exp plus the
-     * model's FFN activation).  Pointers remain valid for the
-     * engine's lifetime.
+     * model's FFN activation, SiLU without a model).  Pointers remain
+     * valid for the engine's lifetime.
      */
     model::NonlinearHooks default_hooks() const;
 
@@ -295,17 +300,18 @@ class Engine {
     support::MatrixF forward_rows(const StepPlan& plan,
                                   support::ThreadPool* pool) const;
 
+    /** The kernel of default_vlp_config(op, design().array_rows). */
+    const vlp::VlpApproximator&
+    kernel(nonlinear::NonlinearOp op) const
+    {
+        return kernels_[static_cast<std::size_t>(op)];
+    }
+
     sim::DesignConfig design_;
     std::optional<model::ModelConfig> model_config_;
     std::shared_ptr<const model::TransformerModel> model_;
-    KernelRegistry registry_;
-    /**
-     * Session-id source; the engine's only mutable state.  Bumped
-     * with a relaxed fetch_add: uniqueness needs only RMW atomicity,
-     * and nothing is published through the counter (see
-     * create_session).
-     */
-    mutable std::atomic<std::uint64_t> next_session_id_{1};
+    /** One per nonlinear::NonlinearOp, indexed by its value. */
+    std::array<vlp::VlpApproximator, 3> kernels_;
 };
 
 }  // namespace serve

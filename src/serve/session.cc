@@ -5,9 +5,9 @@
 namespace mugi {
 namespace serve {
 
-Session::Session(std::uint64_t id, quant::KvPrecision kv_precision,
+Session::Session(quant::KvPrecision kv_precision,
                  std::size_t initial_context, std::size_t num_layers)
-    : id_(id), kv_precision_(kv_precision), position_(initial_context),
+    : kv_precision_(kv_precision), position_(initial_context),
       layer_hooks_(num_layers)
 {
 }
@@ -26,7 +26,7 @@ void
 Session::adopt_kv_prefix(const Session& donor,
                          units::Positions positions)
 {
-    assert(position_ == 0 && tokens_generated_ == 0 &&
+    assert(position_ == 0 &&
            "prefix adoption needs an untouched session");
     assert(caches_.size() == donor.caches_.size());
     assert(kv_precision_ == donor.kv_precision_);

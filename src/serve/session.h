@@ -9,8 +9,9 @@
  * changes while a request is being served lives here: the (optionally
  * KVQ-quantized, Sec. 2.3.3) KV caches, the decode position, and the
  * per-layer nonlinear window tuning of Fig. 7 -- each request may
- * deploy its own VLP kernels from the engine's registry without
- * affecting its neighbours in the batch.
+ * deploy its own VLP kernels without affecting its neighbours in the
+ * batch.  A session starts on its engine's default kernels, so it
+ * must not outlive the engine that created it.
  *
  * A functional session holds one KV cache per layer.  An analytic
  * (workload-model-only) session holds one cache whose heads are all
@@ -30,8 +31,7 @@
  * this under TSan).
  */
 
-#include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -70,16 +70,11 @@ class Session {
     Session(Session&&) = default;
     Session& operator=(Session&&) = default;
 
-    units::SessionId id() const { return units::SessionId(id_); }
-
     /** Tokens resident in the KV cache (the current context length). */
     units::Positions position() const
     {
         return units::Positions(position_);
     }
-
-    /** Tokens produced by Engine::step for this session. */
-    std::uint64_t tokens_generated() const { return tokens_generated_; }
 
     quant::KvPrecision kv_precision() const { return kv_precision_; }
 
@@ -126,8 +121,7 @@ class Session {
     /**
      * Replace the default nonlinear kernels for every layer.  The
      * approximators referenced by @p hooks must outlive the session;
-     * kernels obtained from the engine's registry do (retain them via
-     * retain_kernel).
+     * the engine's default_hooks() live as long as the engine.
      */
     void set_hooks(const model::NonlinearHooks& hooks);
 
@@ -138,24 +132,14 @@ class Session {
     /** Hooks in effect for @p layer. */
     const model::NonlinearHooks& hooks_for(std::size_t layer) const;
 
-    /** Keep a registry kernel alive for this session's lifetime. */
-    void
-    retain_kernel(
-        std::shared_ptr<const nonlinear::NonlinearApproximator> kernel)
-    {
-        retained_.push_back(std::move(kernel));
-    }
-
   private:
     friend class Engine;
 
-    Session(std::uint64_t id, quant::KvPrecision kv_precision,
+    Session(quant::KvPrecision kv_precision,
             std::size_t initial_context, std::size_t num_layers);
 
-    std::uint64_t id_ = 0;
     quant::KvPrecision kv_precision_ = quant::KvPrecision::kInt4;
     std::size_t position_ = 0;
-    std::uint64_t tokens_generated_ = 0;
 
     /**
      * Per-layer KV caches (functional), or the one all-layer cache
@@ -165,8 +149,6 @@ class Session {
 
     model::NonlinearHooks hooks_;
     std::vector<std::optional<model::NonlinearHooks>> layer_hooks_;
-    std::vector<std::shared_ptr<const nonlinear::NonlinearApproximator>>
-        retained_;
 };
 
 }  // namespace serve

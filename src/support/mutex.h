@@ -8,11 +8,12 @@
  * support::Mutex is std::mutex wearing Clang's `capability`
  * attribute, and support::MutexLock is the matching scoped_lockable
  * std::lock_guard.  The internally-synchronized classes
- * (quant::BlockPool, serve::KernelRegistry) lock through these so
- * `-Wthread-safety` can see their acquires: libstdc++'s std::mutex is
- * unannotated, and a lock the analysis cannot see makes every
- * MUGI_GUARDED_BY field access a false positive.  Zero overhead: both
- * types compile to exactly the std:: equivalents they wrap.
+ * (quant::BlockPool, support::ThreadPool, serve::Server) lock through
+ * these so `-Wthread-safety` can see their acquires: libstdc++'s
+ * std::mutex is unannotated, and a lock the analysis cannot see makes
+ * every MUGI_GUARDED_BY field access a false positive.  Zero
+ * overhead: both types compile to exactly the std:: equivalents they
+ * wrap.
  *
  * Thread-safety: Mutex is the synchronization primitive itself;
  * MutexLock is a stack-local guard and is never shared.

@@ -65,10 +65,11 @@ struct VlpConfig {
  * choose_window, which is a stateless free function, and the LUT is
  * only ever read).  One instance may therefore be shared by any
  * number of concurrent sessions/threads without synchronization --
- * this is what lets serve::KernelRegistry hand a single kernel to
- * every request on a node.  Any future change that adds caching or
- * other mutable members must preserve this guarantee (or the
- * registry must stop sharing instances).
+ * this is what lets serve::Engine hand its one kernel per op to
+ * every request on a node (tests/vlp/vlp_approximator_test.cc runs
+ * one kernel on 8 threads, under TSan in CI).  Any future change
+ * that adds caching or other mutable members must preserve this
+ * guarantee (or the engine must stop sharing instances).
  */
 class VlpApproximator final : public nonlinear::NonlinearApproximator {
   public:

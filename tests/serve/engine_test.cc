@@ -330,13 +330,13 @@ TEST(EngineStep, PrefillChunksAreBitIdenticalToFullPrefill)
         vlp::VlpConfig vlp_config =
             default_vlp_config(op, engine.design().array_rows);
         vlp_config.window_size = 2;
-        return engine.kernels().get(vlp_config);
+        return vlp::VlpApproximator(vlp_config);
     };
-    const auto exp_kernel =
+    const vlp::VlpApproximator exp_kernel =
         narrow_kernel(nonlinear::NonlinearOp::kExp);
-    const auto act_kernel = narrow_kernel(config.activation());
-    const model::NonlinearHooks narrow{exp_kernel.get(),
-                                       act_kernel.get()};
+    const vlp::VlpApproximator act_kernel =
+        narrow_kernel(config.activation());
+    const model::NonlinearHooks narrow{&exp_kernel, &act_kernel};
     const std::vector<int> prompt =
         model::synthetic_tokens(37, config.vocab, 23);
     const std::span<const int> span(prompt);
@@ -444,6 +444,10 @@ TEST(EngineStep, FusedDecodeBitIdenticalToSequentialWithMixedKv)
         quant::KvPrecision::kFloat, quant::KvPrecision::kInt4,
         quant::KvPrecision::kFloat, quant::KvPrecision::kInt4};
     const std::size_t prompt_lens[] = {2, 5, 9, 3};
+    vlp::VlpConfig narrow = default_vlp_config(
+        nonlinear::NonlinearOp::kExp, engine.design().array_rows);
+    narrow.window_size = 4;
+    const vlp::VlpApproximator window(narrow);
 
     const auto make_batch = [&] {
         std::vector<Session> sessions;
@@ -457,15 +461,9 @@ TEST(EngineStep, FusedDecodeBitIdenticalToSequentialWithMixedKv)
                                static_cast<std::uint32_t>(70 + i)));
         }
         // A per-layer retune on one session must stay per-row.
-        vlp::VlpConfig narrow = default_vlp_config(
-            nonlinear::NonlinearOp::kExp,
-            engine.design().array_rows);
-        narrow.window_size = 4;
-        const auto window = engine.kernels().get(narrow);
         model::NonlinearHooks hooks = engine.default_hooks();
-        hooks.softmax_exp = window.get();
+        hooks.softmax_exp = &window;
         sessions[1].set_layer_hooks(0, hooks);
-        sessions[1].retain_kernel(window);
         return sessions;
     };
 
@@ -587,21 +585,59 @@ TEST(EngineStep, AnalyticStepsChargeNoFunctionalGemm)
     EXPECT_EQ(result.gemm.subscriptions, 0u);
 }
 
-TEST(EngineSession, SessionOutlivesEngine)
+TEST(EngineSession, DefaultConfigsMatchPaperWindows)
 {
-    // Sessions retain their default kernels: using one after its
-    // engine is gone must not touch freed registry state.
+    // Softmax exp: profiled [-3, 4] band; SiLU/GELU: [-6, 1]
+    // (Fig. 4); one mapping per array load.
+    for (const nonlinear::NonlinearOp op :
+         {nonlinear::NonlinearOp::kExp, nonlinear::NonlinearOp::kSilu,
+          nonlinear::NonlinearOp::kGelu}) {
+        const vlp::VlpConfig config = default_vlp_config(op, 256);
+        const bool exp = op == nonlinear::NonlinearOp::kExp;
+        EXPECT_EQ(config.op, op);
+        EXPECT_EQ(config.lut_min_exp, exp ? -3 : -6);
+        EXPECT_EQ(config.lut_max_exp, exp ? 4 : 1);
+        EXPECT_EQ(config.mapping_rows, 256u);
+    }
+}
+
+TEST(EngineSession, NewSessionsStartOnDefaultHooks)
+{
+    // Every session runs the engine's one kernel per op, built from
+    // default_vlp_config at the design's array height.
     const model::ModelConfig config =
-        model::llama2_70b().scaled_for_eval(2, 32, 64);
-    auto transformer =
-        std::make_shared<model::TransformerModel>(config, 55);
-    auto engine = std::make_unique<Engine>(sim::make_mugi(64),
-                                           transformer);
-    Session session = engine->create_session();
-    const Engine replacement(sim::make_mugi(64), transformer);
-    engine.reset();  // Original registry destroyed.
-    const StepResult result = replacement.step(session, 9);
-    EXPECT_FALSE(result.outputs[0].logits.empty());
+        model::whisper_tiny().scaled_for_eval(2, 32, 64);  // GELU
+    const Engine engine(
+        sim::make_mugi(64),
+        std::make_shared<model::TransformerModel>(config, 55));
+    const model::NonlinearHooks defaults = engine.default_hooks();
+    using Vlp = vlp::VlpApproximator;
+    const auto* exp_kernel =
+        dynamic_cast<const Vlp*>(defaults.softmax_exp);
+    const auto* act_kernel =
+        dynamic_cast<const Vlp*>(defaults.activation);
+    ASSERT_NE(exp_kernel, nullptr);
+    ASSERT_NE(act_kernel, nullptr);
+    EXPECT_EQ(exp_kernel->op(), nonlinear::NonlinearOp::kExp);
+    EXPECT_EQ(exp_kernel->config().lut_max_exp, 4);
+    EXPECT_EQ(exp_kernel->config().mapping_rows, 64u);
+    EXPECT_EQ(act_kernel->op(), nonlinear::NonlinearOp::kGelu);
+    EXPECT_EQ(act_kernel->config().lut_max_exp, 1);
+    EXPECT_EQ(act_kernel->config().mapping_rows, 64u);
+
+    for (int i = 0; i < 3; ++i) {
+        const Session session = engine.create_session();
+        for (std::size_t l = 0; l < config.num_layers; ++l) {
+            EXPECT_EQ(session.hooks_for(l).softmax_exp,
+                      defaults.softmax_exp);
+            EXPECT_EQ(session.hooks_for(l).activation,
+                      defaults.activation);
+        }
+    }
+    // A model-less engine's default activation is SiLU.
+    const Engine bare(sim::make_mugi(64));
+    EXPECT_EQ(bare.default_hooks().activation->op(),
+              nonlinear::NonlinearOp::kSilu);
 }
 
 TEST(EngineStep, ConcurrentDisjointBatchesAreSafe)
@@ -650,18 +686,17 @@ TEST(EngineSession, PerLayerWindowTuningIsPerSession)
         std::make_shared<model::TransformerModel>(config, 4321);
     const Engine engine(sim::make_mugi(64), transformer);
 
-    Session tuned = engine.create_session();
-    Session plain = engine.create_session();
-
     vlp::VlpConfig bad = default_vlp_config(
         nonlinear::NonlinearOp::kExp, engine.design().array_rows);
     bad.lut_max_exp = -8;  // Far below the profiled band.
     bad.lut_min_exp = -15;
-    const auto bad_kernel = engine.kernels().get(bad);
+    const vlp::VlpApproximator bad_kernel(bad);
+
+    Session tuned = engine.create_session();
+    Session plain = engine.create_session();
     model::NonlinearHooks bad_hooks = engine.default_hooks();
-    bad_hooks.softmax_exp = bad_kernel.get();
+    bad_hooks.softmax_exp = &bad_kernel;
     tuned.set_layer_hooks(0, bad_hooks);
-    tuned.retain_kernel(bad_kernel);
 
     // Build context first: the window only matters once softmax rows
     // span multiple cached positions.

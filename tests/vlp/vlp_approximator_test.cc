@@ -3,6 +3,8 @@
 #include <cmath>
 #include <numeric>
 #include <random>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -161,6 +163,33 @@ TEST(VlpApproximator, ValueCentricBeatsFixedWindowOffCluster)
         err_pinned += std::fabs(out_pinned[i] - exact);
     }
     EXPECT_LT(err_sliding, err_pinned / 2.0);
+}
+
+TEST(VlpApproximator, OneKernelServesManyThreads)
+{
+    // The guarantee documented in vlp_approximator.h, which lets an
+    // engine hand one kernel per op to every session: many threads,
+    // no synchronization, identical results (run under TSan in CI).
+    const VlpApproximator kernel(exp_config());
+    std::vector<float> inputs;
+    for (float x = -8.0f; x <= 0.0f; x += 0.03125f) {
+        inputs.push_back(x);
+    }
+    std::vector<float> expected(inputs.size());
+    kernel.apply_batch(inputs, expected);
+
+    constexpr int kThreads = 8;
+    std::vector<std::vector<float>> outs(
+        kThreads, std::vector<float>(inputs.size()));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back(
+            [&, t] { kernel.apply_batch(inputs, outs[t]); });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(outs[t], expected) << "thread " << t;
+    }
 }
 
 TEST(VlpApproximator, BatchWindowsAreChosenPerMapping)
