@@ -127,57 +127,62 @@ run_decode_bench(const serve::Engine& engine,
         return sessions;
     };
 
-    const auto run_path = [&](bool fused, double& wall_s,
+    // One timed run of a path on a fresh session set: its wall
+    // seconds, with its tokens in @p produced and its cycles in
+    // @p cycles.
+    const auto run_path = [&](bool fused, std::vector<int>& produced,
                               std::uint64_t& cycles) {
-        std::vector<int> produced;
-        // Best-of-3: a fresh session set per repeat (the decode is
-        // deterministic, so tokens and cycles agree across repeats).
-        wall_s = 1e300;
-        for (int repeat = 0; repeat < 3; ++repeat) {
-            std::vector<serve::Session> sessions = make_sessions();
-            serve::StepPlan plan;
-            for (serve::Session& s : sessions) {
-                plan.decode_sessions.push_back(&s);
-            }
-            plan.decode_tokens.assign(batch, 0);
-            for (std::size_t i = 0; i < batch; ++i) {
-                plan.decode_tokens[i] = static_cast<int>(
-                    (7 * i + 3) % config.vocab);
-            }
-            produced.clear();
-            cycles = 0;
-            const bench::Timer timer;
-            for (int step = 0; step < decode_steps; ++step) {
-                std::vector<serve::StepResult> results;
-                if (fused) {
-                    results.push_back(engine.step(plan));
-                } else {
-                    // Sequential: each session stepped alone.
-                    for (std::size_t i = 0; i < batch; ++i) {
-                        results.push_back(
-                            engine.step(*plan.decode_sessions[i],
-                                        plan.decode_tokens[i]));
-                    }
-                }
-                std::size_t lane = 0;
-                for (const serve::StepResult& r : results) {
-                    cycles += r.gemm.cycles;
-                    for (const auto& out : r.outputs) {
-                        produced.push_back(out.next_token);
-                        plan.decode_tokens[lane++] = out.next_token;
-                    }
-                }
-            }
-            wall_s = std::min(wall_s, timer.seconds());
+        std::vector<serve::Session> sessions = make_sessions();
+        serve::StepPlan plan;
+        for (serve::Session& s : sessions) {
+            plan.decode_sessions.push_back(&s);
         }
-        return produced;
+        plan.decode_tokens.assign(batch, 0);
+        for (std::size_t i = 0; i < batch; ++i) {
+            plan.decode_tokens[i] =
+                static_cast<int>((7 * i + 3) % config.vocab);
+        }
+        produced.clear();
+        cycles = 0;
+        const bench::Timer timer;
+        for (int step = 0; step < decode_steps; ++step) {
+            std::vector<serve::StepResult> results;
+            if (fused) {
+                results.push_back(engine.step(plan));
+            } else {
+                // Sequential: each session stepped alone.
+                for (std::size_t i = 0; i < batch; ++i) {
+                    results.push_back(
+                        engine.step(*plan.decode_sessions[i],
+                                    plan.decode_tokens[i]));
+                }
+            }
+            std::size_t lane = 0;
+            for (const serve::StepResult& r : results) {
+                cycles += r.gemm.cycles;
+                for (const auto& out : r.outputs) {
+                    produced.push_back(out.next_token);
+                    plan.decode_tokens[lane++] = out.next_token;
+                }
+            }
+        }
+        return timer.seconds();
     };
 
-    double seq_s = 0.0, fused_s = 0.0;
-    const std::vector<int> seq_tokens =
-        run_path(false, seq_s, result.sequential_cycles);
-    const std::vector<int> fused_tokens =
-        run_path(true, fused_s, result.fused_cycles);
+    // Best-of-3 per path, the repeats interleaved (sequential, then
+    // fused, three times) so that a change in the host's speed
+    // between repeats reaches both paths.  The decode is
+    // deterministic, so tokens and cycles agree across repeats.
+    std::vector<int> seq_tokens;
+    std::vector<int> fused_tokens;
+    double seq_s = 1e300;
+    double fused_s = 1e300;
+    for (int repeat = 0; repeat < 3; ++repeat) {
+        seq_s = std::min(seq_s, run_path(false, seq_tokens,
+                                         result.sequential_cycles));
+        fused_s = std::min(fused_s, run_path(true, fused_tokens,
+                                             result.fused_cycles));
+    }
     result.tokens_identical = seq_tokens == fused_tokens;
     const double tokens =
         static_cast<double>(batch) * decode_steps;

@@ -8,6 +8,8 @@
  * simulation substrate itself.
  */
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cmath>
 #include <random>
@@ -307,15 +309,32 @@ BM_PolarLog(benchmark::State& state)
 }
 BENCHMARK(BM_PolarLog)->ArgName("form")->Arg(0)->Arg(1)->Arg(2);
 
+/** Minor page faults this process has taken so far. */
+long
+minor_faults()
+{
+    rusage usage{};
+    ::getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+}
+
+// The perfbench model.  Each build maps its weight block afresh, so
+// minor_faults (per build) counts what a set-up pays for fresh weight
+// memory: a fault per huge page where THP gives them, else one per
+// 4 KB page.
 void
 BM_TransformerModelInit(benchmark::State& state)
 {
     const model::ModelConfig config =
         model::llama2_7b().scaled_for_eval(4, 256, 1024);
+    const long faults_before = minor_faults();
     for (auto _ : state) {
         const model::TransformerModel m(config, 7);
         benchmark::DoNotOptimize(m.lm_head().data().data());
     }
+    state.counters["minor_faults"] = benchmark::Counter(
+        static_cast<double>(minor_faults() - faults_before),
+        benchmark::Counter::kAvgIterations);
     // Every weight drawn: the layers plus embedding and LM head.
     const std::size_t weights =
         config.weight_params() + 2 * config.vocab * config.d_model;

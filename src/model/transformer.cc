@@ -25,12 +25,16 @@ constexpr std::size_t kTensorAlignFloats = 64 / sizeof(float);
 
 /**
  * A private anonymous mapping for @p floats weights, unmapped when
- * the last handle drops: it starts on a 2 MB boundary and spans
- * whole pages, no more, and is advised MADV_HUGEPAGE, so where the
- * kernel's THP mode allows it (`madvise` or `always`) each 2 MB of
- * the block is one huge page, one fault, instead of 512 small ones.
- * With THP off, or no huge page free, it gets 4 KB pages.  The
- * kernel hands out zeroed pages; nothing here writes them.
+ * the last handle drops: it starts on a 2 MB boundary and is advised
+ * MADV_HUGEPAGE, so where the kernel's THP mode allows it (`madvise`
+ * or `always`) each whole 2 MB of the block is one huge page, one
+ * fault, instead of 512 small ones.  It spans whole pages, and whole
+ * huge pages when its part past the last 2 MB boundary is at least
+ * half a huge page: that part then takes one fault, not hundreds,
+ * for under 1 MB of slack.  A shorter tail keeps 4 KB pages, so a
+ * small model never maps 2 MB.  With THP off, or no huge page free,
+ * it gets 4 KB pages.  The kernel hands out zeroed pages; nothing
+ * here writes them.
  */
 std::shared_ptr<float[]>
 map_weight_block(std::size_t floats)
@@ -38,8 +42,13 @@ map_weight_block(std::size_t floats)
     constexpr std::size_t kHugePage = std::size_t{2} << 20;
     const auto page =
         static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-    const std::size_t bytes =
-        (floats * sizeof(float) + page - 1) / page * page;
+    const auto round_up = [](std::size_t n, std::size_t unit) {
+        return (n + unit - 1) / unit * unit;
+    };
+    std::size_t bytes = round_up(floats * sizeof(float), page);
+    if (bytes % kHugePage >= kHugePage / 2) {
+        bytes = round_up(bytes, kHugePage);
+    }
     // Map a huge page less one page more than needed, keep the part
     // from the first 2 MB boundary on, and unmap the rest.
     const std::size_t mapped = bytes + kHugePage - page;

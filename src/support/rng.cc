@@ -268,14 +268,16 @@ keep_attempts(const std::uint32_t* words, __mmask16 lanes,
               float* pairs, float* r2s)
 {
     const __m512 one = _mm512_set1_ps(1.0f);
-    // polar_coordinate lane by lane: vcvtudq2ps rounds as float(u).
+    // polar_coordinate lane by lane: vcvtudq2ps rounds as float(u),
+    // and min(fma(float(u), 2⁻³¹, −1), 1 − 2⁻²³) is
+    // 2·min(float(u)·2⁻³², 1 − 2⁻²⁴) − 1, rounded once either way
+    // (DESIGN.md, "Same bits on either path").
     const __m512 u = _mm512_cvtepu32_ps(
         _mm512_maskz_loadu_epi32(lanes, words));
-    const __m512 canon =
-        _mm512_min_ps(_mm512_mul_ps(u, _mm512_set1_ps(0x1p-32f)),
-                      _mm512_set1_ps(0x1.fffffep-1f));
-    const __m512 xy = _mm512_sub_ps(
-        _mm512_mul_ps(_mm512_set1_ps(2.0f), canon), one);
+    const __m512 xy = _mm512_min_ps(
+        _mm512_fmadd_ps(u, _mm512_set1_ps(0x1p-31f),
+                        _mm512_set1_ps(-1.0f)),
+        _mm512_set1_ps(0x1.fffffcp-1f));
     // x² + y² in both lanes of a pair: IEEE addition commutes.
     const __m512 sq = _mm512_mul_ps(xy, xy);
     const __m512 r2 = _mm512_add_ps(sq, swap_pairs(sq));
@@ -339,18 +341,53 @@ polar_log8(__m512 r2)
     return _mm512_cvtpd_ps(y);
 }
 
+/** polar_log of all 16 lanes of @p r2: polar_log8 of each half. */
+MUGI_AVX512 __m512
+polar_log16(__m512 r2)
+{
+    const __m256 low = polar_log8(r2);
+    const __m256 high =
+        polar_log8(_mm512_shuffle_f32x4(r2, r2, 0xEE));
+    return _mm512_castpd_ps(_mm512_insertf64x4(
+        _mm512_castps_pd(_mm512_castps256_ps512(low)),
+        _mm256_castps_pd(high), 1));
+}
+
+/**
+ * Finish the @p n (at most 8) kept (y, x) pairs at @p pairs: pair p
+ * takes lane @p first + p of @p scales as its scale, in both of its
+ * lanes, and each coordinate becomes coordinate·scale·stddev + mean,
+ * rounded op by op in the scalar order.
+ */
+MUGI_AVX512 void
+finish_pairs(float* pairs, std::size_t n, __m512 scales,
+             std::uint32_t first, float mean, float stddev)
+{
+    const __m512i pair_of_lane = _mm512_add_epi32(
+        _mm512_set_epi32(7, 7, 6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 0,
+                         0),
+        splat(first));
+    const __mmask16 lanes = low_lanes(2 * n);
+    const __m512 yx = _mm512_maskz_loadu_ps(lanes, pairs);
+    const __m512 scale = _mm512_permutexvar_ps(pair_of_lane, scales);
+    const __m512 sample = _mm512_add_ps(
+        _mm512_mul_ps(_mm512_mul_ps(yx, scale),
+                      _mm512_set1_ps(stddev)),
+        _mm512_set1_ps(mean));
+    _mm512_mask_storeu_ps(pairs, lanes, sample);
+}
+
 }  // namespace
 
 MUGI_AVX512 void
 polar_log_avx512(const float* r2, std::size_t n, float* out)
 {
-    for (std::size_t i = 0; i < n; i += 8) {
+    for (std::size_t i = 0; i < n; i += 16) {
         const __mmask16 lanes =
-            low_lanes(std::min<std::size_t>(8, n - i));
-        const __m256 logs = polar_log8(_mm512_mask_loadu_ps(
+            low_lanes(std::min<std::size_t>(16, n - i));
+        const __m512 logs = polar_log16(_mm512_mask_loadu_ps(
             _mm512_set1_ps(1.0f), lanes, r2 + i));
-        _mm512_mask_storeu_ps(out + i, lanes,
-                              _mm512_castps256_ps512(logs));
+        _mm512_mask_storeu_ps(out + i, lanes, logs);
     }
 }
 
@@ -378,7 +415,9 @@ MUGI_AVX512 std::size_t
 polar_block_avx512(const std::uint32_t* words, std::size_t attempts,
                    float* out, float mean, float stddev)
 {
-    alignas(64) float r2s[kPolarBlock] = {};
+    // Left uninitialized: the masked loads below read only the r²
+    // that keep_attempts wrote.
+    alignas(64) float r2s[kPolarBlock];
     // Eight attempts per 16 words.  kept <= j and j + 8 <= attempts,
     // so a whole-vector store at pair kept stays inside the block.
     std::size_t kept = 0;
@@ -392,30 +431,22 @@ polar_block_avx512(const std::uint32_t* words, std::size_t attempts,
                               low_lanes(2 * (attempts - j)),
                               out + 2 * kept, r2s + kept);
     }
-    // polar_log of the kept r², 8 at once (a masked-off lane logs
-    // 1), then sqrt(-2·log(r²) / r²) and y·scale·stddev + mean,
-    // rounded op by op in the scalar order; each pair's log and r² go
-    // to both of its lanes.
-    const __m512i dup = _mm512_set_epi32(7, 7, 6, 6, 5, 5, 4, 4, 3, 3,
-                                         2, 2, 1, 1, 0, 0);
-    const __m512 one = _mm512_set1_ps(1.0f);
-    for (std::size_t i = 0; i < kept; i += 8) {
-        const std::size_t n = std::min<std::size_t>(8, kept - i);
-        const __mmask16 pair_lanes = low_lanes(n);
-        const __mmask16 lanes = low_lanes(2 * n);
-        const __m512 pair_r2 =
-            _mm512_mask_loadu_ps(one, pair_lanes, r2s + i);
-        const __m512 log_r2 = _mm512_permutexvar_ps(
-            dup, _mm512_castps256_ps512(polar_log8(pair_r2)));
-        const __m512 r2 = _mm512_permutexvar_ps(dup, pair_r2);
+    // 16 kept pairs at a time, one lane per pair: one log (a
+    // masked-off lane logs 1), divide and square root per pair, then
+    // finish_pairs copies each pair's scale to its two lanes.
+    for (std::size_t i = 0; i < kept; i += 16) {
+        const std::size_t n = std::min<std::size_t>(16, kept - i);
+        const __m512 r2 = _mm512_mask_loadu_ps(
+            _mm512_set1_ps(1.0f), low_lanes(n), r2s + i);
         const __m512 scale = _mm512_sqrt_ps(_mm512_div_ps(
-            _mm512_mul_ps(_mm512_set1_ps(-2.0f), log_r2), r2));
-        const __m512 yx = _mm512_maskz_loadu_ps(lanes, out + 2 * i);
-        const __m512 sample = _mm512_add_ps(
-            _mm512_mul_ps(_mm512_mul_ps(yx, scale),
-                          _mm512_set1_ps(stddev)),
-            _mm512_set1_ps(mean));
-        _mm512_mask_storeu_ps(out + 2 * i, lanes, sample);
+            _mm512_mul_ps(_mm512_set1_ps(-2.0f), polar_log16(r2)),
+            r2));
+        finish_pairs(out + 2 * i, std::min<std::size_t>(8, n), scale,
+                     0, mean, stddev);
+        if (n > 8) {
+            finish_pairs(out + 2 * i + 16, n - 8, scale, 8, mean,
+                         stddev);
+        }
     }
     return kept;
 }

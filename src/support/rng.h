@@ -135,8 +135,8 @@ float polar_coordinate(std::uint32_t u);
  * optimized-routines), written as one unfused op sequence, so the
  * weights do not depend on the libm linked.  polar_log_avx512,
  * callable only where cpu_has_avx512f(), writes the logs of the
- * @p n floats at @p r2 to @p out, 8 double lanes at a time, with the
- * same bits.
+ * @p n floats at @p r2 to @p out, 16 at a time as two halves of 8
+ * double lanes, with the same bits; the block kernel runs that form.
  */
 float polar_log(float r2);
 void polar_log_avx512(const float* r2, std::size_t n, float* out);

@@ -1,9 +1,14 @@
 #include "model/transformer.h"
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <numeric>
 #include <random>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -306,10 +311,46 @@ weight_tensors(const TransformerModel& model)
     return tensors;
 }
 
+/** The [start, end) of the mapping holding @p p (/proc/self/maps). */
+std::pair<std::uintptr_t, std::uintptr_t>
+mapping_of(const float* p)
+{
+    const auto at = reinterpret_cast<std::uintptr_t>(p);
+    std::ifstream maps("/proc/self/maps");
+    std::string line;
+    while (std::getline(maps, line)) {
+        // Each line starts "start-end", in hex.
+        std::istringstream fields(line);
+        std::uintptr_t start = 0;
+        std::uintptr_t end = 0;
+        char dash = 0;
+        fields >> std::hex >> start >> dash >> end;
+        if (start <= at && at < end) {
+            return {start, end};
+        }
+    }
+    ADD_FAILURE() << "no mapping holds " << p;
+    return {0, 0};
+}
+
 TEST(Transformer, WeightsLieInOneBlockInDrawOrder)
 {
-    // Gated (llama) and ungated (whisper) FFNs.
-    for (const ModelConfig& config : {tiny_llama(), tiny_whisper()}) {
+    constexpr std::size_t kHugePage = std::size_t{2} << 20;
+    const auto page =
+        static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const auto round_up = [](std::size_t n, std::size_t unit) {
+        return (n + unit - 1) / unit * unit;
+    };
+    // Gated (llama) and ungated (whisper) FFNs.  The small blocks end
+    // far short of a 2 MB boundary and map whole pages; the serving
+    // benchmark's ends 8 KB short of one and maps whole huge pages.
+    const struct {
+        ModelConfig config;
+        bool whole_huge_pages;
+    } cases[] = {{tiny_llama(), false},
+                 {tiny_whisper(), false},
+                 {llama2_7b().scaled_for_eval(4, 256, 1024), true}};
+    for (const auto& [config, whole_huge_pages] : cases) {
         SCOPED_TRACE(config.name);
         TransformerModel model(config, 5);
         const auto tensors = weight_tensors(model);
@@ -321,14 +362,25 @@ TEST(Transformer, WeightsLieInOneBlockInDrawOrder)
         };
         // The block starts on a 2 MB (huge page) boundary, and each
         // tensor at the first 64-byte boundary past the one before.
-        EXPECT_EQ(address(tensors[0].first) % (std::size_t{2} << 20),
-                  0u);
+        EXPECT_EQ(address(tensors[0].first) % kHugePage, 0u);
         for (std::size_t i = 1; i < tensors.size(); ++i) {
             const std::uintptr_t end =
                 address(tensors[i - 1].first + tensors[i - 1].second);
             EXPECT_EQ(address(tensors[i].first), (end + 63) / 64 * 64)
                 << "tensor " << i;
         }
+        // It spans whole pages, and whole huge pages when its part
+        // past the last 2 MB boundary is at least half a huge page.
+        const std::size_t used =
+            address(tensors.back().first + tensors.back().second) -
+            address(tensors[0].first);
+        EXPECT_EQ(round_up(used, page) % kHugePage >= kHugePage / 2,
+                  whole_huge_pages);
+        const auto [start, end] = mapping_of(tensors[0].first);
+        EXPECT_EQ(start, address(tensors[0].first));
+        EXPECT_EQ(end - start, whole_huge_pages
+                                   ? round_up(used, kHugePage)
+                                   : round_up(used, page));
         // WOQ rewrites the weights where they lie.
         model.apply_woq(32);
         EXPECT_EQ(weight_tensors(model), tensors);

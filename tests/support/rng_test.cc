@@ -6,10 +6,11 @@
  * exactly where libstdc++ would, so a model's later tensors continue
  * the same stream.  TransformerModel's weights are therefore the ones
  * the std path built, tensor by tensor.  The fill cases run once per
- * block kernel, scalar and AVX-512F, and the engine's AVX-512F refill
- * is checked against the scalar one.  The fill's own log is checked
- * against the C library's logf, in both forms, over the floats a
- * kept r² can be.
+ * block kernel, scalar and AVX-512F; the two block kernels are also
+ * compared at every attempt count of a block, and the engine's
+ * AVX-512F refill against the scalar one.  The fill's own log is
+ * checked against the C library's logf, in both forms, over the
+ * floats a kept r² can be.
  */
 
 #include "support/rng.h"
@@ -21,6 +22,7 @@
 #include <cstdint>
 #include <cstring>
 #include <ios>
+#include <limits>
 #include <ostream>
 #include <random>
 #include <span>
@@ -285,6 +287,40 @@ TEST(FillGaussian, SamplesHaveTheRequestedMoments)
     EXPECT_NEAR(std::sqrt(sum_sq / n - mean * mean), 2.0, 0.02);
 }
 
+TEST(PolarBlock, Avx512MatchesScalarAtEveryAttemptCount)
+{
+    // The same words for every count, so the kept count takes every
+    // value from 0 up: the AVX-512F kernel finishes 16 kept pairs at
+    // a time, in two halves of 8, and meets every tail of both.
+    if (!support::detail::cpu_has_avx512f()) {
+        GTEST_SKIP() << "CPU lacks avx512f";
+    }
+    constexpr std::size_t kBlock = support::detail::kPolarBlock;
+    support::Mt19937 random(23);
+    std::vector<std::uint32_t> words(2 * kBlock);
+    for (std::uint32_t& word : words) {
+        word = random();
+    }
+    std::vector<float> expected(2 * kBlock);
+    std::vector<float> got(2 * kBlock);
+    for (std::size_t attempts = 1; attempts <= kBlock; ++attempts) {
+        SCOPED_TRACE(::testing::Message() << "attempts " << attempts);
+        // A pair a kernel fails to write keeps a NaN, which no sample
+        // is.
+        std::ranges::fill(got,
+                          std::numeric_limits<float>::quiet_NaN());
+        const std::size_t kept = support::detail::polar_block_scalar(
+            words.data(), attempts, expected.data(), -1.25f, 0.3f);
+        ASSERT_EQ(support::detail::polar_block_avx512(
+                      words.data(), attempts, got.data(), -1.25f,
+                      0.3f),
+                  kept);
+        EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                              2 * kept * sizeof(float)),
+                  0);
+    }
+}
+
 // The reference below is libstdc++'s algorithm; other libraries may
 // draw normal_distribution differently, and fill_gaussian does not
 // follow them.
@@ -435,12 +471,13 @@ TEST_P(FillGaussianKernel, MatchesLibstdcxxOnBoundaryWords)
         0x00000000u, 0x00000000u,  // x = y = -1: r² = 2, rejected.
         0xFFFFFF80u, 0x7FFFFFFFu,  // float(u) rounds to 2^32, 2^31.
         0x40000000u, 0xC0000000u,  // x = -1/2, y = 1/2.
+        0xFFFFFF7Fu, 0x80000000u,  // Largest word below the clamp.
     };
     support::Mt19937 tail(17);
     for (int i = 0; i < 64; ++i) {
         words.push_back(tail());
     }
-    for (const std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+    for (const std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}) {
         SCOPED_TRACE(::testing::Message() << "n " << n);
         ScriptedEngine reference(words);
         ScriptedEngine engine(words);
@@ -466,6 +503,7 @@ TEST_P(FillGaussianKernel, MatchesLibstdcxxOnBoundaryWordsInEveryLane)
         {0x00000000u, 0x80000000u},  // r² = 1, accepted.
         {0xFFFFFFFFu, 0x80000000u},  // x clamps below 1: accepted.
         {0xFFFFFF80u, 0x7FFFFFFFu},  // float(u) rounds to 2^32, 2^31.
+        {0xFFFFFF7Fu, 0x80000000u},  // Largest word below the clamp.
         {0x00000000u, 0x00000000u},  // r² = 2, rejected.
     };
     constexpr std::size_t kScripted = 8 * std::size(boundary);
