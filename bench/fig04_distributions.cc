@@ -68,9 +68,9 @@ main()
 
     for (const model::ModelConfig& full : model::all_models()) {
         const model::ModelConfig config = full.scaled_for_eval(3, 48, 128);
-        model::TransformerModel transformer(config, 97);
+        const model::TransformerModel transformer(config, 97);
         model::NonlinearProfiler profiler;
-        transformer.set_capture(profiler.capture());
+        const model::CaptureFn capture = profiler.capture();
 
         // Profile over a few sequences (the paper profiles 100
         // inferences at full scale; the distributions stabilize fast).
@@ -79,13 +79,13 @@ main()
                 full.family == model::ModelFamily::kWhisper) {
                 const auto tokens =
                     model::synthetic_tokens(32, config.vocab, 700 + s);
-                transformer.forward_tokens(tokens);
+                transformer.forward_tokens(tokens, {}, capture);
             } else {
                 // Vision models consume patch embeddings.
                 std::mt19937 rng(800 + s);
                 support::MatrixF patches(32, config.d_model);
                 support::fill_gaussian(patches, rng, 0.0f, 1.0f);
-                transformer.forward_embeddings(patches);
+                transformer.forward_embeddings(patches, {}, capture);
             }
         }
 

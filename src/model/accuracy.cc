@@ -5,7 +5,9 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <random>
+#include <span>
 
 #include "vlp/vlp_approximator.h"
 
@@ -69,10 +71,16 @@ synthetic_tokens(std::size_t count, std::size_t vocab,
     return tokens;
 }
 
+namespace {
+
+/**
+ * Score @p model running @p layer_hooks (one entry per layer)
+ * against the same model with no hooks.
+ */
 EvalResult
-evaluate_against_exact(TransformerModel& model,
-                       const NonlinearHooks& hooks,
-                       const EvalOptions& options)
+evaluate_layers(const TransformerModel& model,
+                std::span<const NonlinearHooks> layer_hooks,
+                const EvalOptions& options)
 {
     const ModelConfig& config = model.config();
     EvalResult result;
@@ -84,17 +92,10 @@ evaluate_against_exact(TransformerModel& model,
         const std::vector<int> tokens = synthetic_tokens(
             options.seq_len, config.vocab,
             options.data_seed + static_cast<std::uint32_t>(s));
-
-        // Teacher pass: force exact nonlinearities everywhere (also
-        // overriding any per-layer tuning state).
-        model.set_hooks_enabled(false);
         const support::MatrixF exact_logits =
             model.forward_tokens(tokens);
-        model.set_hooks_enabled(true);
-        model.set_hooks(hooks);
         const support::MatrixF approx_logits =
-            model.forward_tokens(tokens);
-        model.set_hooks(NonlinearHooks{});
+            model.forward_tokens(tokens, layer_hooks);
 
         for (std::size_t t = 0; t < tokens.size(); ++t) {
             const auto log_p =
@@ -120,14 +121,27 @@ evaluate_against_exact(TransformerModel& model,
     return result;
 }
 
+}  // namespace
+
 EvalResult
-evaluate_base(TransformerModel& model, const EvalOptions& options)
+evaluate_against_exact(const TransformerModel& model,
+                       const NonlinearHooks& hooks,
+                       const EvalOptions& options)
+{
+    const std::vector<NonlinearHooks> layer_hooks(model.num_layers(),
+                                                  hooks);
+    return evaluate_layers(model, layer_hooks, options);
+}
+
+EvalResult
+evaluate_base(const TransformerModel& model,
+              const EvalOptions& options)
 {
     return evaluate_against_exact(model, NonlinearHooks{}, options);
 }
 
 PerLayerTuningResult
-tune_softmax_per_layer(TransformerModel& model,
+tune_softmax_per_layer(const TransformerModel& model,
                        const std::vector<int>& candidate_max_exps,
                        int lut_size, const EvalOptions& options)
 {
@@ -137,6 +151,9 @@ tune_softmax_per_layer(TransformerModel& model,
 
     // Owning store of per-layer approximators (hooks keep pointers).
     std::vector<std::unique_ptr<vlp::VlpApproximator>> chosen(layers);
+    // The student's table: each layer's softmax window, activations
+    // exact.
+    std::vector<NonlinearHooks> table(layers);
 
     // Start from a single global configuration on every layer (the
     // first candidate); tuning then improves layers one at a time, so
@@ -145,17 +162,8 @@ tune_softmax_per_layer(TransformerModel& model,
         chosen[layer] = vlp::make_vlp(nonlinear::NonlinearOp::kExp,
                                       lut_size,
                                       candidate_max_exps.front());
-        NonlinearHooks hooks;
-        hooks.softmax_exp = chosen[layer].get();
-        model.set_layer_hooks(layer, hooks);
+        table[layer].softmax_exp = chosen[layer].get();
     }
-
-    const auto evaluate_current = [&]() {
-        // Per-layer hooks carry the current tuning state; global
-        // hooks stay exact.
-        return evaluate_against_exact(model, NonlinearHooks{}, options)
-            .perplexity;
-    };
 
     for (std::size_t layer = 0; layer < layers; ++layer) {
         double best_ppl = std::numeric_limits<double>::infinity();
@@ -164,10 +172,9 @@ tune_softmax_per_layer(TransformerModel& model,
         for (const int max_exp : candidate_max_exps) {
             auto approx = vlp::make_vlp(nonlinear::NonlinearOp::kExp,
                                         lut_size, max_exp);
-            NonlinearHooks hooks;
-            hooks.softmax_exp = approx.get();
-            model.set_layer_hooks(layer, hooks);
-            const double ppl = evaluate_current();
+            table[layer].softmax_exp = approx.get();
+            const double ppl =
+                evaluate_layers(model, table, options).perplexity;
             if (ppl < best_ppl) {
                 best_ppl = ppl;
                 best_exp = max_exp;
@@ -175,18 +182,11 @@ tune_softmax_per_layer(TransformerModel& model,
             }
         }
         chosen[layer] = std::move(best_approx);
-        NonlinearHooks hooks;
-        hooks.softmax_exp = chosen[layer].get();
-        model.set_layer_hooks(layer, hooks);
+        table[layer].softmax_exp = chosen[layer].get();
         result.ppl_after_layer.push_back(best_ppl);
         result.chosen_max_exp.push_back(best_exp);
     }
     result.final_ppl = result.ppl_after_layer.back();
-
-    // Restore the model to its un-tuned state.
-    for (std::size_t layer = 0; layer < layers; ++layer) {
-        model.set_layer_hooks(layer, std::nullopt);
-    }
     return result;
 }
 

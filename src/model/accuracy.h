@@ -49,12 +49,10 @@ std::vector<int> synthetic_tokens(std::size_t count, std::size_t vocab,
                                   std::uint32_t seed);
 
 /**
- * Evaluate @p model with its currently installed hooks against the
- * exact-nonlinearity teacher (same weights, hooks removed).
- *
- * The hook configuration of @p model is restored before returning.
+ * Evaluate @p model running @p hooks on every layer against the
+ * exact-nonlinearity teacher (the same weights with no hooks).
  */
-EvalResult evaluate_against_exact(TransformerModel& model,
+EvalResult evaluate_against_exact(const TransformerModel& model,
                                   const NonlinearHooks& hooks,
                                   const EvalOptions& options);
 
@@ -62,7 +60,7 @@ EvalResult evaluate_against_exact(TransformerModel& model,
  * Convenience: the exact model's own score (hooks = none), i.e. the
  * "Base" perplexity of Fig. 6.
  */
-EvalResult evaluate_base(TransformerModel& model,
+EvalResult evaluate_base(const TransformerModel& model,
                          const EvalOptions& options);
 
 /**
@@ -78,8 +76,9 @@ struct PerLayerTuningResult {
 };
 
 PerLayerTuningResult tune_softmax_per_layer(
-    TransformerModel& model, const std::vector<int>& candidate_max_exps,
-    int lut_size, const EvalOptions& options);
+    const TransformerModel& model,
+    const std::vector<int>& candidate_max_exps, int lut_size,
+    const EvalOptions& options);
 
 }  // namespace model
 }  // namespace mugi

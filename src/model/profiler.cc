@@ -66,6 +66,19 @@ Histogram::fraction_in(double a, double b) const
     return static_cast<double>(count) / static_cast<double>(total_);
 }
 
+void
+Histogram::merge(const Histogram& other)
+{
+    assert(other.lo_ == lo_ && other.hi_ == hi_ &&
+           other.bins_.size() == bins_.size());
+    for (std::size_t i = 0; i < bins_.size(); ++i) {
+        bins_[i] += other.bins_[i];
+    }
+    total_ += other.total_;
+    underflow_ += other.underflow_;
+    overflow_ += other.overflow_;
+}
+
 std::pair<int, int>
 SiteProfile::dominant_exponent_window(int size) const
 {
@@ -157,16 +170,8 @@ NonlinearProfiler::merged(nonlinear::NonlinearOp op) const
         if (key.first != static_cast<int>(op)) {
             continue;
         }
-        for (std::size_t i = 0; i < site.values.bins().size(); ++i) {
-            for (std::size_t n = 0; n < site.values.bins()[i]; ++n) {
-                merged.values.add(site.values.bin_center(i));
-            }
-        }
-        for (std::size_t i = 0; i < site.exponents.bins().size(); ++i) {
-            for (std::size_t n = 0; n < site.exponents.bins()[i]; ++n) {
-                merged.exponents.add(site.exponents.bin_center(i));
-            }
-        }
+        merged.values.merge(site.values);
+        merged.exponents.merge(site.exponents);
         merged.zero_count += site.zero_count;
     }
     return merged;

@@ -43,6 +43,12 @@ class Histogram {
     /** Fraction of samples inside [a, b]. */
     double fraction_in(double a, double b) const;
 
+    /**
+     * Add @p other's samples, out-of-range ones included; @p other
+     * must have the same range and bins.
+     */
+    void merge(const Histogram& other);
+
   private:
     double lo_ = 0.0;
     double hi_ = 1.0;
@@ -76,7 +82,7 @@ class NonlinearProfiler {
   public:
     NonlinearProfiler();
 
-    /** The CaptureFn to install with TransformerModel::set_capture. */
+    /** The CaptureFn to pass to TransformerModel's forward passes. */
     CaptureFn capture();
 
     /** All profiled sites, keyed by (op, layer). */

@@ -118,13 +118,24 @@ attend_heads(const float* q_row, const float* keys,
     }
 }
 
+/** @p capture bound to one (op, layer) site; empty if it is empty. */
+std::function<void(std::span<const float>)>
+capture_site(const CaptureFn& capture, nonlinear::NonlinearOp op,
+             std::size_t layer)
+{
+    if (!capture) {
+        return {};
+    }
+    return [&capture, op, layer](std::span<const float> values) {
+        capture(op, layer, values);
+    };
+}
+
 }  // namespace
 
 TransformerModel::TransformerModel(const ModelConfig& config,
                                    std::uint32_t seed)
-    : config_(config),
-      layers_(config.num_layers),
-      layer_hooks_(config.num_layers)
+    : config_(config), layers_(config.num_layers)
 {
     support::Mt19937 rng(seed);
     const std::size_t d = config_.d_model;
@@ -192,27 +203,6 @@ TransformerModel::TransformerModel(const ModelConfig& config,
 }
 
 void
-TransformerModel::set_layer_hooks(std::size_t layer,
-                                  std::optional<NonlinearHooks> hooks)
-{
-    assert(layer < layer_hooks_.size());
-    layer_hooks_[layer] = hooks;
-}
-
-const NonlinearHooks&
-TransformerModel::hooks_for(std::size_t layer) const
-{
-    static const NonlinearHooks kExactHooks{};
-    if (!hooks_enabled_) {
-        return kExactHooks;
-    }
-    if (layer < layer_hooks_.size() && layer_hooks_[layer].has_value()) {
-        return *layer_hooks_[layer];
-    }
-    return global_hooks_;
-}
-
-void
 TransformerModel::apply_woq(std::size_t group_size)
 {
     const auto fake_quant = [&](support::MatrixF& w) {
@@ -254,10 +244,11 @@ TransformerModel::norm(const support::MatrixF& in,
 
 support::MatrixF
 TransformerModel::attention(std::size_t layer_idx,
-                            const support::MatrixF& x_norm) const
+                            const support::MatrixF& x_norm,
+                            const NonlinearHooks& hooks,
+                            const CaptureFn& capture) const
 {
     const LayerWeights& w = layers_[layer_idx];
-    const NonlinearHooks& hooks = hooks_for(layer_idx);
     const std::size_t T = x_norm.rows();
     const std::size_t heads = config_.num_heads;
     const std::size_t kv_heads = config_.num_kv_heads;
@@ -274,6 +265,8 @@ TransformerModel::attention(std::size_t layer_idx,
 
     const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
     support::MatrixF out(T, config_.d_model, 0.0f);
+    const auto capture_rows = capture_site(
+        capture, nonlinear::NonlinearOp::kExp, layer_idx);
 
     for (std::size_t h = 0; h < heads; ++h) {
         const std::size_t kv_h = h / group;
@@ -294,16 +287,7 @@ TransformerModel::attention(std::size_t layer_idx,
                 scores.at(t, s) = dot * scale;
             }
         }
-        const auto capture_row = [&](std::span<const float> shifted) {
-            if (capture_) {
-                capture_(nonlinear::NonlinearOp::kExp, layer_idx,
-                         shifted);
-            }
-        };
-        softmax_rows(scores, hooks.softmax_exp,
-                     capture_ ? capture_row
-                              : std::function<void(
-                                    std::span<const float>)>{});
+        softmax_rows(scores, hooks.softmax_exp, capture_rows);
         // out_t += probs . v
         for (std::size_t t = 0; t < T; ++t) {
             float* orow = out.row_data(t) + h * hd;
@@ -320,30 +304,21 @@ TransformerModel::attention(std::size_t layer_idx,
     return linear(out, w.wo);
 }
 
-std::function<void(std::span<const float>)>
-TransformerModel::activation_capture(std::size_t layer_idx) const
-{
-    if (!capture_) {
-        return {};
-    }
-    return [this, layer_idx](std::span<const float> values) {
-        capture_(config_.activation(), layer_idx, values);
-    };
-}
-
 support::MatrixF
 TransformerModel::ffn(std::size_t layer_idx,
                       const support::MatrixF& x_norm,
-                      const NonlinearHooks& hooks) const
+                      const NonlinearHooks& hooks,
+                      const CaptureFn& capture) const
 {
     const LayerWeights& w = layers_[layer_idx];
-    const auto capture = activation_capture(layer_idx);
+    const auto capture_inputs =
+        capture_site(capture, config_.activation(), layer_idx);
 
     if (config_.gated_ffn()) {
         support::MatrixF gate = linear(x_norm, w.w_gate);
         const support::MatrixF up = linear(x_norm, w.w_up);
         apply_activation(gate, config_.activation(), hooks.activation,
-                         capture);
+                         capture_inputs);
         for (std::size_t i = 0; i < gate.size(); ++i) {
             gate.data()[i] *= up.data()[i];
         }
@@ -351,23 +326,31 @@ TransformerModel::ffn(std::size_t layer_idx,
     }
     support::MatrixF hidden = linear(x_norm, w.w_up);
     apply_activation(hidden, config_.activation(), hooks.activation,
-                     capture);
+                     capture_inputs);
     return linear(hidden, w.w_down);
 }
 
 support::MatrixF
-TransformerModel::run_layers(support::MatrixF x) const
+TransformerModel::run_layers(
+    support::MatrixF x, std::span<const NonlinearHooks> layer_hooks,
+    const CaptureFn& capture) const
 {
+    assert(layer_hooks.empty() ||
+           layer_hooks.size() == layers_.size());
+    const NonlinearHooks exact;
     support::MatrixF x_norm;
     for (std::size_t l = 0; l < layers_.size(); ++l) {
         const LayerWeights& w = layers_[l];
+        const NonlinearHooks& hooks =
+            layer_hooks.empty() ? exact : layer_hooks[l];
         norm(x, w.norm1_gain, w.norm1_bias, x_norm);
-        const support::MatrixF attn = attention(l, x_norm);
+        const support::MatrixF attn =
+            attention(l, x_norm, hooks, capture);
         for (std::size_t i = 0; i < x.size(); ++i) {
             x.data()[i] += attn.data()[i];
         }
         norm(x, w.norm2_gain, w.norm2_bias, x_norm);
-        const support::MatrixF f = ffn(l, x_norm, hooks_for(l));
+        const support::MatrixF f = ffn(l, x_norm, hooks, capture);
         for (std::size_t i = 0; i < x.size(); ++i) {
             x.data()[i] += f.data()[i];
         }
@@ -377,22 +360,27 @@ TransformerModel::run_layers(support::MatrixF x) const
 }
 
 support::MatrixF
-TransformerModel::forward_tokens(std::span<const int> tokens) const
+TransformerModel::forward_tokens(
+    std::span<const int> tokens,
+    std::span<const NonlinearHooks> layer_hooks,
+    const CaptureFn& capture) const
 {
     support::MatrixF x(tokens.size(), config_.d_model);
     for (std::size_t t = 0; t < tokens.size(); ++t) {
         const std::span<const float> e = embedding(tokens[t]);
         std::copy(e.begin(), e.end(), x.row_data(t));
     }
-    return run_layers(std::move(x));
+    return run_layers(std::move(x), layer_hooks, capture);
 }
 
 support::MatrixF
 TransformerModel::forward_embeddings(
-    const support::MatrixF& embeddings) const
+    const support::MatrixF& embeddings,
+    std::span<const NonlinearHooks> layer_hooks,
+    const CaptureFn& capture) const
 {
     assert(embeddings.cols() == config_.d_model);
-    return run_layers(embeddings);
+    return run_layers(embeddings, layer_hooks, capture);
 }
 
 std::span<const float>
@@ -430,12 +418,6 @@ TransformerModel::decode_layer_batch(
     const std::size_t hd = config_.head_dim();
     const std::size_t group = config_.gqa_group();
     assert(config_.num_heads == kv_heads * group);
-    // The profiling capture appends every row's activation input to
-    // caller state in row order; keep that order by running captured
-    // layers serially.
-    if (capture_) {
-        pool = nullptr;
-    }
     // Ragged rows: row r takes its cache's next position after the
     // earlier rows sharing that cache.  group_of[r] indexes the
     // distinct caches in order of first appearance.
@@ -530,7 +512,6 @@ TransformerModel::decode_layer_batch(
     // FFN: batched projections, per-row activation (each row feeds
     // its own hooks exactly the input stream a one-row call would --
     // see apply_activation_span).
-    const auto capture = activation_capture(layer_idx);
     const std::size_t ff = config_.d_ff;
     const bool gated = config_.gated_ffn();
     support::MatrixF hidden =
@@ -542,7 +523,7 @@ TransformerModel::decode_layer_batch(
             float* hrow = hidden.row_data(r);
             apply_activation_span(std::span<float>(hrow, ff),
                                   config_.activation(),
-                                  hooks[r]->activation, capture);
+                                  hooks[r]->activation);
             if (gated) {
                 const float* urow = up.row_data(r);
                 for (std::size_t i = 0; i < ff; ++i) {

@@ -6,15 +6,16 @@
  * The from-scratch transformer substrate used for the accuracy and
  * profiling studies (Sec. 3, 5.1): a faithful pre-norm transformer
  * with GQA, RoPE, SwiGLU/GELU FFN, causal or bidirectional attention,
- * pluggable nonlinear implementations (global or per layer, the hook
- * the Fig. 6/7 sweeps use), a profiling capture hook (Fig. 4), WOQ
- * fake-quantization of the weights, and a KV-cached decode path with
- * optional KVQ.
+ * WOQ fake-quantization of the weights, and a KV-cached decode path
+ * with optional KVQ.  The model holds only weights: each forward
+ * pass takes its nonlinear implementations (one NonlinearHooks per
+ * layer, the knob the Fig. 6/7 sweeps turn) and its profiling
+ * capture (Fig. 4) as arguments, so one const model serves any
+ * number of differently tuned callers at once.
  */
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -66,25 +67,6 @@ class TransformerModel {
 
     const ModelConfig& config() const { return config_; }
 
-    /** Set the hooks used for every layer. */
-    void set_hooks(const NonlinearHooks& hooks) { global_hooks_ = hooks; }
-
-    /** Per-layer override (Fig. 7 per-layer tuning); nullopt = global. */
-    void set_layer_hooks(std::size_t layer,
-                         std::optional<NonlinearHooks> hooks);
-
-    /**
-     * Master switch: when disabled, every layer runs exact
-     * nonlinearities regardless of installed hooks.  The accuracy
-     * harness uses this for the teacher pass so per-layer tuning
-     * state cannot leak into the reference.
-     */
-    void set_hooks_enabled(bool enabled) { hooks_enabled_ = enabled; }
-    bool hooks_enabled() const { return hooks_enabled_; }
-
-    /** Install a profiling capture (Fig. 4); empty disables. */
-    void set_capture(CaptureFn capture) { capture_ = std::move(capture); }
-
     /**
      * Fake-quantize every weight matrix through INT4 group
      * quantization (WOQ, Sec. 2.3.2): weights are replaced by their
@@ -95,23 +77,32 @@ class TransformerModel {
 
     /**
      * Full-sequence forward pass over token ids; returns next-token
-     * logits per position, shape [T, vocab].
+     * logits per position, shape [T, vocab].  Layer l runs
+     * @p layer_hooks[l]: empty means exact on every layer, otherwise
+     * it holds one entry per layer (Fig. 7 per-layer tuning).  A set
+     * @p capture receives every layer's max-subtracted softmax rows
+     * and FFN activation inputs (Fig. 4).
      */
-    support::MatrixF forward_tokens(std::span<const int> tokens) const;
+    support::MatrixF forward_tokens(
+        std::span<const int> tokens,
+        std::span<const NonlinearHooks> layer_hooks = {},
+        const CaptureFn& capture = {}) const;
 
     /**
      * Forward pass over raw embeddings (vision-style input), shape
-     * [T, d_model]; returns logits per position.
+     * [T, d_model]; returns logits per position.  @p layer_hooks and
+     * @p capture as for forward_tokens.
      */
     support::MatrixF forward_embeddings(
-        const support::MatrixF& embeddings) const;
+        const support::MatrixF& embeddings,
+        std::span<const NonlinearHooks> layer_hooks = {},
+        const CaptureFn& capture = {}) const;
 
     /** Embedding row for a token (used by the decode path). */
     std::span<const float> embedding(int token) const;
 
     std::size_t num_layers() const { return layers_.size(); }
     const LayerWeights& layer(std::size_t i) const { return layers_[i]; }
-    LayerWeights& mutable_layer(std::size_t i) { return layers_[i]; }
 
     /**
      * One KV-cached layer step for a single row: decode_layer_batch
@@ -133,12 +124,12 @@ class TransformerModel {
      *
      * Each projection (Q/K/V, output, FFN) runs as one GEMM over all
      * rows (linear streams each weight row once per 32 rows), reading
-     * the layer's weights live, so mutation between steps (apply_woq,
-     * mutable_layer) is seen at once.  RoPE rotates each row at its
-     * own position, fixed before any append.  Every row's K/V is
-     * appended, in row order, before any attention; then each (cache,
-     * kv head) is gathered once into reused scratch and row r attends
-     * its cache's positions up to its own.  Softmax and the FFN
+     * the layer's weights live, so an apply_woq between steps is seen
+     * at once.  RoPE rotates each row at its own position, fixed
+     * before any append.  Every row's K/V is appended, in row order,
+     * before any attention; then each (cache, kv head) is gathered
+     * once into reused scratch and row r attends its cache's
+     * positions up to its own.  Softmax and the FFN
      * activation run on each row's own span, because a windowed
      * approximator picks its window per mapping_rows group.  Row r's
      * output is therefore bit-identical to feeding the rows one at a
@@ -150,9 +141,7 @@ class TransformerModel {
      * attention -- joining at each stage boundary; appends stay
      * serial.  Every task writes disjoint outputs with the serial
      * float-op sequence, so the result is bit-identical to pool ==
-     * nullptr (tests/concurrency/pooled_step_test.cc).  With a
-     * profiling capture installed the layer runs serially, capturing
-     * each row's activation in row order.
+     * nullptr (tests/concurrency/pooled_step_test.cc).
      */
     support::MatrixF decode_layer_batch(
         std::size_t layer_idx, const support::MatrixF& x,
@@ -168,30 +157,24 @@ class TransformerModel {
     }
     const support::MatrixF& lm_head() const { return lm_head_; }
 
-    /** Hooks in effect for @p layer. */
-    const NonlinearHooks& hooks_for(std::size_t layer) const;
-
   private:
-    support::MatrixF run_layers(support::MatrixF x) const;
+    support::MatrixF run_layers(
+        support::MatrixF x,
+        std::span<const NonlinearHooks> layer_hooks,
+        const CaptureFn& capture) const;
     support::MatrixF attention(std::size_t layer_idx,
-                               const support::MatrixF& x_norm) const;
+                               const support::MatrixF& x_norm,
+                               const NonlinearHooks& hooks,
+                               const CaptureFn& capture) const;
     support::MatrixF ffn(std::size_t layer_idx,
                          const support::MatrixF& x_norm,
-                         const NonlinearHooks& hooks) const;
+                         const NonlinearHooks& hooks,
+                         const CaptureFn& capture) const;
     void norm(const support::MatrixF& in, std::span<const float> gain,
               std::span<const float> bias, support::MatrixF& out) const;
-    /** Profiling capture for layer @p layer_idx's FFN activation
-        (empty when no capture is installed); shared by ffn() and
-        decode_layer_batch so both paths report identically. */
-    std::function<void(std::span<const float>)>
-    activation_capture(std::size_t layer_idx) const;
 
     ModelConfig config_;
     std::vector<LayerWeights> layers_;
-    std::vector<std::optional<NonlinearHooks>> layer_hooks_;
-    NonlinearHooks global_hooks_;
-    bool hooks_enabled_ = true;
-    CaptureFn capture_;
     support::MatrixF embedding_;       ///< [vocab, d]
     support::MatrixF lm_head_;         ///< [d, vocab]
     std::vector<float> final_norm_gain_, final_norm_bias_;

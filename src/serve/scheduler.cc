@@ -388,26 +388,15 @@ Scheduler::admit_arrivals()
         // Prefix-cache lookup first: a hit shrinks the admission
         // charge to the unshared tail.
         const PrefixMatch match = find_prefix_match(head);
-        if (config_.kv_budget_bytes != units::Bytes(0)) {
-            const units::Bytes needed =
-                admission_bytes(head, match.blocks);
-            const units::Bytes watermark =
-                watermark_bytes(head.request.kv_precision);
-            if (committed_total() + needed + watermark >
+        // Admission must not overcommit the KV budget, except into
+        // an empty scheduler: a request alone may overcommit it, or
+        // one larger than the budget could never run.
+        if (!active_.empty() &&
+            config_.kv_budget_bytes != units::Bytes(0) &&
+            committed_total() + admission_bytes(head, match.blocks) +
+                    watermark_bytes(head.request.kv_precision) >
                 config_.kv_budget_bytes) {
-                // Would overcommit the KV budget.  The only
-                // exception: a request whose reservation alone (plus
-                // the headroom it would need) exceeds the budget can
-                // never pass this check, so it is admitted when the
-                // scheduler is otherwise empty -- it could never run
-                // at all otherwise, and a single resident request is
-                // allowed to overcommit the budget.
-                const bool oversized_alone =
-                    needed + watermark > config_.kv_budget_bytes;
-                if (!(active_.empty() && oversized_alone)) {
-                    break;
-                }
-            }
+            break;
         }
         head.session = engine_.create_session(
             {.kv_precision = head.request.kv_precision,

@@ -8,7 +8,7 @@ namespace serve {
 Session::Session(quant::KvPrecision kv_precision,
                  std::size_t initial_context, std::size_t num_layers)
     : kv_precision_(kv_precision), position_(initial_context),
-      layer_hooks_(num_layers)
+      hooks_(num_layers)
 {
 }
 
@@ -63,25 +63,15 @@ Session::shared_kv_blocks() const
 void
 Session::set_hooks(const model::NonlinearHooks& hooks)
 {
-    hooks_ = hooks;
+    hooks_.assign(hooks_.size(), hooks);
 }
 
 void
 Session::set_layer_hooks(std::size_t layer,
-                         std::optional<model::NonlinearHooks> hooks)
+                         const model::NonlinearHooks& hooks)
 {
-    assert(layer < layer_hooks_.size());
-    layer_hooks_[layer] = hooks;
-}
-
-const model::NonlinearHooks&
-Session::hooks_for(std::size_t layer) const
-{
-    if (layer < layer_hooks_.size() &&
-        layer_hooks_[layer].has_value()) {
-        return *layer_hooks_[layer];
-    }
-    return hooks_;
+    assert(layer < hooks_.size());
+    hooks_[layer] = hooks;
 }
 
 }  // namespace serve

@@ -32,7 +32,6 @@
  */
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "model/transformer.h"
@@ -119,18 +118,21 @@ class Session {
     units::Blocks kv_block_count() const;
 
     /**
-     * Replace the default nonlinear kernels for every layer.  The
-     * approximators referenced by @p hooks must outlive the session;
-     * the engine's default_hooks() live as long as the engine.
+     * Run every layer on @p hooks.  The approximators referenced by
+     * @p hooks must outlive the session; the engine's default_hooks()
+     * live as long as the engine.
      */
     void set_hooks(const model::NonlinearHooks& hooks);
 
-    /** Per-layer override (Fig. 7 tuning); nullopt = session default. */
+    /** Run layer @p layer on @p hooks (Fig. 7 per-layer tuning). */
     void set_layer_hooks(std::size_t layer,
-                         std::optional<model::NonlinearHooks> hooks);
+                         const model::NonlinearHooks& hooks);
 
-    /** Hooks in effect for @p layer. */
-    const model::NonlinearHooks& hooks_for(std::size_t layer) const;
+    /** Hooks layer @p layer runs. */
+    const model::NonlinearHooks& hooks_for(std::size_t layer) const
+    {
+        return hooks_[layer];
+    }
 
   private:
     friend class Engine;
@@ -147,8 +149,7 @@ class Session {
      */
     std::vector<quant::KvCache> caches_;
 
-    model::NonlinearHooks hooks_;
-    std::vector<std::optional<model::NonlinearHooks>> layer_hooks_;
+    std::vector<model::NonlinearHooks> hooks_;  ///< One per layer.
 };
 
 }  // namespace serve

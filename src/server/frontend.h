@@ -22,6 +22,8 @@
  *      arrival_time_s    modeled-clock arrival (trace replay)
  *      deadline_s        absolute modeled-clock deadline
  *      timeout_s         relative deadline: modeled now + timeout
+ *      admission_timeout_s  max modeled-clock queue wait (0: the
+ *                        scheduler's default)
  *      stream            default true
  *    Streaming response: chunked NDJSON -- one {"id": "<uuid>"}
  *    line, one {"index": i, "token": t} line per delta, and a final

@@ -29,12 +29,10 @@ TEST(Integration, ProfileDrivenWindowBeatsBlindWindow)
     // 1. Profile the softmax inputs of a model (Fig. 4).
     const model::ModelConfig config =
         model::llama2_7b().scaled_for_eval(2, 48, 128);
-    model::TransformerModel m(config, 881);
+    const model::TransformerModel m(config, 881);
     model::NonlinearProfiler profiler;
-    m.set_capture(profiler.capture());
     const auto tokens = model::synthetic_tokens(24, config.vocab, 883);
-    m.forward_tokens(tokens);
-    m.set_capture({});
+    m.forward_tokens(tokens, {}, profiler.capture());
 
     // 2. Derive the LUT window from the merged profile (Fig. 5).
     const model::SiteProfile merged =

@@ -79,6 +79,23 @@ TEST(Profiler, MergedAcrossLayers)
     EXPECT_EQ(merged.exponents.total(), 3u);
     EXPECT_NEAR(merged.exponent_coverage(-1, -1), 2.0 / 3.0, 1e-9);
     EXPECT_NEAR(merged.exponent_coverage(1, 1), 1.0 / 3.0, 1e-9);
+
+    // Samples outside a histogram's range still count in the merge:
+    // -40 and 50 lie outside the value range [-32, 32), so half the
+    // merged values are in range, as at each site.
+    NonlinearProfiler wide;
+    const CaptureFn capture_wide = wide.capture();
+    const std::vector<float> low = {-40.0f, 1.0f};
+    const std::vector<float> high = {50.0f, 2.0f};
+    capture_wide(nonlinear::NonlinearOp::kGelu, 0, low);
+    capture_wide(nonlinear::NonlinearOp::kGelu, 1, high);
+    const SiteProfile merged_wide =
+        wide.merged(nonlinear::NonlinearOp::kGelu);
+    EXPECT_EQ(merged_wide.values.total(), 4u);
+    EXPECT_EQ(merged_wide.values.underflow(), 1u);
+    EXPECT_EQ(merged_wide.values.overflow(), 1u);
+    EXPECT_NEAR(merged_wide.values.fraction_in(-32.0, 32.0), 0.5,
+                1e-9);
 }
 
 TEST(Profiler, MissingSiteThrows)

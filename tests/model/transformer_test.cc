@@ -390,7 +390,7 @@ TEST(Transformer, WeightsLieInOneBlockInDrawOrder)
 TEST(Transformer, HooksChangeSoftmaxPath)
 {
     const ModelConfig config = tiny_llama();
-    TransformerModel model(config, 37);
+    const TransformerModel model(config, 37);
     const std::vector<int> tokens = {9, 8, 7, 6, 5};
     const support::MatrixF exact = model.forward_tokens(tokens);
 
@@ -398,8 +398,9 @@ TEST(Transformer, HooksChangeSoftmaxPath)
         vlp::make_vlp(nonlinear::NonlinearOp::kExp, 8, 4);
     NonlinearHooks hooks;
     hooks.softmax_exp = vlp.get();
-    model.set_hooks(hooks);
-    const support::MatrixF approx = model.forward_tokens(tokens);
+    const std::vector<NonlinearHooks> table(config.num_layers, hooks);
+    const support::MatrixF approx =
+        model.forward_tokens(tokens, table);
     EXPECT_NE(exact.data(), approx.data());
     // Still well-behaved.
     for (const float v : approx.data()) {
@@ -407,39 +408,45 @@ TEST(Transformer, HooksChangeSoftmaxPath)
     }
 }
 
-TEST(Transformer, PerLayerHooksOverrideGlobal)
+TEST(Transformer, PerLayerHookTable)
 {
     const ModelConfig config = tiny_llama();
-    TransformerModel model(config, 41);
+    const TransformerModel model(config, 41);
     const std::vector<int> tokens = {9, 8, 7};
 
     const auto vlp =
         vlp::make_vlp(nonlinear::NonlinearOp::kExp, 8, 4);
-    NonlinearHooks layer_hooks;
-    layer_hooks.softmax_exp = vlp.get();
-
-    // Global exact + layer-0 approximate differs from all-exact.
+    std::vector<NonlinearHooks> table(config.num_layers);
     const support::MatrixF exact = model.forward_tokens(tokens);
-    model.set_layer_hooks(0, layer_hooks);
-    const support::MatrixF mixed = model.forward_tokens(tokens);
+    // An all-exact table runs what the empty one does.
+    const support::MatrixF all_exact =
+        model.forward_tokens(tokens, table);
+    EXPECT_EQ(exact.data(), all_exact.data());
+    // Layer 0 approximate, the rest exact, differs from all-exact.
+    table[0].softmax_exp = vlp.get();
+    const support::MatrixF mixed =
+        model.forward_tokens(tokens, table);
     EXPECT_NE(exact.data(), mixed.data());
-    model.set_layer_hooks(0, std::nullopt);
-    const support::MatrixF restored = model.forward_tokens(tokens);
-    EXPECT_EQ(exact.data(), restored.data());
 }
 
 TEST(Transformer, CaptureSeesBothOps)
 {
     const ModelConfig config = tiny_llama();
-    TransformerModel model(config, 43);
+    const TransformerModel model(config, 43);
     NonlinearProfiler profiler;
-    model.set_capture(profiler.capture());
     const std::vector<int> tokens = {1, 2, 3, 4, 5, 6};
-    model.forward_tokens(tokens);
-    EXPECT_TRUE(profiler.has_site(nonlinear::NonlinearOp::kExp, 0));
-    EXPECT_TRUE(profiler.has_site(nonlinear::NonlinearOp::kSilu, 0));
-    EXPECT_TRUE(profiler.has_site(nonlinear::NonlinearOp::kExp,
-                                  config.num_layers - 1));
+    const support::MatrixF logits = model.forward_tokens(tokens);
+    const support::MatrixF captured =
+        model.forward_tokens(tokens, {}, profiler.capture());
+    // Capturing observes the pass without changing it.
+    EXPECT_EQ(captured.data(), logits.data());
+    for (const std::size_t layer : {std::size_t{0},
+                                    config.num_layers - 1}) {
+        EXPECT_TRUE(
+            profiler.has_site(nonlinear::NonlinearOp::kExp, layer));
+        EXPECT_TRUE(
+            profiler.has_site(nonlinear::NonlinearOp::kSilu, layer));
+    }
     // Softmax capture is max-subtracted: all values <= 0.
     const SiteProfile& sm =
         profiler.site(nonlinear::NonlinearOp::kExp, 0);
