@@ -5,8 +5,10 @@
  * literal cycle-by-row baseline, and end-to-end decode tokens/s of
  * one fused Engine::step over the batch vs sequential decode (each
  * session stepped alone, one Engine::step per session per token) at
- * batch 1/4/16 for float and INT4 KV caches, with the simulated
- * cycle counts StepResult charges for each.
+ * batch 1/4/16 for float and INT4 KV caches, with the modeled
+ * accelerator cycles each path's steps charge
+ * (StepResult::perf.total_cycles: projection, attention and
+ * nonlinear work).
  *
  * With --json PATH the same numbers are written machine-readable
  * (BENCH_gemm.json in CI, uploaded as an artifact).  With --check
@@ -96,8 +98,8 @@ struct DecodeResult {
     double sequential_tok_s = 0.0;
     double fused_tok_s = 0.0;
     double speedup = 0.0;
-    std::uint64_t sequential_cycles = 0;
-    std::uint64_t fused_cycles = 0;
+    double sequential_cycles = 0.0;
+    double fused_cycles = 0.0;
     bool tokens_identical = false;
 };
 
@@ -131,7 +133,7 @@ run_decode_bench(const serve::Engine& engine,
     // seconds, with its tokens in @p produced and its cycles in
     // @p cycles.
     const auto run_path = [&](bool fused, std::vector<int>& produced,
-                              std::uint64_t& cycles) {
+                              double& cycles) {
         std::vector<serve::Session> sessions = make_sessions();
         serve::StepPlan plan;
         for (serve::Session& s : sessions) {
@@ -143,7 +145,7 @@ run_decode_bench(const serve::Engine& engine,
                 static_cast<int>((7 * i + 3) % config.vocab);
         }
         produced.clear();
-        cycles = 0;
+        cycles = 0.0;
         const bench::Timer timer;
         for (int step = 0; step < decode_steps; ++step) {
             std::vector<serve::StepResult> results;
@@ -159,7 +161,7 @@ run_decode_bench(const serve::Engine& engine,
             }
             std::size_t lane = 0;
             for (const serve::StepResult& r : results) {
-                cycles += r.gemm.cycles;
+                cycles += r.perf.total_cycles;
                 for (const auto& out : r.outputs) {
                     produced.push_back(out.next_token);
                     plan.decode_tokens[lane++] = out.next_token;
@@ -243,8 +245,7 @@ main(int argc, char** argv)
             bench::print_row(
                 std::to_string(batch) + "/" + row.kv,
                 {row.sequential_tok_s, row.fused_tok_s, row.speedup,
-                 static_cast<double>(row.sequential_cycles) / 1e6,
-                 static_cast<double>(row.fused_cycles) / 1e6},
+                 row.sequential_cycles / 1e6, row.fused_cycles / 1e6},
                 "%9.2f");
             rows.push_back(row);
         }
@@ -279,9 +280,9 @@ main(int argc, char** argv)
                          row.sequential_tok_s)
                     .set("fused_tokens_per_s", row.fused_tok_s)
                     .set("speedup", row.speedup)
-                    .set("sequential_gemm_cycles",
+                    .set("sequential_modeled_cycles",
                          row.sequential_cycles)
-                    .set("fused_gemm_cycles", row.fused_cycles)
+                    .set("fused_modeled_cycles", row.fused_cycles)
                     .set("tokens_identical", row.tokens_identical));
         }
         const bench::Json doc =

@@ -13,12 +13,15 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <random>
 
 #include "model/ops.h"
 #include "serve/engine.h"
+#include "serve/prepared_weights.h"
 #include "support/rng.h"
+#include "vlp/vlp_gemm.h"
 
 using namespace mugi;
 
@@ -49,20 +52,24 @@ main()
     support::fill_gaussian(weights, rng, 0.0f, 0.5f);
     support::fill_gaussian(activations, rng, 0.0f, 1.0f);
     const serve::PreparedWeights prepared(weights, /*group_size=*/32);
-    const serve::GemmRun gemm =
-        engine->run_woq_gemm(prepared, activations);
+    const support::MatrixF out =
+        serve::run_prepared_gemm(prepared, activations);
+    const std::uint64_t cycles = vlp::vlp_gemm_mugi_cycles(
+        weights.rows(), activations.cols(), weights.cols(),
+        static_cast<int>(engine->design().array_rows),
+        static_cast<int>(engine->design().array_cols));
     const support::MatrixF reference =
         model::linear(weights, activations);
     double err = 0.0, norm = 0.0;
     for (std::size_t i = 0; i < reference.size(); ++i) {
-        const double d = gemm.out.data()[i] - reference.data()[i];
+        const double d = out.data()[i] - reference.data()[i];
         err += d * d;
         norm += reference.data()[i] * reference.data()[i];
     }
     std::printf("WOQ GEMM (64x128x8, group 32): relative error %.3f, "
                 "%llu array cycles, %zu-byte prepared handle\n",
                 std::sqrt(err / norm),
-                static_cast<unsigned long long>(gemm.cycles),
+                static_cast<unsigned long long>(cycles),
                 prepared.byte_size());
 
     // --- 3. Accelerator evaluation. ---

@@ -73,14 +73,41 @@ synthetic_tokens(std::size_t count, std::size_t vocab,
 
 namespace {
 
+/** One evaluation sequence and the teacher's logits over it. */
+struct TeacherPass {
+    std::vector<int> tokens;
+    support::MatrixF logits;
+};
+
+/**
+ * The teacher (@p model with no hooks) over every sequence
+ * @p options draws.  Its logits depend only on the model and the
+ * sequence, so one pass serves every student scored against it.
+ */
+std::vector<TeacherPass>
+teacher_passes(const TransformerModel& model,
+               const EvalOptions& options)
+{
+    std::vector<TeacherPass> passes;
+    passes.reserve(options.num_sequences);
+    for (std::size_t s = 0; s < options.num_sequences; ++s) {
+        std::vector<int> tokens = synthetic_tokens(
+            options.seq_len, model.config().vocab,
+            options.data_seed + static_cast<std::uint32_t>(s));
+        support::MatrixF logits = model.forward_tokens(tokens);
+        passes.push_back({std::move(tokens), std::move(logits)});
+    }
+    return passes;
+}
+
 /**
  * Score @p model running @p layer_hooks (one entry per layer)
- * against the same model with no hooks.
+ * against the teacher passes of the same model.
  */
 EvalResult
 evaluate_layers(const TransformerModel& model,
                 std::span<const NonlinearHooks> layer_hooks,
-                const EvalOptions& options)
+                std::span<const TeacherPass> teacher)
 {
     const ModelConfig& config = model.config();
     EvalResult result;
@@ -88,12 +115,9 @@ evaluate_layers(const TransformerModel& model,
     double kl_sum = 0.0;
     std::size_t positions = 0;
 
-    for (std::size_t s = 0; s < options.num_sequences; ++s) {
-        const std::vector<int> tokens = synthetic_tokens(
-            options.seq_len, config.vocab,
-            options.data_seed + static_cast<std::uint32_t>(s));
-        const support::MatrixF exact_logits =
-            model.forward_tokens(tokens);
+    for (const TeacherPass& pass : teacher) {
+        const std::vector<int>& tokens = pass.tokens;
+        const support::MatrixF& exact_logits = pass.logits;
         const support::MatrixF approx_logits =
             model.forward_tokens(tokens, layer_hooks);
 
@@ -130,7 +154,8 @@ evaluate_against_exact(const TransformerModel& model,
 {
     const std::vector<NonlinearHooks> layer_hooks(model.num_layers(),
                                                   hooks);
-    return evaluate_layers(model, layer_hooks, options);
+    return evaluate_layers(model, layer_hooks,
+                           teacher_passes(model, options));
 }
 
 EvalResult
@@ -148,6 +173,8 @@ tune_softmax_per_layer(const TransformerModel& model,
     assert(!candidate_max_exps.empty());
     PerLayerTuningResult result;
     const std::size_t layers = model.num_layers();
+    const std::vector<TeacherPass> teacher =
+        teacher_passes(model, options);
 
     // Owning store of per-layer approximators (hooks keep pointers).
     std::vector<std::unique_ptr<vlp::VlpApproximator>> chosen(layers);
@@ -174,7 +201,7 @@ tune_softmax_per_layer(const TransformerModel& model,
                                         lut_size, max_exp);
             table[layer].softmax_exp = approx.get();
             const double ppl =
-                evaluate_layers(model, table, options).perplexity;
+                evaluate_layers(model, table, teacher).perplexity;
             if (ppl < best_ppl) {
                 best_ppl = ppl;
                 best_exp = max_exp;

@@ -8,61 +8,10 @@
 
 #include "model/ops.h"
 #include "sim/cost_model.h"
-#include "vlp/vlp_gemm.h"
 
 namespace mugi {
 namespace serve {
 namespace {
-
-/** VLP cycle-model charge of one N x K GEMM against B columns. */
-vlp::GemmStats
-gemm_charge(std::size_t n, std::size_t k, std::size_t b,
-            const sim::DesignConfig& design)
-{
-    vlp::GemmStats stats;
-    stats.cycles = vlp::vlp_gemm_mugi_cycles(
-        n, b, k, static_cast<int>(design.array_rows),
-        static_cast<int>(design.array_cols));
-    stats.sweeps =
-        stats.cycles >> numerics::kInt4MagnitudeBits;
-    stats.subscriptions =
-        static_cast<std::uint64_t>(n) * k * b;
-    return stats;
-}
-
-/**
- * Charge of one ragged forward pass: every layer's projections as
- * GEMMs over all @p rows -- the rows share the array's column tiles,
- * so cycles/sweeps amortize to ceil(rows / W) -- plus the LM head
- * over the @p head_rows consumed rows.
- */
-vlp::GemmStats
-projection_charge(const model::ModelConfig& config,
-                  const sim::DesignConfig& design, std::size_t rows,
-                  std::size_t head_rows)
-{
-    const std::size_t d = config.d_model;
-    const std::size_t kv = config.num_kv_heads * config.head_dim();
-    const std::size_t ff = config.d_ff;
-
-    vlp::GemmStats layer;
-    layer += gemm_charge(d, d, rows, design);   // wq
-    layer += gemm_charge(kv, d, rows, design);  // wk
-    layer += gemm_charge(kv, d, rows, design);  // wv
-    layer += gemm_charge(d, d, rows, design);   // wo
-    if (config.gated_ffn()) {
-        layer += gemm_charge(ff, d, rows, design);  // gate
-    }
-    layer += gemm_charge(ff, d, rows, design);  // up
-    layer += gemm_charge(d, ff, rows, design);  // down
-
-    vlp::GemmStats total;
-    for (std::size_t l = 0; l < config.num_layers; ++l) {
-        total += layer;
-    }
-    total += gemm_charge(config.vocab, d, head_rows, design);
-    return total;
-}
 
 /**
  * Rows per pass through the layers.  A step may carry several
@@ -272,11 +221,9 @@ Engine::step(const StepPlan& plan, support::ThreadPool* pool) const
     }
     std::vector<model::PrefillChunk> chunks;
     chunks.reserve(plan.prefills.size());
-    std::size_t rows = D;
     for (const StepPlan::PrefillEntry& entry : plan.prefills) {
         chunks.push_back(
             {entry.session->position().value(), entry.size().value()});
-        rows += entry.size().value();
     }
     const model::Workload workload = model::build_mixed_step_workload(
         *model_config_, contexts, chunks);
@@ -299,8 +246,6 @@ Engine::step(const StepPlan& plan, support::ThreadPool* pool) const
     support::MatrixF logits;
     if (model_) {
         logits = forward_rows(plan, pool);
-        result.gemm = projection_charge(*model_config_, design_, rows,
-                                        logits.rows());
     }
     // Positions advance in plan order.  A functional forward pass
     // has already appended the rows to the caches; an analytic
@@ -395,14 +340,6 @@ Engine::evaluate(const model::Workload& workload) const
     report.carbon = carbon::assess(design_, report.perf);
     report.event_sim = sim::simulate(design_, workload);
     return report;
-}
-
-GemmRun
-Engine::run_woq_gemm(const PreparedWeights& weights,
-                     const support::MatrixF& activations) const
-{
-    return run_prepared_gemm(weights, activations, design_.array_rows,
-                             design_.array_cols);
 }
 
 std::vector<float>

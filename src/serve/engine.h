@@ -11,17 +11,19 @@
  * (the LUT of Sec. 3.1 is static per-node state, so one kernel per
  * op serves every request), and optionally a functional transformer
  * whose weights are fixed at load time.  Everything mutable belongs
- * to a Session (serve/session.h), and what a caller sizes or caches
- * belongs to the caller: a WOQ GEMM runs on a PreparedWeights handle
- * the caller quantized once (serve/prepared_weights.h), and a pooled
- * step runs on the support::ThreadPool the caller passes in.
+ * to a Session (serve/session.h), and what a caller sizes belongs to
+ * the caller: a pooled step runs on the support::ThreadPool the
+ * caller passes in.  A WOQ GEMM is serve::run_prepared_gemm on a
+ * PreparedWeights handle the caller quantized once
+ * (serve/prepared_weights.h).
  *
  * Engine::step is the continuous-batching primitive: one call takes
  * a batch of heterogeneous sessions (different context lengths, KV
  * precisions, per-layer window tunings), builds a single mixed
- * Workload, runs the performance model once, and -- when a
- * functional model is loaded -- runs every decode token and
- * prefill-chunk token as one row of a single ragged forward pass
+ * Workload, runs the performance model once (StepResult::perf, the
+ * step's one modeled charge), and -- when a functional model is
+ * loaded -- runs every decode token and prefill-chunk token as one
+ * row of a single ragged forward pass
  * (TransformerModel::decode_layer_batch), which reproduces
  * single-request, token-by-token numerics bit-for-bit.  Without one,
  * each session's all-layer KV cache grows by block bookkeeping alone
@@ -51,7 +53,6 @@
 #include "carbon/carbon_model.h"
 #include "model/transformer.h"
 #include "model/workload.h"
-#include "serve/prepared_weights.h"
 #include "serve/session.h"
 #include "sim/event_sim.h"
 #include "sim/performance_model.h"
@@ -99,18 +100,6 @@ struct StepResult {
     std::vector<SessionOutput> prefill_outputs;
     /** Performance model of the whole batched step's workload. */
     sim::PerfReport perf;
-    /**
-     * Simulated Mugi-array charge of this step's *functional*
-     * projection GEMMs, per the VLP cycle model
-     * (vlp::vlp_gemm_mugi_cycles).  Each layer's QKV / output / FFN
-     * projection is one GEMM over all of the step's rows (decode
-     * tokens and prefill-chunk tokens alike), so its column tiles --
-     * and therefore cycles and sweeps -- amortize across the rows
-     * (ceil(R/W) instead of R tiles); the LM head runs only on the
-     * rows whose logits are consumed (one per decode entry, one per
-     * chunk).  Zero for analytic-only steps.
-     */
-    vlp::GemmStats gemm;
 
     /** Worker-pool utilization of one pooled step. */
     struct WorkerStats {
@@ -267,10 +256,6 @@ class Engine {
     SystemReport evaluate(const model::Workload& workload) const;
 
     // ---- Functional kernels. ----
-
-    /** WOQ GEMM against a prepared handle (no re-quantization). */
-    GemmRun run_woq_gemm(const PreparedWeights& weights,
-                         const support::MatrixF& activations) const;
 
     /** Functional VLP softmax over @p logits (one row). */
     std::vector<float> run_softmax(std::span<const float> logits) const;

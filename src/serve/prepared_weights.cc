@@ -13,10 +13,9 @@ PreparedWeights::PreparedWeights(const support::MatrixF& weights,
 {
 }
 
-GemmRun
+support::MatrixF
 run_prepared_gemm(const PreparedWeights& weights,
-                  const support::MatrixF& activations,
-                  std::size_t array_rows, std::size_t array_cols)
+                  const support::MatrixF& activations)
 {
     const quant::QuantizedMatrix& q = weights.quantized();
     const std::size_t group_size = q.group_size;
@@ -24,8 +23,7 @@ run_prepared_gemm(const PreparedWeights& weights,
     const std::size_t b_total = activations.cols();
     assert(q.cols() == activations.rows());
 
-    GemmRun run;
-    run.out = support::MatrixF(rows, b_total, 0.0f);
+    support::MatrixF out(rows, b_total, 0.0f);
 
     // The temporal array computes per-group partial sums in INT4 x
     // BF16; the vector array applies the per-group scale during
@@ -34,9 +32,6 @@ run_prepared_gemm(const PreparedWeights& weights,
     // k-run, so no weight or activation submatrices are materialized
     // -- and the partial buffer is folded into the output with the
     // group's scale in one pass.
-    const std::uint64_t tiles =
-        ((rows + array_rows - 1) / array_rows) *
-        ((b_total + array_cols - 1) / array_cols);
     support::MatrixF partial(rows, b_total);
     const std::size_t groups =
         group_size == 0 ? 0 : (q.cols() + group_size - 1) / group_size;
@@ -50,17 +45,13 @@ run_prepared_gemm(const PreparedWeights& weights,
         for (std::size_t r = 0; r < rows; ++r) {
             const float scale = q.scales.at(r, g);
             const float* prow = partial.row_data(r);
-            float* orow = run.out.row_data(r);
+            float* orow = out.row_data(r);
             for (std::size_t b = 0; b < b_total; ++b) {
                 orow[b] += prow[b] * scale;
             }
         }
-        run.sweeps += tiles * (end - begin);
-        run.subscriptions += static_cast<std::uint64_t>(rows) *
-                             (end - begin) * b_total;
     }
-    run.cycles = run.sweeps * (1ull << numerics::kInt4MagnitudeBits);
-    return run;
+    return out;
 }
 
 }  // namespace serve

@@ -23,7 +23,7 @@
  * exactly that under TSan).
  */
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 
 #include "quant/group_quant.h"
@@ -32,20 +32,6 @@
 
 namespace mugi {
 namespace serve {
-
-/** Output + simulated work counters of one functional GEMM. */
-struct GemmRun {
-    support::MatrixF out;
-    std::uint64_t cycles = 0;      ///< Simulated cycle count.
-    std::uint64_t sweeps = 0;      ///< Temporal sweeps executed.
-    std::uint64_t subscriptions = 0;  ///< Temporal subscriptions fired.
-
-    vlp::GemmStats
-    stats() const
-    {
-        return {cycles, sweeps, subscriptions};
-    }
-};
 
 /** An immutable, shareable INT4-quantized weight matrix. */
 class PreparedWeights {
@@ -80,14 +66,12 @@ class PreparedWeights {
  * by the vector array (Sec. 4.2).  Bit-identical to quantizing and
  * running in one shot with the same group size, and to the pre-cached
  * execution that copied per-group weight/activation submatrices
- * (tests/serve/prepared_weights_test.cc pins both).
- *
- * @param array_rows Array height H; @param array_cols array width.
+ * (tests/serve/prepared_weights_test.cc pins both).  Pure compute,
+ * like vlp::vlp_gemm_sweep: the array charge of the shape is
+ * vlp::vlp_gemm_mugi_cycles.
  */
-GemmRun run_prepared_gemm(const PreparedWeights& weights,
-                          const support::MatrixF& activations,
-                          std::size_t array_rows,
-                          std::size_t array_cols);
+support::MatrixF run_prepared_gemm(const PreparedWeights& weights,
+                                   const support::MatrixF& activations);
 
 }  // namespace serve
 }  // namespace mugi

@@ -59,6 +59,13 @@ enum class FinishReason {
      * never fire once the request is admitted.
      */
     kAdmissionTimeout,
+    /**
+     * Refused at submit: under a KV budget, its KV (prompt plus
+     * max_new_tokens positions) exceeds the whole budget, so it could
+     * only run by overcommitting it.  Never emitted tokens; never
+     * held KV.
+     */
+    kOverBudget,
 };
 
 const char* finish_reason_name(FinishReason reason);

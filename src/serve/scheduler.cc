@@ -76,6 +76,8 @@ finish_reason_name(FinishReason reason)
         return "shed";
       case FinishReason::kAdmissionTimeout:
         return "admission_timeout";
+      case FinishReason::kOverBudget:
+        return "over_budget";
     }
     return "?";
 }
@@ -156,6 +158,24 @@ Scheduler::submit_with_id(Request request, std::uint64_t id)
         // stats() TTFT aggregates exclude the request.
         finish(queued, FinishReason::kMaxTokens);
         return id;
+    }
+    // A request whose KV outgrows the whole budget could only run by
+    // overcommitting it, alone, and its block table would grow
+    // without bound: 2^32 analytic prompt tokens under 1 GiB grew
+    // past a gigabyte within seconds.
+    if (config_.kv_budget_bytes != units::Bytes(0)) {
+        const model::ModelConfig& c = *engine_.model_config();
+        const units::Bytes per_token =
+            quant::KvCache::bytes_per_position(
+                c.num_kv_heads, c.head_dim(),
+                queued.request.kv_precision) *
+            c.num_layers;
+        if (units::bytes_for(queued.request.prompt_tokens() +
+                                 queued.request.max_new_tokens,
+                             per_token) > config_.kv_budget_bytes) {
+            finish(queued, FinishReason::kOverBudget);
+            return id;
+        }
     }
     queue_.push_back(std::move(queued));
     return id;
@@ -390,7 +410,9 @@ Scheduler::admit_arrivals()
         const PrefixMatch match = find_prefix_match(head);
         // Admission must not overcommit the KV budget, except into
         // an empty scheduler: a request alone may overcommit it, or
-        // one larger than the budget could never run.
+        // one that fits the budget token by token (submit() refused
+        // the rest) but not in whole blocks plus the watermark could
+        // never run.
         if (!active_.empty() &&
             config_.kv_budget_bytes != units::Bytes(0) &&
             committed_total() + admission_bytes(head, match.blocks) +

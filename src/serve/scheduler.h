@@ -109,9 +109,11 @@ struct SchedulerConfig {
     /**
      * KV-memory budget in bytes shared by all admitted requests; 0 =
      * unbounded.  Admission and preemption enforce it against the
-     * pool's exact footprint.  A request whose reservation alone
-     * exceeds the budget is still admitted when it can run alone (it
-     * could never run otherwise) -- the pool overcommits for it.
+     * pool's exact footprint.  submit() refuses a request whose KV
+     * (prompt plus max_new_tokens positions) exceeds the budget, with
+     * FinishReason::kOverBudget.  One that fits token by token but
+     * not in whole blocks plus the watermark is still admitted when
+     * it can run alone -- the pool overcommits for it.
      */
     units::Bytes kv_budget_bytes{0};
     /** Max prompt tokens fed per request per iteration. */
@@ -320,7 +322,12 @@ class Scheduler {
     Scheduler(const Scheduler&) = delete;
     Scheduler& operator=(const Scheduler&) = delete;
 
-    /** Enqueue a request; returns the id FinishedRequest reports. */
+    /**
+     * Enqueue a request; returns the id FinishedRequest reports.  A
+     * request the scheduler can never run retires at once: a
+     * functional one with an empty prompt, and, under a KV budget,
+     * one whose KV exceeds the budget (FinishReason::kOverBudget).
+     */
     std::uint64_t submit(Request request);
 
     /**

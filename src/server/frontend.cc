@@ -9,7 +9,6 @@
 #include <system_error>
 #include <utility>
 
-#include "quant/kv_cache.h"
 #include "server/json.h"
 #include "support/fault.h"
 
@@ -374,27 +373,6 @@ Frontend::handle_generate(Connection& connection,
             return;
         }
     }
-    // A request whose KV outgrows the budget could only run by
-    // overcommitting it: the scheduler admits it when nothing else is
-    // resident, and its block table then grows without bound.
-    const units::Bytes budget = server_.stats().kv_budget_bytes;
-    if (budget > units::Bytes(0)) {
-        const model::ModelConfig& model =
-            *server_.engine().model_config();
-        const units::Bytes per_token =
-            quant::KvCache::bytes_per_position(
-                model.num_kv_heads, model.head_dim(),
-                request.kv_precision) *
-            model.num_layers;
-        if (units::bytes_for(request.prompt_tokens() +
-                                 request.max_new_tokens,
-                             per_token) > budget) {
-            connection.write_response(
-                400, "application/json",
-                "{\"error\":\"request KV exceeds the KV budget\"}");
-            return;
-        }
-    }
     if (!server_.accepting()) {
         connection.write_response(503, "application/json",
                                   "{\"error\":\"draining\"}");
@@ -411,20 +389,31 @@ Frontend::handle_generate(Connection& connection,
     // Block on the first stream event before writing anything: a
     // request the scheduler sheds (or admission-times-out) closes
     // its stream with zero deltas, and the client should see 429 +
-    // Retry-After -- not an empty 200 stream.
+    // Retry-After -- not an empty 200 stream.  One it refuses as
+    // over the KV budget gets 400.
     std::optional<serve::TokenDelta> first_delta = handle.next();
     if (!first_delta) {
         // End-of-stream with zero deltas: the retirement is already
         // on its way (wait(), not poll() -- the delta channel closes
         // an instant before the FinishedRequest is published).
         const serve::FinishedRequest early = handle.wait();
-        if (early.reason == serve::FinishReason::kShed ||
+        const bool over_budget =
+            early.reason == serve::FinishReason::kOverBudget;
+        if (over_budget ||
+            early.reason == serve::FinishReason::kShed ||
             early.reason == serve::FinishReason::kAdmissionTimeout) {
             {
                 support::MutexLock lock(mu_);
                 uuids_.erase(uuid);
             }
-            respond_overloaded(connection, early);
+            if (over_budget) {
+                connection.write_response(
+                    400, "application/json",
+                    "{\"error\":\"request KV exceeds the KV "
+                    "budget\"}");
+            } else {
+                respond_overloaded(connection, early);
+            }
             return;
         }
     }

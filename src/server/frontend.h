@@ -50,8 +50,9 @@
  * get 400 before anything is submitted -- among them a token count
  * over 2^32 (whose KV bytes could overflow 64 bits), a prompt token
  * outside [0, vocab) on a functional engine, and a stop_token that
- * is not an int.  So does a request whose KV (prompt plus
- * max_new_tokens) exceeds the server's KV budget, which it could only
+ * is not an int.  So does a request the scheduler refuses at submit
+ * because its KV (prompt plus max_new_tokens) exceeds the server's
+ * KV budget (serve::FinishReason::kOverBudget), which it could only
  * run by overcommitting that budget.  A client that stops draining
  * its stream for longer than the 10 s write timeout (SO_SNDTIMEO),
  * or vanishes, has its request cancelled -- KV blocks release

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "arch/tech_model.h"
+#include "vlp/vlp_gemm.h"
 
 namespace mugi {
 namespace sim {
@@ -27,11 +28,12 @@ gemm_compute_cycles(const DesignConfig& d, const model::GemmOp& op)
 
     if (d.is_vlp()) {
         // Transposed Mugi mapping (Sec. 4.2): weights (n) on H rows,
-        // activations (m) on 8 columns; each k-step sweeps 2^3
-        // cycles.  Matches vlp::vlp_gemm_mugi_cycles exactly.
-        const double H = static_cast<double>(d.array_rows);
-        const double W = static_cast<double>(d.array_cols);
-        return count * ceil_div(n, H) * ceil_div(m, W) * k * 8.0;
+        // activations (m) on the W columns.  The integer product is
+        // below 2^53, so the double is exact.
+        return count * static_cast<double>(vlp::vlp_gemm_mugi_cycles(
+                           op.n, op.m, op.k,
+                           static_cast<int>(d.array_rows),
+                           static_cast<int>(d.array_cols)));
     }
     if (d.kind == DesignKind::kTensor) {
         // Fully pipelined 8x16x16 MAC block per cycle.

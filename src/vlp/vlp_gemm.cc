@@ -64,19 +64,12 @@ walk_rows(const Int4Matrix& temporal, const SweepTables& states,
     }
 }
 
-std::uint64_t
-tile_count(std::size_t total, int tile)
-{
-    return (total + static_cast<std::size_t>(tile) - 1) /
-           static_cast<std::size_t>(tile);
-}
-
 /**
  * Shared sweep-accumulator executor: @p temporal is the
  * temporally-coded INT4 operand (rows subscribe), @p values the
  * value-reused float operand (columns accumulate).  Outputs are
  * bit-identical to the literal cycle-by-row scan; the counters are
- * the analytic tile formulas, which the literal scan provably
+ * analytic (vlp_gemm_mugi_cycles), which the literal scan provably
  * produces (one 2^mb-cycle sweep per (row tile, column tile, k)).
  */
 VlpGemmResult
@@ -94,10 +87,9 @@ sweep_gemm(const Int4Matrix& temporal, const support::MatrixF& values,
 
     vlp_gemm_sweep(temporal, values, 0, k_total, result.out);
 
-    const std::uint64_t tiles = tile_count(r_total, array_rows) *
-                                tile_count(c_total, array_cols);
-    result.sweeps = tiles * k_total;
-    result.cycles = result.sweeps * kSweep;
+    result.cycles = vlp_gemm_mugi_cycles(r_total, c_total, k_total,
+                                         array_rows, array_cols);
+    result.sweeps = result.cycles / kSweep;
     result.subscriptions =
         static_cast<std::uint64_t>(r_total) * k_total * c_total;
     return result;
@@ -279,13 +271,13 @@ vlp_gemm_carat_baseline(const Int4Matrix& activations,
 
 std::uint64_t
 vlp_gemm_mugi_cycles(std::size_t n, std::size_t b, std::size_t k,
-                     int array_rows, int array_cols, int magnitude_bits)
+                     int array_rows, int array_cols)
 {
     const std::uint64_t n_tiles =
         (n + array_rows - 1) / static_cast<std::size_t>(array_rows);
     const std::uint64_t b_tiles =
         (b + array_cols - 1) / static_cast<std::size_t>(array_cols);
-    return n_tiles * b_tiles * k * (1ull << magnitude_bits);
+    return n_tiles * b_tiles * k * kSweep;
 }
 
 support::MatrixF

@@ -46,34 +46,12 @@ namespace vlp {
 /** Matrix of sign-magnitude INT4 values. */
 using Int4Matrix = support::Matrix<numerics::Int4>;
 
-/** Simulated-work counters of one or more VLP GEMMs. */
-struct GemmStats {
-    std::uint64_t cycles = 0;         ///< Simulated cycle count.
-    std::uint64_t sweeps = 0;         ///< Temporal sweeps executed.
-    std::uint64_t subscriptions = 0;  ///< Temporal subscriptions fired.
-
-    GemmStats&
-    operator+=(const GemmStats& other)
-    {
-        cycles += other.cycles;
-        sweeps += other.sweeps;
-        subscriptions += other.subscriptions;
-        return *this;
-    }
-};
-
 /** Result of a simulated VLP GEMM. */
 struct VlpGemmResult {
     support::MatrixF out;          ///< Output-stationary result.
     std::uint64_t cycles = 0;      ///< Simulated cycle count.
     std::uint64_t sweeps = 0;      ///< Temporal sweeps executed.
     std::uint64_t subscriptions = 0;  ///< Temporal subscriptions fired.
-
-    GemmStats
-    stats() const
-    {
-        return {cycles, sweeps, subscriptions};
-    }
 };
 
 /**
@@ -140,13 +118,15 @@ VlpGemmResult vlp_gemm_carat_baseline(const Int4Matrix& activations,
 
 /**
  * Analytic cycle count of the Mugi mapping:
- *   ceil(N / H) * ceil(B / W) * K * 2^mag_bits
- * (steady-state pipelined; matches the simulated count).
+ *   ceil(N / H) * ceil(B / W) * K * 2^3
+ * (one 2^3-cycle sweep of the INT4 magnitude per k-step, steady-state
+ * pipelined; matches the simulated count).  The one VLP cycle count
+ * outside the literal simulations: the sweep kernels' counters and
+ * sim::gemm_cost's VLP branch both take it from here.
  */
 std::uint64_t vlp_gemm_mugi_cycles(std::size_t n, std::size_t b,
                                    std::size_t k, int array_rows,
-                                   int array_cols,
-                                   int magnitude_bits = 3);
+                                   int array_cols);
 
 /** Reference: direct GEMM of INT4 weights against float activations. */
 support::MatrixF int4_gemm_reference(const Int4Matrix& weights,

@@ -5,9 +5,9 @@
  * session sets through ONE shared engine -- its one VLP kernel per
  * op, one functional TransformerModel, one shared quant::BlockPool
  * behind every session's KV caches, and one shared PreparedWeights
- * handle raced through run_woq_gemm.  Each thread's logits must be
- * bit-identical to a single-threaded reference run: concurrency may
- * reorder work between sessions, never change any session's
+ * handle raced through run_prepared_gemm.  Each thread's logits must
+ * be bit-identical to a single-threaded reference run: concurrency
+ * may reorder work between sessions, never change any session's
  * numerics.  Run under TSan in CI (the gcc-tsan matrix entry) --
  * these are the first tests to execute the serving stack on more
  * than one thread.
@@ -25,6 +25,7 @@
 
 #include "model/accuracy.h"
 #include "quant/block_allocator.h"
+#include "serve/prepared_weights.h"
 
 namespace mugi {
 namespace serve {
@@ -119,7 +120,6 @@ TEST(EngineStepStress, DisjointSessionsAcrossThreadsMatchReference)
 
 TEST(EngineStepStress, SharedPreparedWeightsGemmIsBitIdentical)
 {
-    const Engine engine(sim::make_mugi(64));
     constexpr std::size_t kRows = 48, kCols = 32, kGroup = 16;
     support::MatrixF weights(kRows, kCols);
     for (std::size_t i = 0; i < weights.size(); ++i) {
@@ -134,21 +134,18 @@ TEST(EngineStepStress, SharedPreparedWeightsGemmIsBitIdentical)
 
     // One quantization, one handle, shared by every thread.
     const PreparedWeights prepared(weights, kGroup);
-    const GemmRun reference =
-        engine.run_woq_gemm(prepared, activations);
+    const support::MatrixF reference =
+        run_prepared_gemm(prepared, activations);
 
     constexpr std::size_t kThreads = 8;
     run_threads(kThreads, [&](std::size_t) {
         for (std::size_t i = 0; i < 20; ++i) {
-            const GemmRun run =
-                engine.run_woq_gemm(prepared, activations);
-            ASSERT_EQ(run.cycles, reference.cycles);
-            ASSERT_EQ(run.sweeps, reference.sweeps);
-            ASSERT_EQ(run.subscriptions, reference.subscriptions);
-            ASSERT_EQ(run.out.rows(), reference.out.rows());
-            ASSERT_EQ(run.out.cols(), reference.out.cols());
-            for (std::size_t k = 0; k < run.out.size(); ++k) {
-                ASSERT_EQ(run.out.data()[k], reference.out.data()[k]);
+            const support::MatrixF out =
+                run_prepared_gemm(prepared, activations);
+            ASSERT_EQ(out.rows(), reference.rows());
+            ASSERT_EQ(out.cols(), reference.cols());
+            for (std::size_t k = 0; k < out.size(); ++k) {
+                ASSERT_EQ(out.data()[k], reference.data()[k]);
             }
         }
     });

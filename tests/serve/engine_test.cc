@@ -479,11 +479,9 @@ TEST(EngineStep, FusedDecodeBitIdenticalToSequentialWithMixedKv)
         fused_plan.decode_tokens = fused_tokens;
         const StepResult fused = engine.step(fused_plan);
         // The sequential side: each session stepped alone.
-        vlp::GemmStats seq_gemm;
         for (std::size_t i = 0; i < 4; ++i) {
             const StepResult seq =
                 engine.step(seq_sessions[i], seq_tokens[i]);
-            seq_gemm += seq.gemm;
             EXPECT_EQ(fused.outputs[i].position,
                       seq.outputs[0].position);
             ASSERT_EQ(fused.outputs[i].logits.size(),
@@ -499,20 +497,13 @@ TEST(EngineStep, FusedDecodeBitIdenticalToSequentialWithMixedKv)
             seq_tokens[i] = seq.outputs[0].next_token;
         }
         EXPECT_EQ(fused_tokens, seq_tokens) << "step " << step;
-        // The fused charge amortizes column tiles across the batch:
-        // strictly fewer cycles/sweeps for batch > array width
-        // fraction, identical subscriptions (same MAC count).
-        EXPECT_LT(fused.gemm.cycles, seq_gemm.cycles);
-        EXPECT_LT(fused.gemm.sweeps, seq_gemm.sweeps);
-        EXPECT_EQ(fused.gemm.subscriptions, seq_gemm.subscriptions);
-        EXPECT_GT(fused.gemm.cycles, 0u);
     }
 }
 
-TEST(EngineStep, FusedBatchOfOneChargesLikeSequential)
+TEST(EngineStep, FusedBatchOfOneMatchesSequential)
 {
-    // A single-session batch has nothing to amortize: its charge must
-    // equal the session stepped alone.
+    // A single-session plan must produce the logits of the session
+    // stepped alone.
     const model::ModelConfig config =
         model::llama2_70b().scaled_for_eval(2, 32, 64);
     auto transformer =
@@ -534,9 +525,6 @@ TEST(EngineStep, FusedBatchOfOneChargesLikeSequential)
         EXPECT_EQ(fused.outputs[0].logits[v],
                   seq.outputs[0].logits[v]);
     }
-    EXPECT_EQ(fused.gemm.cycles, seq.gemm.cycles);
-    EXPECT_EQ(fused.gemm.sweeps, seq.gemm.sweeps);
-    EXPECT_EQ(fused.gemm.subscriptions, seq.gemm.subscriptions);
 }
 
 TEST(EngineStep, FusedDecodeTracksPostConstructionWeightMutation)
@@ -573,16 +561,6 @@ TEST(EngineStep, FusedDecodeTracksPostConstructionWeightMutation)
                   seq.outputs[0].logits[v])
             << v;
     }
-}
-
-TEST(EngineStep, AnalyticStepsChargeNoFunctionalGemm)
-{
-    const Engine engine(sim::make_mugi(256), model::llama2_7b());
-    Session session = engine.create_session();
-    Session* batch[] = {&session};
-    const StepResult result = engine.step(batch);
-    EXPECT_EQ(result.gemm.cycles, 0u);
-    EXPECT_EQ(result.gemm.subscriptions, 0u);
 }
 
 TEST(EngineSession, DefaultConfigsMatchPaperWindows)

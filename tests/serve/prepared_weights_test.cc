@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "model/ops.h"
-#include "serve/engine.h"
 #include "support/rng.h"
 
 namespace mugi {
@@ -22,7 +21,6 @@ namespace {
 
 TEST(PreparedWeights, ReusedHandleIsBitIdenticalToOneShot)
 {
-    const Engine engine(sim::make_mugi(64));
     std::mt19937 rng(313);
     support::MatrixF weights(48, 96);
     support::fill_gaussian(weights, rng, 0.0f, 0.5f);
@@ -31,16 +29,16 @@ TEST(PreparedWeights, ReusedHandleIsBitIdenticalToOneShot)
     for (int trial = 0; trial < 3; ++trial) {
         support::MatrixF acts(96, 8);
         support::fill_gaussian(acts, rng, 0.0f, 1.0f);
-        const GemmRun reused = engine.run_woq_gemm(prepared, acts);
-        const GemmRun one_shot =
-            engine.run_woq_gemm(PreparedWeights(weights, 32), acts);
-        ASSERT_EQ(reused.out.rows(), one_shot.out.rows());
-        ASSERT_EQ(reused.out.cols(), one_shot.out.cols());
-        for (std::size_t i = 0; i < reused.out.size(); ++i) {
-            EXPECT_EQ(reused.out.data()[i], one_shot.out.data()[i])
+        const support::MatrixF reused =
+            run_prepared_gemm(prepared, acts);
+        const support::MatrixF one_shot =
+            run_prepared_gemm(PreparedWeights(weights, 32), acts);
+        ASSERT_EQ(reused.rows(), one_shot.rows());
+        ASSERT_EQ(reused.cols(), one_shot.cols());
+        for (std::size_t i = 0; i < reused.size(); ++i) {
+            EXPECT_EQ(reused.data()[i], one_shot.data()[i])
                 << "trial " << trial << " element " << i;
         }
-        EXPECT_EQ(reused.cycles, one_shot.cycles);
     }
 }
 
@@ -76,12 +74,11 @@ TEST(PreparedWeights, ZeroCopyExecutionMatchesLegacyGroupCopies)
         support::fill_gaussian(weights, rng, 0.0f, 0.5f);
         support::fill_gaussian(acts, rng, 0.0f, 1.0f);
         const PreparedWeights prepared(weights, group_size);
-        const GemmRun run =
-            run_prepared_gemm(prepared, acts, 16, 8);
+        const support::MatrixF out =
+            run_prepared_gemm(prepared, acts);
 
         const quant::QuantizedMatrix& q = prepared.quantized();
         support::MatrixF expected(q.rows(), acts.cols(), 0.0f);
-        std::uint64_t cycles = 0, sweeps = 0, subscriptions = 0;
         const std::size_t groups =
             (q.cols() + group_size - 1) / group_size;
         for (std::size_t g = 0; g < groups; ++g) {
@@ -102,9 +99,6 @@ TEST(PreparedWeights, ZeroCopyExecutionMatchesLegacyGroupCopies)
             }
             const vlp::VlpGemmResult partial =
                 vlp::vlp_gemm_mugi_baseline(wg, ag, 16, 8);
-            cycles += partial.cycles;
-            sweeps += partial.sweeps;
-            subscriptions += partial.subscriptions;
             for (std::size_t r = 0; r < expected.rows(); ++r) {
                 const float scale = q.scales.at(r, g);
                 for (std::size_t b = 0; b < expected.cols(); ++b) {
@@ -112,37 +106,12 @@ TEST(PreparedWeights, ZeroCopyExecutionMatchesLegacyGroupCopies)
                 }
             }
         }
-        EXPECT_TRUE(run.out == expected)
-            << "group size " << group_size;
-        EXPECT_EQ(run.cycles, cycles);
-        EXPECT_EQ(run.sweeps, sweeps);
-        EXPECT_EQ(run.subscriptions, subscriptions);
+        EXPECT_TRUE(out == expected) << "group size " << group_size;
     }
-}
-
-TEST(PreparedWeights, GemmRunCarriesAllCounters)
-{
-    // run_prepared_gemm used to aggregate only cycles; sweeps and
-    // subscriptions must now survive the per-group partials too, and
-    // agree with the analytic whole-GEMM formulas.
-    const Engine engine(sim::make_mugi(64));
-    std::mt19937 rng(811);
-    support::MatrixF weights(48, 96);
-    support::MatrixF acts(96, 8);
-    support::fill_gaussian(weights, rng, 0.0f, 0.5f);
-    support::fill_gaussian(acts, rng, 0.0f, 1.0f);
-    const GemmRun run =
-        engine.run_woq_gemm(PreparedWeights(weights, 32), acts);
-    EXPECT_EQ(run.cycles,
-              vlp::vlp_gemm_mugi_cycles(48, 8, 96, 64, 8));
-    EXPECT_EQ(run.sweeps, run.cycles / 8);
-    EXPECT_EQ(run.subscriptions, 48u * 96u * 8u);
-    EXPECT_EQ(run.stats().cycles, run.cycles);
 }
 
 TEST(PreparedWeights, AgreesWithDequantizedReference)
 {
-    const Engine engine(sim::make_mugi(32));
     std::mt19937 rng(511);
     support::MatrixF weights(24, 64);
     support::MatrixF acts(64, 8);
@@ -150,12 +119,12 @@ TEST(PreparedWeights, AgreesWithDequantizedReference)
     support::fill_gaussian(acts, rng, 0.0f, 1.0f);
 
     const PreparedWeights prepared(weights, 16);
-    const GemmRun run = engine.run_woq_gemm(prepared, acts);
+    const support::MatrixF out = run_prepared_gemm(prepared, acts);
     const support::MatrixF deq = quant::dequantize(prepared.quantized());
     const support::MatrixF expected = model::linear(deq, acts);
     for (std::size_t r = 0; r < expected.rows(); ++r) {
         for (std::size_t c = 0; c < expected.cols(); ++c) {
-            EXPECT_NEAR(run.out.at(r, c), expected.at(r, c), 2e-3);
+            EXPECT_NEAR(out.at(r, c), expected.at(r, c), 2e-3);
         }
     }
 }

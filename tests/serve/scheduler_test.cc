@@ -278,20 +278,34 @@ TEST(Scheduler, KvBudgetCapsConcurrencyAndPeakFootprint)
     EXPECT_GT(stats.mean_queue_s, 0.0);
 }
 
-TEST(Scheduler, OversizedRequestStillRunsAlone)
+TEST(Scheduler, RequestOverTheKvBudgetIsRefused)
 {
-    const model::ModelConfig config = model::llama2_7b();
-    const Engine engine(sim::make_mugi(256), config);
+    // Llama-2 70B under 1 GiB: at 84,480 B per INT4 position, 12,710
+    // positions fit.  12,701 + 10 do not, so the request could only
+    // run by overcommitting the budget; it retires at submit without
+    // a block.  12,700 + 10 fit token by token but not in whole
+    // 16-token blocks plus the watermark, so it still runs, alone.
+    const Engine engine(sim::make_mugi(256), model::llama2_70b());
     SchedulerConfig sched_config;
-    sched_config.kv_budget_bytes = units::Bytes(1);  // Smaller than any request.
+    sched_config.kv_budget_bytes = units::Bytes(std::size_t{1} << 30);
     Scheduler scheduler(engine, sched_config);
-    Request request;
-    request.analytic_prompt_tokens = units::Tokens(16);
-    request.max_new_tokens = units::Tokens(4);
-    scheduler.submit(std::move(request));
+    for (const std::size_t prompt : {12701u, 12700u}) {
+        Request request;
+        request.analytic_prompt_tokens = units::Tokens(prompt);
+        request.max_new_tokens = units::Tokens(10);
+        scheduler.submit(std::move(request));
+    }
+    EXPECT_EQ(scheduler.queued(), 1u);
     const std::vector<FinishedRequest> finished = scheduler.run();
-    ASSERT_EQ(finished.size(), 1u);
-    EXPECT_EQ(finished[0].generated, units::Tokens(4));
+    ASSERT_EQ(finished.size(), 2u);
+    EXPECT_EQ(finished[0].reason, FinishReason::kOverBudget);
+    EXPECT_EQ(finished[0].generated, units::Tokens(0));
+    EXPECT_EQ(finished[1].reason, FinishReason::kMaxTokens);
+    EXPECT_EQ(finished[1].generated, units::Tokens(10));
+    const ServerStats stats = scheduler.stats();
+    EXPECT_EQ(stats.submitted, 2u);
+    EXPECT_EQ(stats.finished, 2u);
+    EXPECT_GT(stats.peak_kv_bytes, sched_config.kv_budget_bytes);
 }
 
 // ---- Paged KV: block reservation and preemption. ----

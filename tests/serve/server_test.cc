@@ -283,6 +283,30 @@ TEST(Server, DeadlinePropagatesThroughTheLoopThread)
     EXPECT_EQ(stats.kv_bytes_in_use, units::Bytes(0));
 }
 
+TEST(Server, RequestOverTheKvBudgetResolvesAtOnce)
+{
+    // In-process callers get the refusal the HTTP front gives: 2^32
+    // analytic prompt positions of Llama-2 70B need about 3.6e14 B of
+    // KV, and admitted alone they grew the block table without bound.
+    const Engine engine(sim::make_mugi(256), model::llama2_70b());
+    ServerConfig config;
+    config.scheduler.kv_budget_bytes =
+        units::Bytes(std::size_t{1} << 30);
+    Server server(engine, config);
+
+    Request r;
+    r.analytic_prompt_tokens = units::Tokens(std::size_t{1} << 32);
+    r.max_new_tokens = units::Tokens(1);
+    RequestHandle handle = server.submit(std::move(r));
+    EXPECT_FALSE(handle.next().has_value());
+    const FinishedRequest finished = handle.wait();
+    EXPECT_EQ(finished.reason, FinishReason::kOverBudget);
+    EXPECT_EQ(finished.generated, units::Tokens(0));
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.finished, 1u);
+    EXPECT_EQ(stats.peak_kv_bytes, units::Bytes(0));
+}
+
 TEST(Server, DestructorDrainsWithoutExplicitShutdown)
 {
     const model::ModelConfig model = model::llama2_70b();

@@ -26,17 +26,21 @@ simple_gemm(std::size_t m, std::size_t n, std::size_t k,
 
 TEST(PerfModel, MugiCyclesMatchCycleAccurateArray)
 {
-    // The analytic VLP GEMM cycle formula must equal the simulated
-    // temporal-array cycle count exactly.
+    // The analytic VLP GEMM cycles must equal the cycles the literal
+    // temporal-array simulation counts on the same shape: n weight
+    // rows on the H = 32 rows, m activation columns on the 8 columns.
+    // The count does not depend on the values.
     const DesignConfig mugi = make_mugi(32);
     const struct {
         std::size_t m, n, k;
     } cases[] = {{8, 64, 16}, {5, 33, 7}, {16, 32, 4}, {8, 256, 64}};
     for (const auto& c : cases) {
+        const vlp::VlpGemmResult array = vlp::vlp_gemm_mugi_baseline(
+            vlp::Int4Matrix(c.n, c.k),
+            support::MatrixF(c.k, c.m, 1.0f), 32, 8);
         const OpCost cost = gemm_cost(mugi, simple_gemm(c.m, c.n, c.k));
         EXPECT_EQ(cost.compute_cycles,
-                  static_cast<double>(vlp::vlp_gemm_mugi_cycles(
-                      c.n, c.m, c.k, 32, 8)))
+                  static_cast<double>(array.cycles))
             << c.m << "x" << c.n << "x" << c.k;
     }
 }
