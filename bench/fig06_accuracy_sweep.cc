@@ -17,6 +17,7 @@
  */
 
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "bench_util.h"
@@ -29,23 +30,19 @@ using namespace mugi;
 
 namespace {
 
-model::EvalOptions
-options()
-{
-    model::EvalOptions opt;
-    opt.num_sequences = 2;
-    opt.seq_len = 16;
-    return opt;
-}
+/** The model's exact teacher passes, shared by every swept cell. */
+using Teacher = std::span<const model::TeacherPass>;
 
 double
-eval_with(model::TransformerModel& m, const model::NonlinearHooks& h)
+eval_with(const model::TransformerModel& m, Teacher teacher,
+          const model::NonlinearHooks& h)
 {
-    return model::evaluate_against_exact(m, h, options()).perplexity;
+    return model::evaluate_against_exact(m, h, teacher).perplexity;
 }
 
 void
-sweep_vlp(model::TransformerModel& m, nonlinear::NonlinearOp op)
+sweep_vlp(const model::TransformerModel& m, Teacher teacher,
+          nonlinear::NonlinearOp op)
 {
     const std::vector<int> lut_sizes = {8, 9, 10, 11, 12};
     const std::vector<int> max_exps =
@@ -71,14 +68,15 @@ sweep_vlp(model::TransformerModel& m, nonlinear::NonlinearOp op)
             } else {
                 hooks.activation = &vlp;
             }
-            row.push_back(eval_with(m, hooks));
+            row.push_back(eval_with(m, teacher, hooks));
         }
         bench::print_row(std::to_string(size), row, "%9.4f");
     }
 }
 
 void
-sweep_pwl(model::TransformerModel& m, nonlinear::NonlinearOp op)
+sweep_pwl(const model::TransformerModel& m, Teacher teacher,
+          nonlinear::NonlinearOp op)
 {
     const std::vector<int> segments = {6, 10, 14, 18, 22};
     const std::vector<double> ranges =
@@ -103,14 +101,14 @@ sweep_pwl(model::TransformerModel& m, nonlinear::NonlinearOp op)
             } else {
                 hooks.activation = &pwl;
             }
-            row.push_back(eval_with(m, hooks));
+            row.push_back(eval_with(m, teacher, hooks));
         }
         bench::print_row(std::to_string(s), row, "%9.4f");
     }
 }
 
 void
-sweep_taylor(model::TransformerModel& m)
+sweep_taylor(const model::TransformerModel& m, Teacher teacher)
 {
     const std::vector<int> degrees = {5, 6, 7, 8, 9};
     const std::vector<double> centers = {-7, -6, -5, -4, -3};
@@ -129,7 +127,7 @@ sweep_taylor(model::TransformerModel& m)
             const nonlinear::TaylorApproximator taylor(config);
             model::NonlinearHooks hooks;
             hooks.softmax_exp = &taylor;
-            row.push_back(eval_with(m, hooks));
+            row.push_back(eval_with(m, teacher, hooks));
         }
         bench::print_row(std::to_string(d), row, "%9.4f");
     }
@@ -149,17 +147,22 @@ main()
     for (const model::ModelConfig& full : fulls) {
         const model::ModelConfig config =
             full.scaled_for_eval(2, 48, 128);
-        model::TransformerModel m(config, 131);
+        const model::TransformerModel m(config, 131);
+        model::EvalOptions options;
+        options.num_sequences = 2;
+        options.seq_len = 16;
+        const std::vector<model::TeacherPass> teacher =
+            model::teacher_passes(m, options);
         const double base =
-            model::evaluate_base(m, options()).perplexity;
+            model::evaluate_base(m, teacher).perplexity;
         bench::print_subtitle(full.name);
         std::printf("Base PPL (exact nonlinearities): %.4f\n", base);
 
-        sweep_vlp(m, nonlinear::NonlinearOp::kExp);
-        sweep_vlp(m, config.activation());
-        sweep_pwl(m, nonlinear::NonlinearOp::kExp);
-        sweep_pwl(m, config.activation());
-        sweep_taylor(m);
+        sweep_vlp(m, teacher, nonlinear::NonlinearOp::kExp);
+        sweep_vlp(m, teacher, config.activation());
+        sweep_pwl(m, teacher, nonlinear::NonlinearOp::kExp);
+        sweep_pwl(m, teacher, config.activation());
+        sweep_taylor(m, teacher);
     }
 
     std::printf(

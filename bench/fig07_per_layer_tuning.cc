@@ -36,11 +36,13 @@ main()
             full.scaled_for_eval(layers, 48, 128);
         model::TransformerModel m(config, seed += 31);
 
+        const std::vector<model::TeacherPass> teacher =
+            model::teacher_passes(m, options);
         const double base =
-            model::evaluate_base(m, options).perplexity;
+            model::evaluate_base(m, teacher).perplexity;
         const std::vector<int> candidates = {-2, 0, 2, 4};
         const model::PerLayerTuningResult tuned =
-            model::tune_softmax_per_layer(m, candidates, 8, options);
+            model::tune_softmax_per_layer(m, candidates, 8, teacher);
 
         bench::print_subtitle(full.name);
         std::printf("Base PPL: %.4f\n", base);

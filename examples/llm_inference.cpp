@@ -42,20 +42,26 @@ main()
     model::EvalOptions options;
     options.num_sequences = 3;
     options.seq_len = 24;
+    const std::vector<model::TeacherPass> teacher =
+        model::teacher_passes(*transformer, options);
     const double base_ppl =
-        model::evaluate_base(*transformer, options).perplexity;
+        model::evaluate_base(*transformer, teacher).perplexity;
 
     // The same kernels every session deploys by default, the
     // engine's one per op (softmax exp over [-3, 4], SiLU over
     // [-6, 1]).
     const model::NonlinearHooks hooks = engine.default_hooks();
     const double vlp_ppl =
-        model::evaluate_against_exact(*transformer, hooks, options)
+        model::evaluate_against_exact(*transformer, hooks, teacher)
             .perplexity;
 
-    transformer->apply_woq(32);  // INT4 weights from here on.
+    // INT4 weights from here on, scored against the exact
+    // nonlinearities on the same INT4 weights.
+    transformer->apply_woq(32);
     const double woq_ppl =
-        model::evaluate_against_exact(*transformer, hooks, options)
+        model::evaluate_against_exact(
+            *transformer, hooks,
+            model::teacher_passes(*transformer, options))
             .perplexity;
 
     std::printf("PPL vs exact teacher: base %.4f | +VLP nonlinear "

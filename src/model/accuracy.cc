@@ -71,19 +71,6 @@ synthetic_tokens(std::size_t count, std::size_t vocab,
     return tokens;
 }
 
-namespace {
-
-/** One evaluation sequence and the teacher's logits over it. */
-struct TeacherPass {
-    std::vector<int> tokens;
-    support::MatrixF logits;
-};
-
-/**
- * The teacher (@p model with no hooks) over every sequence
- * @p options draws.  Its logits depend only on the model and the
- * sequence, so one pass serves every student scored against it.
- */
 std::vector<TeacherPass>
 teacher_passes(const TransformerModel& model,
                const EvalOptions& options)
@@ -99,6 +86,8 @@ teacher_passes(const TransformerModel& model,
     }
     return passes;
 }
+
+namespace {
 
 /**
  * Score @p model running @p layer_hooks (one entry per layer)
@@ -150,31 +139,29 @@ evaluate_layers(const TransformerModel& model,
 EvalResult
 evaluate_against_exact(const TransformerModel& model,
                        const NonlinearHooks& hooks,
-                       const EvalOptions& options)
+                       std::span<const TeacherPass> teacher)
 {
     const std::vector<NonlinearHooks> layer_hooks(model.num_layers(),
                                                   hooks);
-    return evaluate_layers(model, layer_hooks,
-                           teacher_passes(model, options));
+    return evaluate_layers(model, layer_hooks, teacher);
 }
 
 EvalResult
 evaluate_base(const TransformerModel& model,
-              const EvalOptions& options)
+              std::span<const TeacherPass> teacher)
 {
-    return evaluate_against_exact(model, NonlinearHooks{}, options);
+    return evaluate_against_exact(model, NonlinearHooks{}, teacher);
 }
 
 PerLayerTuningResult
 tune_softmax_per_layer(const TransformerModel& model,
                        const std::vector<int>& candidate_max_exps,
-                       int lut_size, const EvalOptions& options)
+                       int lut_size,
+                       std::span<const TeacherPass> teacher)
 {
     assert(!candidate_max_exps.empty());
     PerLayerTuningResult result;
     const std::size_t layers = model.num_layers();
-    const std::vector<TeacherPass> teacher =
-        teacher_passes(model, options);
 
     // Owning store of per-layer approximators (hooks keep pointers).
     std::vector<std::unique_ptr<vlp::VlpApproximator>> chosen(layers);

@@ -19,6 +19,7 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "model/transformer.h"
@@ -48,20 +49,35 @@ struct EvalOptions {
 std::vector<int> synthetic_tokens(std::size_t count, std::size_t vocab,
                                   std::uint32_t seed);
 
+/** One evaluation sequence and the teacher's logits over it. */
+struct TeacherPass {
+    std::vector<int> tokens;
+    support::MatrixF logits;
+};
+
 /**
- * Evaluate @p model running @p hooks on every layer against the
- * exact-nonlinearity teacher (the same weights with no hooks).
+ * The exact-nonlinearity teacher (@p model with no hooks) over every
+ * sequence @p options draws.  Its logits depend only on the model's
+ * weights and the sequence, so one set of passes serves every student
+ * scored against those weights; build a new one after apply_woq.
  */
-EvalResult evaluate_against_exact(const TransformerModel& model,
-                                  const NonlinearHooks& hooks,
-                                  const EvalOptions& options);
+std::vector<TeacherPass> teacher_passes(const TransformerModel& model,
+                                        const EvalOptions& options);
+
+/**
+ * Evaluate @p model running @p hooks on every layer against
+ * @p teacher, the teacher passes of the same weights.
+ */
+EvalResult evaluate_against_exact(
+    const TransformerModel& model, const NonlinearHooks& hooks,
+    std::span<const TeacherPass> teacher);
 
 /**
  * Convenience: the exact model's own score (hooks = none), i.e. the
  * "Base" perplexity of Fig. 6.
  */
 EvalResult evaluate_base(const TransformerModel& model,
-                         const EvalOptions& options);
+                         std::span<const TeacherPass> teacher);
 
 /**
  * Greedy per-layer tuning (Fig. 7): for each layer in order, try
@@ -78,7 +94,7 @@ struct PerLayerTuningResult {
 PerLayerTuningResult tune_softmax_per_layer(
     const TransformerModel& model,
     const std::vector<int>& candidate_max_exps, int lut_size,
-    const EvalOptions& options);
+    std::span<const TeacherPass> teacher);
 
 }  // namespace model
 }  // namespace mugi

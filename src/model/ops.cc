@@ -139,31 +139,23 @@ apply_rope(support::MatrixF& x, std::size_t num_heads,
 }
 
 void
-softmax_rows(support::MatrixF& scores,
-             const nonlinear::NonlinearApproximator* exp_approx,
-             const std::function<void(std::span<const float>)>& capture)
+softmax_row(
+    std::span<float> row,
+    const nonlinear::NonlinearApproximator* exp_approx,
+    const std::function<void(std::span<const float>)>& capture)
 {
-    std::vector<float> shifted(scores.cols());
-    for (std::size_t r = 0; r < scores.rows(); ++r) {
-        float* row = scores.row_data(r);
-        const std::span<float> row_span(row, scores.cols());
-        if (!capture && !exp_approx) {
-            nonlinear::softmax_ref(row_span, row_span);
-            continue;
-        }
-        const float max =
-            *std::max_element(row, row + scores.cols());
-        for (std::size_t c = 0; c < scores.cols(); ++c) {
+    if (capture) {
+        const float max = *std::max_element(row.begin(), row.end());
+        std::vector<float> shifted(row.size());
+        for (std::size_t c = 0; c < row.size(); ++c) {
             shifted[c] = row[c] - max;
         }
-        if (capture) {
-            capture(shifted);
-        }
-        if (exp_approx) {
-            nonlinear::softmax_with(*exp_approx, row_span, row_span);
-        } else {
-            nonlinear::softmax_ref(row_span, row_span);
-        }
+        capture(shifted);
+    }
+    if (exp_approx) {
+        nonlinear::softmax_with(*exp_approx, row, row);
+    } else {
+        nonlinear::softmax_ref(row, row);
     }
 }
 

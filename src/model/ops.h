@@ -49,12 +49,13 @@ void rope_rotate_row(float* row, std::size_t num_heads,
                      std::size_t head_dim, std::size_t pos);
 
 /**
- * Row-wise softmax where exp comes from @p exp_approx (nullptr =
- * exact).  An optional @p capture receives each row's max-subtracted
- * inputs before exponentiation (profiling hook for Fig. 4).
+ * Softmax of one row of scores in place, where exp comes from
+ * @p exp_approx (nullptr = exact).  An optional @p capture receives
+ * the row's max-subtracted inputs before exponentiation (profiling
+ * hook for Fig. 4).
  */
-void softmax_rows(
-    support::MatrixF& scores,
+void softmax_row(
+    std::span<float> row,
     const nonlinear::NonlinearApproximator* exp_approx,
     const std::function<void(std::span<const float>)>& capture = {});
 

@@ -267,32 +267,30 @@ TransformerModel::attention(std::size_t layer_idx,
     support::MatrixF out(T, config_.d_model, 0.0f);
     const auto capture_rows = capture_site(
         capture, nonlinear::NonlinearOp::kExp, layer_idx);
+    std::vector<float> scores(T);
 
     for (std::size_t h = 0; h < heads; ++h) {
         const std::size_t kv_h = h / group;
-        // scores[t, s] = q_t . k_s * scale  (+ causal mask).
-        support::MatrixF scores(T, T, 0.0f);
         for (std::size_t t = 0; t < T; ++t) {
+            // A causal row scores and normalizes only its prefix
+            // [0, t]: the masked positions take no probability and
+            // never reach the softmax's exp.
+            const std::span<float> row(scores.data(),
+                                       config_.causal() ? t + 1 : T);
             const float* qrow = q.row_data(t) + h * hd;
-            for (std::size_t s = 0; s < T; ++s) {
-                if (config_.causal() && s > t) {
-                    scores.at(t, s) = -INFINITY;
-                    continue;
-                }
+            for (std::size_t s = 0; s < row.size(); ++s) {
                 const float* krow = k.row_data(s) + kv_h * hd;
                 float dot = 0.0f;
                 for (std::size_t i = 0; i < hd; ++i) {
                     dot += qrow[i] * krow[i];
                 }
-                scores.at(t, s) = dot * scale;
+                row[s] = dot * scale;
             }
-        }
-        softmax_rows(scores, hooks.softmax_exp, capture_rows);
-        // out_t += probs . v
-        for (std::size_t t = 0; t < T; ++t) {
+            softmax_row(row, hooks.softmax_exp, capture_rows);
+            // out_t += probs . v
             float* orow = out.row_data(t) + h * hd;
-            for (std::size_t s = 0; s < T; ++s) {
-                const float p = scores.at(t, s);
+            for (std::size_t s = 0; s < row.size(); ++s) {
+                const float p = row[s];
                 if (p == 0.0f) continue;
                 const float* vrow = v.row_data(s) + kv_h * hd;
                 for (std::size_t i = 0; i < hd; ++i) {

@@ -6,22 +6,6 @@
 namespace mugi {
 namespace model {
 
-const char*
-op_class_name(OpClass cls)
-{
-    switch (cls) {
-      case OpClass::kProjection:
-        return "projection";
-      case OpClass::kAttention:
-        return "attention";
-      case OpClass::kFfn:
-        return "ffn";
-      case OpClass::kNonlinear:
-        return "nonlinear";
-    }
-    return "?";
-}
-
 std::uint64_t
 Workload::total_macs() const
 {

@@ -28,8 +28,6 @@ enum class OpClass {
     kNonlinear,   ///< softmax / SiLU / GELU work.
 };
 
-const char* op_class_name(OpClass cls);
-
 /** One GEMM: out[m, n] += act[m, k] * weight[k, n], repeated count x. */
 struct GemmOp {
     std::string name;

@@ -114,15 +114,6 @@ gelu_tanh_ref(double x)
 }
 
 double
-gelu_tanh_fast_ref(double x)
-{
-    // Eq. 5, constants exactly as printed in the paper.
-    return 0.5 * x *
-           (1.0 + std::tanh(0.7978845608 * x *
-                            (1.0 + 0.004715 * x * x)));
-}
-
-double
 eval_ref(NonlinearOp op, double x)
 {
     switch (op) {

@@ -4,8 +4,8 @@
 /**
  * @file
  * Exact software reference implementations of the nonlinear operations
- * Mugi approximates (Sec. 2.2.1, Eq. 1-5): exp/softmax, SiLU and GELU
- * (both the erf form and the two tanh approximations the paper quotes).
+ * Mugi approximates (Sec. 2.2.1, Eq. 1-4): exp/softmax, SiLU and GELU
+ * (the erf form and the tanh approximation the paper quotes).
  * These are the ground truth every approximator is measured against.
  */
 
@@ -39,9 +39,6 @@ double gelu_ref(double x);
 
 /** GELU tanh approximation (Eq. 4). */
 double gelu_tanh_ref(double x);
-
-/** GELU fast tanh approximation as printed in the paper (Eq. 5). */
-double gelu_tanh_fast_ref(double x);
 
 /** Dispatch to the exact implementation of @p op. */
 double eval_ref(NonlinearOp op, double x);

@@ -6,30 +6,6 @@ namespace mugi {
 namespace sim {
 
 const char*
-design_kind_name(DesignKind kind)
-{
-    switch (kind) {
-      case DesignKind::kMugi:
-        return "mugi";
-      case DesignKind::kMugiLut:
-        return "mugi-l";
-      case DesignKind::kCarat:
-        return "carat";
-      case DesignKind::kSystolic:
-        return "sa";
-      case DesignKind::kSystolicFigna:
-        return "sa-f";
-      case DesignKind::kSimd:
-        return "sd";
-      case DesignKind::kSimdFigna:
-        return "sd-f";
-      case DesignKind::kTensor:
-        return "tensor";
-    }
-    return "?";
-}
-
-const char*
 nonlinear_scheme_name(NonlinearScheme scheme)
 {
     switch (scheme) {

@@ -28,8 +28,6 @@ enum class DesignKind {
     kTensor,         ///< Fully-pipelined 8x16x16 tensor core.
 };
 
-const char* design_kind_name(DesignKind kind);
-
 /** Nonlinear-operation scheme attached to a design. */
 enum class NonlinearScheme {
     kVlp,      ///< Temporal VLP on the shared array (Mugi).

@@ -54,6 +54,26 @@ gemm_compute_cycles(const DesignConfig& d, const model::GemmOp& op)
     return count * ceil_div(m, A) * ceil_div(n, A) * (k + overhead);
 }
 
+/**
+ * The rates derived from a report's runtime, energies and tokens:
+ * throughput, power, energy per token and both efficiencies.
+ */
+void
+derive_rates(PerfReport& report)
+{
+    report.throughput_tokens_per_s = report.tokens / report.runtime_s;
+    report.power_w =
+        (report.dynamic_energy_j + report.leakage_energy_j) /
+        report.runtime_s;
+    report.energy_per_token_j =
+        (report.dynamic_energy_j + report.leakage_energy_j) /
+        report.tokens;
+    report.power_efficiency =
+        report.throughput_tokens_per_s / report.power_w;
+    report.energy_efficiency =
+        report.throughput_tokens_per_s * report.power_efficiency;
+}
+
 }  // namespace
 
 OpCost
@@ -198,18 +218,7 @@ run_workload(const DesignConfig& design, const model::Workload& workload)
     report.leakage_energy_j = node_leakage_mw(design) * 1e-3 * nodes *
                               report.runtime_s;
     report.tokens = static_cast<double>(workload.tokens());
-
-    report.throughput_tokens_per_s = report.tokens / report.runtime_s;
-    report.power_w =
-        (report.dynamic_energy_j + report.leakage_energy_j) /
-        report.runtime_s;
-    report.energy_per_token_j =
-        (report.dynamic_energy_j + report.leakage_energy_j) /
-        report.tokens;
-    report.power_efficiency =
-        report.throughput_tokens_per_s / report.power_w;
-    report.energy_efficiency =
-        report.throughput_tokens_per_s * report.power_efficiency;
+    derive_rates(report);
     return report;
 }
 
@@ -241,17 +250,7 @@ PerfAccumulator::total() const
     if (report.runtime_s <= 0.0 || report.tokens <= 0.0) {
         return report;
     }
-    report.throughput_tokens_per_s = report.tokens / report.runtime_s;
-    report.power_w =
-        (report.dynamic_energy_j + report.leakage_energy_j) /
-        report.runtime_s;
-    report.energy_per_token_j =
-        (report.dynamic_energy_j + report.leakage_energy_j) /
-        report.tokens;
-    report.power_efficiency =
-        report.throughput_tokens_per_s / report.power_w;
-    report.energy_efficiency =
-        report.throughput_tokens_per_s * report.power_efficiency;
+    derive_rates(report);
     return report;
 }
 

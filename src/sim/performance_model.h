@@ -19,7 +19,8 @@
  *    lanes/cycles-per-element.
  *
  * The cycle formulas for the VLP designs equal the cycle-accurate
- * array simulation (vlp::vlp_gemm_mugi) exactly; tests enforce this.
+ * array simulation (vlp::vlp_gemm_mugi_baseline) exactly; tests
+ * enforce this.
  */
 
 #include <cstdint>

@@ -3,16 +3,13 @@
 
 /**
  * @file
- * Temporal-coding primitives of value-level parallelism (Sec. 2.1,
- * Fig. 2): the temporal converter (TC), temporal subscription, and
- * value reuse.  These cycle-accurate helpers are the ground truth the
- * array models and the analytic performance model are validated
- * against.
+ * The temporal converter (TC) of value-level parallelism (Sec. 2.1,
+ * Fig. 2(a)): the equivalence logic through which a row subscribes
+ * to a temporal sweep.  arch::MugiNode fires its mantissa and
+ * exponent subscriptions through it.
  */
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 namespace mugi {
 namespace vlp {
@@ -34,46 +31,6 @@ class TemporalConverter {
   private:
     std::uint32_t value_;
 };
-
-/**
- * Result of a cycle-accurate temporal sweep.
- */
-struct SweepResult {
-    std::vector<double> products;  ///< One product per subscriber.
-    std::uint64_t cycles = 0;      ///< Cycles consumed by the sweep.
-};
-
-/**
- * Scalar x scalar multiply via temporal accumulation (Fig. 2(b-d)):
- * accumulate @p w once per cycle; the subscriber latches the running
- * sum on the spike cycle of @p i.  The sweep always runs the full
- * 2^bits cycles (the counter is free-running hardware).
- *
- * @param i Temporal-coded operand, must be < 2^bits.
- * @param w Value-reused operand (any numeric value).
- * @param bits Width of the temporal code.
- */
-SweepResult temporal_multiply(std::uint32_t i, double w, int bits);
-
-/**
- * Scalar x vector multiply with value reuse (Fig. 2(e)): a single
- * accumulation of @p w is shared by every element of @p values, each
- * subscribing to its own product in parallel.
- */
-SweepResult temporal_scalar_vector(std::span<const std::uint32_t> values,
-                                   double w, int bits);
-
-/**
- * Vector x vector outer product organized as a 2D array
- * (Fig. 2(f)): @p row_values are the temporal-coded operands (one per
- * array row), @p col_weights the value-reused operands (one per array
- * column).  products[r * cols + c] = row_values[r] * col_weights[c].
- * Columns are staggered by one cycle (iFIFO pipelining), so the sweep
- * finishes after 2^bits + cols - 1 cycles.
- */
-SweepResult temporal_outer_product(
-    std::span<const std::uint32_t> row_values,
-    std::span<const double> col_weights, int bits);
 
 }  // namespace vlp
 }  // namespace mugi

@@ -64,37 +64,6 @@ walk_rows(const Int4Matrix& temporal, const SweepTables& states,
     }
 }
 
-/**
- * Shared sweep-accumulator executor: @p temporal is the
- * temporally-coded INT4 operand (rows subscribe), @p values the
- * value-reused float operand (columns accumulate).  Outputs are
- * bit-identical to the literal cycle-by-row scan; the counters are
- * analytic (vlp_gemm_mugi_cycles), which the literal scan provably
- * produces (one 2^mb-cycle sweep per (row tile, column tile, k)).
- */
-VlpGemmResult
-sweep_gemm(const Int4Matrix& temporal, const support::MatrixF& values,
-           int array_rows, int array_cols)
-{
-    assert(temporal.cols() == values.rows());
-    assert(array_rows >= 1 && array_cols >= 1);
-    const std::size_t r_total = temporal.rows();
-    const std::size_t k_total = temporal.cols();
-    const std::size_t c_total = values.cols();
-
-    VlpGemmResult result;
-    result.out = support::MatrixF(r_total, c_total, 0.0f);
-
-    vlp_gemm_sweep(temporal, values, 0, k_total, result.out);
-
-    result.cycles = vlp_gemm_mugi_cycles(r_total, c_total, k_total,
-                                         array_rows, array_cols);
-    result.sweeps = result.cycles / kSweep;
-    result.subscriptions =
-        static_cast<std::uint64_t>(r_total) * k_total * c_total;
-    return result;
-}
-
 }  // namespace
 
 void
@@ -154,15 +123,24 @@ vlp_gemm_mugi(const Int4Matrix& weights,
               const support::MatrixF& activations, int array_rows,
               int array_cols)
 {
-    return sweep_gemm(weights, activations, array_rows, array_cols);
-}
+    assert(weights.cols() == activations.rows());
+    assert(array_rows >= 1 && array_cols >= 1);
+    const std::size_t n_total = weights.rows();
+    const std::size_t k_total = weights.cols();
+    const std::size_t b_total = activations.cols();
 
-VlpGemmResult
-vlp_gemm_carat(const Int4Matrix& activations,
-               const support::MatrixF& weights, int array_rows,
-               int array_cols)
-{
-    return sweep_gemm(activations, weights, array_rows, array_cols);
+    VlpGemmResult result;
+    result.out = support::MatrixF(n_total, b_total, 0.0f);
+    vlp_gemm_sweep(weights, activations, 0, k_total, result.out);
+
+    // The literal scan provably runs one 2^mb-cycle sweep per (row
+    // tile, column tile, k) and fires one subscription per (n, k, b).
+    result.cycles = vlp_gemm_mugi_cycles(n_total, b_total, k_total,
+                                         array_rows, array_cols);
+    result.sweeps = result.cycles / kSweep;
+    result.subscriptions =
+        static_cast<std::uint64_t>(n_total) * k_total * b_total;
+    return result;
 }
 
 VlpGemmResult
@@ -214,53 +192,6 @@ vlp_gemm_mugi_baseline(const Int4Matrix& weights,
                 }
                 // All columns of a k-step share the 2^mb-cycle sweep
                 // (columns are staggered but fully pipelined).
-                result.cycles += kSweep;
-                ++result.sweeps;
-            }
-        }
-    }
-    return result;
-}
-
-VlpGemmResult
-vlp_gemm_carat_baseline(const Int4Matrix& activations,
-                        const support::MatrixF& weights, int array_rows,
-                        int array_cols)
-{
-    assert(activations.cols() == weights.rows());
-    const std::size_t m_total = activations.rows();
-    const std::size_t k_total = activations.cols();
-    const std::size_t n_total = weights.cols();
-
-    VlpGemmResult result;
-    result.out = support::MatrixF(m_total, n_total, 0.0f);
-
-    for (std::size_t m0 = 0; m0 < m_total;
-         m0 += static_cast<std::size_t>(array_rows)) {
-        const std::size_t mh = std::min(
-            static_cast<std::size_t>(array_rows), m_total - m0);
-        for (std::size_t n0 = 0; n0 < n_total;
-             n0 += static_cast<std::size_t>(array_cols)) {
-            const std::size_t nw = std::min(
-                static_cast<std::size_t>(array_cols), n_total - n0);
-            for (std::size_t k = 0; k < k_total; ++k) {
-                for (std::size_t c = 0; c < nw; ++c) {
-                    const float w = weights.at(k, n0 + c);
-                    float acc = 0.0f;
-                    for (std::uint32_t cycle = 0; cycle < kSweep;
-                         ++cycle) {
-                        for (std::size_t r = 0; r < mh; ++r) {
-                            const numerics::Int4 act =
-                                activations.at(m0 + r, k);
-                            if (act.magnitude == cycle) {
-                                result.out.at(m0 + r, n0 + c) +=
-                                    act.sign ? -acc : acc;
-                                ++result.subscriptions;
-                            }
-                        }
-                        acc += w;
-                    }
-                }
                 result.cycles += kSweep;
                 ++result.sweeps;
             }

@@ -10,17 +10,19 @@
  * a slim sign-magnitude datapath, while BF16 activations (or Q tokens)
  * occupy the *columns* and are value-reused by the per-column
  * accumulators.  One outer-product (k-step) sweep takes 2^3 = 8 cycles
- * for the 3-bit magnitude, matching the 8-column array.
+ * for the 3-bit magnitude, matching the 8-column array.  Carat's
+ * symmetric mapping is the same computation with the operands in the
+ * other order -- the batch's INT4 activations temporally coded, the
+ * weights value-reused -- so vlp_gemm_mugi runs it when handed them
+ * that way (tests/vlp/vlp_gemm_test.cc compares the two mappings'
+ * cycles at batch 8).
  *
- * Carat's original symmetric mapping (batched low-precision
- * activations on rows, weights on columns) is provided as the
- * baseline.
+ * vlp_gemm_mugi_baseline is the *cycle-accurate functional* model: it
+ * replays every cycle of every sweep and counts them.  The analytic
+ * count vlp_gemm_mugi_cycles equals its count (tests pin this), and
+ * the analytic performance model (src/sim) charges VLP GEMMs by it.
  *
- * Both are *cycle-accurate functional* models: they simulate the
- * temporal sweeps and return the exact cycle count, which the analytic
- * performance model (src/sim) is validated against.
- *
- * Execution strategy: the shipped kernels use a *sweep-accumulator
+ * Execution strategy: the shipped kernel uses a *sweep-accumulator
  * table* instead of literally replaying every cycle.  Per (k, column)
  * the 2^mb accumulator states of a sweep are materialized once by
  * incremental addition (the identical float-op sequence the temporal
@@ -29,9 +31,8 @@
  * cycle at which its subscription fires, read straight from the
  * codes (vlp_gemm_sweep) -- O(nh + 2^mb) work per sweep instead of
  * the O(nh * 2^mb) cycle-by-row scan.  Outputs and all counters are
- * bit-identical to the literal simulation, which is retained as
- * vlp_gemm_mugi_baseline / vlp_gemm_carat_baseline and pinned by
- * tests (tests/vlp/vlp_gemm_test.cc).
+ * bit-identical to vlp_gemm_mugi_baseline's, pinned by tests
+ * (tests/vlp/vlp_gemm_test.cc).
  */
 
 #include <cstddef>
@@ -92,15 +93,6 @@ VlpGemmResult vlp_gemm_mugi(const Int4Matrix& weights,
                             int array_rows, int array_cols);
 
 /**
- * Carat-mapped symmetric GEMM: out[m][n] = sum_k acts[m][k] * w[k][n],
- * with the batched INT4 activations temporally coded on rows and the
- * weights value-reused on columns.
- */
-VlpGemmResult vlp_gemm_carat(const Int4Matrix& activations,
-                             const support::MatrixF& weights,
-                             int array_rows, int array_cols);
-
-/**
  * The literal cycle-by-row simulation of the Mugi mapping (the
  * pre-optimization kernel): every sweep scans all nh tile rows on
  * each of the 2^mb cycles.  Kept as the golden reference for the
@@ -111,17 +103,12 @@ VlpGemmResult vlp_gemm_mugi_baseline(const Int4Matrix& weights,
                                      const support::MatrixF& activations,
                                      int array_rows, int array_cols);
 
-/** Literal cycle-by-row simulation of the Carat mapping (baseline). */
-VlpGemmResult vlp_gemm_carat_baseline(const Int4Matrix& activations,
-                                      const support::MatrixF& weights,
-                                      int array_rows, int array_cols);
-
 /**
  * Analytic cycle count of the Mugi mapping:
  *   ceil(N / H) * ceil(B / W) * K * 2^3
  * (one 2^3-cycle sweep of the INT4 magnitude per k-step, steady-state
  * pipelined; matches the simulated count).  The one VLP cycle count
- * outside the literal simulations: the sweep kernels' counters and
+ * outside the literal simulation: vlp_gemm_mugi's counters and
  * sim::gemm_cost's VLP branch both take it from here.
  */
 std::uint64_t vlp_gemm_mugi_cycles(std::size_t n, std::size_t b,

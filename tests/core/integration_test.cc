@@ -50,15 +50,17 @@ TEST(Integration, ProfileDrivenWindowBeatsBlindWindow)
     model::EvalOptions options;
     options.num_sequences = 2;
     options.seq_len = 12;
+    const std::vector<model::TeacherPass> teacher =
+        model::teacher_passes(m, options);
     model::NonlinearHooks hooks;
     hooks.softmax_exp = profiled.get();
     const double ppl_profiled =
-        model::evaluate_against_exact(m, hooks, options).perplexity;
+        model::evaluate_against_exact(m, hooks, teacher).perplexity;
     hooks.softmax_exp = blind.get();
     const double ppl_blind =
-        model::evaluate_against_exact(m, hooks, options).perplexity;
+        model::evaluate_against_exact(m, hooks, teacher).perplexity;
     const double base =
-        model::evaluate_base(m, options).perplexity;
+        model::evaluate_base(m, teacher).perplexity;
 
     EXPECT_LT(ppl_profiled, ppl_blind);
     EXPECT_LT(ppl_profiled - base, 0.05 * base)

@@ -43,7 +43,8 @@ TEST(Accuracy, SyntheticTokensDeterministicAndInRange)
 TEST(Accuracy, BaseEqualsEntropyAndKlZero)
 {
     TransformerModel model(eval_config(), 53);
-    const EvalResult base = evaluate_base(model, fast_options());
+    const EvalResult base =
+        evaluate_base(model, teacher_passes(model, fast_options()));
     EXPECT_GT(base.perplexity, 1.0);
     EXPECT_NEAR(base.kl, 0.0, 1e-9);
     EXPECT_NEAR(base.perplexity, std::exp(base.cross_entropy), 1e-9);
@@ -54,14 +55,15 @@ TEST(Accuracy, ApproximationNeverBeatsExact)
     // Cross-entropy against the exact model's distribution is
     // minimized by the exact model itself (Gibbs' inequality).
     TransformerModel model(eval_config(), 59);
-    const EvalOptions options = fast_options();
-    const EvalResult base = evaluate_base(model, options);
+    const std::vector<TeacherPass> teacher =
+        teacher_passes(model, fast_options());
+    const EvalResult base = evaluate_base(model, teacher);
 
     const auto vlp = vlp::make_vlp(nonlinear::NonlinearOp::kExp, 8, 4);
     NonlinearHooks hooks;
     hooks.softmax_exp = vlp.get();
     const EvalResult approx =
-        evaluate_against_exact(model, hooks, options);
+        evaluate_against_exact(model, hooks, teacher);
     EXPECT_GE(approx.cross_entropy, base.cross_entropy - 1e-9);
     EXPECT_GE(approx.kl, 0.0);
 }
@@ -69,7 +71,8 @@ TEST(Accuracy, ApproximationNeverBeatsExact)
 TEST(Accuracy, GoodVlpWindowBeatsBadWindow)
 {
     TransformerModel model(eval_config(), 61);
-    const EvalOptions options = fast_options();
+    const std::vector<TeacherPass> teacher =
+        teacher_passes(model, fast_options());
 
     const auto good = vlp::make_vlp(nonlinear::NonlinearOp::kExp, 8, 3);
     const auto bad = vlp::make_vlp(nonlinear::NonlinearOp::kExp, 8, -9);
@@ -78,9 +81,9 @@ TEST(Accuracy, GoodVlpWindowBeatsBadWindow)
     hooks_bad.softmax_exp = bad.get();
 
     const double ppl_good =
-        evaluate_against_exact(model, hooks_good, options).perplexity;
+        evaluate_against_exact(model, hooks_good, teacher).perplexity;
     const double ppl_bad =
-        evaluate_against_exact(model, hooks_bad, options).perplexity;
+        evaluate_against_exact(model, hooks_bad, teacher).perplexity;
     EXPECT_LT(ppl_good, ppl_bad);
 }
 
@@ -88,8 +91,9 @@ TEST(Accuracy, VlpCompetitiveWithBaselinesOnActivation)
 {
     // Fig. 6 bottom row: VLP S/G within a reasonable band of PWL.
     TransformerModel model(eval_config(), 67);
-    const EvalOptions options = fast_options();
-    const double base = evaluate_base(model, options).perplexity;
+    const std::vector<TeacherPass> teacher =
+        teacher_passes(model, fast_options());
+    const double base = evaluate_base(model, teacher).perplexity;
 
     vlp::VlpConfig vcfg;
     vcfg.op = nonlinear::NonlinearOp::kSilu;
@@ -99,13 +103,13 @@ TEST(Accuracy, VlpCompetitiveWithBaselinesOnActivation)
     NonlinearHooks hooks;
     hooks.activation = &vlp_silu;
     const double ppl_vlp =
-        evaluate_against_exact(model, hooks, options).perplexity;
+        evaluate_against_exact(model, hooks, teacher).perplexity;
 
     nonlinear::PwlConfig pcfg{nonlinear::NonlinearOp::kSilu, 22, 7.0};
     const nonlinear::PwlApproximator pwl(pcfg);
     hooks.activation = &pwl;
     const double ppl_pwl =
-        evaluate_against_exact(model, hooks, options).perplexity;
+        evaluate_against_exact(model, hooks, teacher).perplexity;
 
     // Both land close to base; VLP within 2x of PWL's delta + slack.
     EXPECT_LT(ppl_vlp - base, 2.0 * (ppl_pwl - base) + 0.25);
@@ -117,11 +121,13 @@ TEST(Accuracy, PerLayerTuningImproves)
     EvalOptions options = fast_options();
     options.num_sequences = 1;
     options.seq_len = 10;
+    const std::vector<TeacherPass> teacher =
+        teacher_passes(model, options);
 
     // Deliberately start from a bad anchor; tuning must escape it.
     const std::vector<int> candidates = {-9, 0, 3};
     const PerLayerTuningResult tuned =
-        tune_softmax_per_layer(model, candidates, 8, options);
+        tune_softmax_per_layer(model, candidates, 8, teacher);
     ASSERT_EQ(tuned.ppl_after_layer.size(), model.num_layers());
     ASSERT_EQ(tuned.chosen_max_exp.size(), model.num_layers());
     // The greedy trajectory is non-increasing (the starting config is
@@ -136,7 +142,7 @@ TEST(Accuracy, PerLayerTuningImproves)
     NonlinearHooks hooks;
     hooks.softmax_exp = bad.get();
     const double ppl_bad =
-        evaluate_against_exact(model, hooks, options).perplexity;
+        evaluate_against_exact(model, hooks, teacher).perplexity;
     EXPECT_LE(tuned.final_ppl, ppl_bad + 1e-9);
     for (const int e : tuned.chosen_max_exp) {
         EXPECT_NE(e, -9);  // The pathological anchor is never chosen.

@@ -111,8 +111,8 @@ TEST(Ops, SoftmaxRowsNormalizes)
     std::mt19937 rng(307);
     support::MatrixF scores(6, 40);
     support::fill_gaussian(scores, rng, 0.0f, 3.0f);
-    softmax_rows(scores, nullptr);
     for (std::size_t r = 0; r < 6; ++r) {
+        softmax_row({scores.row_data(r), 40}, nullptr);
         double sum = 0.0;
         for (std::size_t c = 0; c < 40; ++c) sum += scores.at(r, c);
         EXPECT_NEAR(sum, 1.0, 1e-5);
@@ -121,13 +121,9 @@ TEST(Ops, SoftmaxRowsNormalizes)
 
 TEST(Ops, SoftmaxRowsCaptureSeesShiftedInputs)
 {
-    support::MatrixF scores(1, 4);
-    scores.at(0, 0) = 1.0f;
-    scores.at(0, 1) = 3.0f;
-    scores.at(0, 2) = 2.0f;
-    scores.at(0, 3) = 0.0f;
+    std::vector<float> scores = {1.0f, 3.0f, 2.0f, 0.0f};
     std::vector<float> captured;
-    softmax_rows(scores, nullptr, [&](std::span<const float> row) {
+    softmax_row(scores, nullptr, [&](std::span<const float> row) {
         captured.assign(row.begin(), row.end());
     });
     ASSERT_EQ(captured.size(), 4u);
@@ -139,13 +135,10 @@ TEST(Ops, SoftmaxRowsCaptureSeesShiftedInputs)
 
 TEST(Ops, SoftmaxRowsHandlesMaskedRow)
 {
-    support::MatrixF scores(1, 3);
-    scores.at(0, 0) = 0.5f;
-    scores.at(0, 1) = -INFINITY;  // Causal mask.
-    scores.at(0, 2) = -INFINITY;
-    softmax_rows(scores, nullptr);
-    EXPECT_NEAR(scores.at(0, 0), 1.0f, 1e-6);
-    EXPECT_EQ(scores.at(0, 1), 0.0f);
+    std::vector<float> scores = {0.5f, -INFINITY, -INFINITY};
+    softmax_row(scores, nullptr);
+    EXPECT_NEAR(scores[0], 1.0f, 1e-6);
+    EXPECT_EQ(scores[1], 0.0f);
 }
 
 TEST(Ops, ApplyActivationExactMatchesReference)

@@ -16,6 +16,7 @@
 
 #include "model/accuracy.h"
 #include "model/profiler.h"
+#include "nonlinear/taylor.h"
 #include "serve/engine.h"
 #include "support/rng.h"
 #include "vlp/vlp_approximator.h"
@@ -123,24 +124,47 @@ TEST(Transformer, DecodeMatchesFullForward)
 {
     // Incremental KV-cached decode through the serving engine must
     // reproduce the full forward pass logits at every position, bit
-    // for bit (exact hooks, float cache).
+    // for bit (float cache), with exact, Taylor and VLP softmax: a
+    // causal row of the full pass normalizes only its prefix, as a
+    // decode step does, so no masked score reaches the approximator
+    // (Taylor's series turns one into NaN).  Approximate activations
+    // stay out: forward_tokens applies them over one [T, d_ff] span,
+    // so a windowed approximator sees other groups than in decode.
     const ModelConfig config = tiny_llama();
     const auto model =
         std::make_shared<const TransformerModel>(config, 23);
     const std::vector<int> tokens = {4, 8, 15, 16, 23};
-    const support::MatrixF full = model->forward_tokens(tokens);
-
     const serve::Engine engine(sim::make_mugi(64), model);
-    serve::Session session =
-        exact_session(engine, quant::KvPrecision::kFloat);
-    for (std::size_t t = 0; t < tokens.size(); ++t) {
-        const std::vector<float> logits =
-            engine.step(session, tokens[t]).outputs[0].logits;
-        ASSERT_EQ(logits.size(), config.vocab);
-        for (std::size_t v = 0; v < config.vocab; ++v) {
-            EXPECT_EQ(logits[v], full.at(t, v))
-                << "t=" << t << " v=" << v;
+    const nonlinear::TaylorApproximator taylor(
+        {nonlinear::NonlinearOp::kExp, 9, -3.0});
+    const auto vlp =
+        vlp::make_vlp(nonlinear::NonlinearOp::kExp, 8, 4);
+    const struct {
+        const char* name;
+        NonlinearHooks hooks;
+    } cases[] = {{"exact", {}},
+                 {"taylor", {&taylor, nullptr}},
+                 {"vlp", {vlp.get(), nullptr}}};
+    for (const auto& c : cases) {
+        const std::vector<NonlinearHooks> layer_hooks(
+            config.num_layers, c.hooks);
+        const support::MatrixF full =
+            model->forward_tokens(tokens, layer_hooks);
+        serve::Session session =
+            exact_session(engine, quant::KvPrecision::kFloat);
+        session.set_hooks(c.hooks);
+        std::size_t differing = 0;
+        for (std::size_t t = 0; t < tokens.size(); ++t) {
+            const std::vector<float> logits =
+                engine.step(session, tokens[t]).outputs[0].logits;
+            ASSERT_EQ(logits.size(), config.vocab);
+            for (std::size_t v = 0; v < config.vocab; ++v) {
+                differing += !(logits[v] == full.at(t, v));
+            }
         }
+        EXPECT_EQ(differing, 0u)
+            << c.name << ": " << differing << " of "
+            << tokens.size() * config.vocab << " logits differ";
     }
 }
 

@@ -7,7 +7,6 @@
 
 #include "nonlinear/approximator.h"
 #include "nonlinear/partial.h"
-#include "nonlinear/precise_unit.h"
 #include "nonlinear/pwl.h"
 #include "nonlinear/taylor.h"
 
@@ -165,65 +164,6 @@ TEST(Partial, RejectsUnsupportedOps)
                  std::invalid_argument);
     EXPECT_THROW(PartialApproximator(NonlinearOp::kGelu),
                  std::invalid_argument);
-}
-
-// ---- Precise unit ----
-
-class PreciseUnitTest : public ::testing::TestWithParam<NonlinearOp> {};
-
-TEST_P(PreciseUnitTest, MatchesReferenceTightly)
-{
-    const PreciseUnit unit(GetParam());
-    std::mt19937 rng(71);
-    std::uniform_real_distribution<float> dist(-20.0f, 10.0f);
-    for (int i = 0; i < 3000; ++i) {
-        float x = dist(rng);
-        if (GetParam() == NonlinearOp::kExp && x > 0.0f) {
-            x = -x;  // Softmax domain.
-        }
-        // The unit computes GELU in its tanh form (Eq. 4), so compare
-        // against that form; exp and SiLU match the exact reference.
-        const double exact = GetParam() == NonlinearOp::kGelu
-                                 ? gelu_tanh_ref(x)
-                                 : eval_ref(GetParam(), x);
-        const double got = unit.apply(x);
-        EXPECT_NEAR(got, exact,
-                    2e-5 * std::max(1.0, std::fabs(exact)))
-            << op_name(GetParam()) << " x=" << x;
-    }
-}
-
-TEST_P(PreciseUnitTest, CostsFortyFourCycles)
-{
-    const PreciseUnit unit(GetParam());
-    EXPECT_DOUBLE_EQ(unit.cycles_per_element(), 44.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Ops, PreciseUnitTest,
-                         ::testing::Values(NonlinearOp::kExp,
-                                           NonlinearOp::kSilu,
-                                           NonlinearOp::kGelu),
-                         [](const auto& info) {
-                             return op_name(info.param);
-                         });
-
-TEST(PreciseKernels, ExpRangeReduction)
-{
-    // The degree-9 truncation carries ~1.5e-12 relative error at the
-    // reduced-interval edges; allow 5e-12.
-    for (double x = -80.0; x <= 80.0; x += 0.61) {
-        EXPECT_NEAR(precise_exp(x), std::exp(x),
-                    5e-12 * std::exp(x) + 1e-300)
-            << x;
-    }
-}
-
-TEST(PreciseKernels, ReciprocalNewtonRaphson)
-{
-    for (double x = 0.001; x <= 1000.0; x *= 1.7) {
-        EXPECT_NEAR(precise_reciprocal(x) * x, 1.0, 1e-9) << x;
-        EXPECT_NEAR(precise_reciprocal(-x) * -x, 1.0, 1e-9) << x;
-    }
 }
 
 // ---- softmax_with ----

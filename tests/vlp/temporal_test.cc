@@ -1,8 +1,5 @@
 #include "vlp/temporal.h"
 
-#include <random>
-#include <vector>
-
 #include <gtest/gtest.h>
 
 namespace mugi {
@@ -21,100 +18,6 @@ TEST(Temporal, ConverterSpikesExactlyOnce)
     }
     EXPECT_EQ(spikes, 1);
 }
-
-TEST(Temporal, MultiplyPaperExample)
-{
-    // Fig. 2(b-d): i = 3, w = 1 -> product 3 after an 8-cycle sweep.
-    const SweepResult r = temporal_multiply(3, 1.0, 3);
-    EXPECT_DOUBLE_EQ(r.products[0], 3.0);
-    EXPECT_EQ(r.cycles, 8u);
-}
-
-TEST(Temporal, MultiplyExhaustive3Bit)
-{
-    for (std::uint32_t i = 0; i < 8; ++i) {
-        for (double w = -4.0; w <= 4.0; w += 0.25) {
-            const SweepResult r = temporal_multiply(i, w, 3);
-            EXPECT_DOUBLE_EQ(r.products[0], i * w)
-                << "i=" << i << " w=" << w;
-        }
-    }
-}
-
-TEST(Temporal, MultiplyWiderCodes)
-{
-    std::mt19937 rng(91);
-    for (int bits = 1; bits <= 8; ++bits) {
-        std::uniform_int_distribution<std::uint32_t> vdist(
-            0, (1u << bits) - 1);
-        std::uniform_real_distribution<double> wdist(-10.0, 10.0);
-        for (int t = 0; t < 50; ++t) {
-            const std::uint32_t i = vdist(rng);
-            const double w = wdist(rng);
-            const SweepResult r = temporal_multiply(i, w, bits);
-            // Repeated addition accumulates one rounding per cycle,
-            // so allow i ulps of slack for wide temporal codes.
-            EXPECT_NEAR(r.products[0], i * w,
-                        (i + 1.0) * 1e-13 * std::fabs(w));
-            EXPECT_EQ(r.cycles, 1ull << bits);
-        }
-    }
-}
-
-TEST(Temporal, ScalarVectorValueReuse)
-{
-    // Fig. 2(e): one accumulation of w shared by all elements.
-    const std::vector<std::uint32_t> values = {3, 1, 3, 0, 7, 5};
-    const SweepResult r = temporal_scalar_vector(values, 2.5, 3);
-    ASSERT_EQ(r.products.size(), values.size());
-    for (std::size_t k = 0; k < values.size(); ++k) {
-        EXPECT_DOUBLE_EQ(r.products[k], values[k] * 2.5);
-    }
-    EXPECT_EQ(r.cycles, 8u);
-}
-
-TEST(Temporal, OuterProductMatchesDirect)
-{
-    std::mt19937 rng(101);
-    std::uniform_int_distribution<std::uint32_t> vdist(0, 7);
-    std::uniform_real_distribution<double> wdist(-3.0, 3.0);
-    for (int trial = 0; trial < 20; ++trial) {
-        std::vector<std::uint32_t> rows(16);
-        std::vector<double> cols(8);
-        for (auto& v : rows) v = vdist(rng);
-        for (auto& w : cols) w = wdist(rng);
-        const SweepResult r = temporal_outer_product(rows, cols, 3);
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            for (std::size_t j = 0; j < cols.size(); ++j) {
-                EXPECT_DOUBLE_EQ(r.products[i * cols.size() + j],
-                                 rows[i] * cols[j]);
-            }
-        }
-    }
-}
-
-TEST(Temporal, OuterProductStaggeredLatency)
-{
-    // Columns are staggered by one cycle: 2^bits + cols - 1 total.
-    const std::vector<std::uint32_t> rows = {1, 2};
-    const std::vector<double> cols = {1.0, 2.0, 3.0, 4.0};
-    const SweepResult r = temporal_outer_product(rows, cols, 3);
-    EXPECT_EQ(r.cycles, 8u + 4u - 1u);
-}
-
-class TemporalBitsTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(TemporalBitsTest, SweepLengthIsExponential)
-{
-    const int bits = GetParam();
-    const SweepResult r = temporal_multiply(0, 1.0, bits);
-    // Sec. 2.1: temporal spike latency is 2^n for n-bit inputs, which
-    // is why VLP favours small bitwidths.
-    EXPECT_EQ(r.cycles, 1ull << bits);
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, TemporalBitsTest,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 }  // namespace
 }  // namespace vlp

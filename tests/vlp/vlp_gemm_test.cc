@@ -118,24 +118,6 @@ TEST(VlpGemmMugi, ZeroWeightsContributeZero)
     }
 }
 
-TEST(VlpGemmCarat, SymmetricMappingMatchesReference)
-{
-    std::mt19937 rng(191);
-    const Int4Matrix acts = random_int4(12, 20, rng);
-    const support::MatrixF w = random_bf16(20, 16, rng);
-    const VlpGemmResult got = vlp_gemm_carat(acts, w, 8, 8);
-    for (std::size_t m = 0; m < acts.rows(); ++m) {
-        for (std::size_t n = 0; n < w.cols(); ++n) {
-            float direct = 0.0f;
-            for (std::size_t k = 0; k < acts.cols(); ++k) {
-                direct += static_cast<float>(acts.at(m, k).value()) *
-                          w.at(k, n);
-            }
-            EXPECT_NEAR(got.out.at(m, n), direct, 1e-4);
-        }
-    }
-}
-
 TEST(VlpGemmSweepAccumulator, BitIdenticalToBaselineAcrossRaggedShapes)
 {
     // The sweep-accumulator kernel must reproduce the literal
@@ -165,33 +147,6 @@ TEST(VlpGemmSweepAccumulator, BitIdenticalToBaselineAcrossRaggedShapes)
             vlp_gemm_mugi_baseline(w, x, c.h, c.w);
         EXPECT_TRUE(fast.out == golden.out)
             << c.n << "x" << c.k << "x" << c.b;
-        EXPECT_EQ(fast.cycles, golden.cycles);
-        EXPECT_EQ(fast.sweeps, golden.sweeps);
-        EXPECT_EQ(fast.subscriptions, golden.subscriptions);
-    }
-}
-
-TEST(VlpGemmSweepAccumulator, CaratBitIdenticalToBaseline)
-{
-    std::mt19937 rng(411);
-    const struct {
-        std::size_t m, k, n;
-        int h, w;
-    } cases[] = {
-        {12, 20, 16, 8, 8},
-        {7, 5, 3, 4, 2},
-        {1, 9, 1, 64, 8},
-        {30, 6, 0, 8, 8},
-        {64, 16, 33, 64, 8},
-    };
-    for (const auto& c : cases) {
-        const Int4Matrix acts = random_int4(c.m, c.k, rng);
-        const support::MatrixF w = random_bf16(c.k, c.n, rng);
-        const VlpGemmResult fast = vlp_gemm_carat(acts, w, c.h, c.w);
-        const VlpGemmResult golden =
-            vlp_gemm_carat_baseline(acts, w, c.h, c.w);
-        EXPECT_TRUE(fast.out == golden.out)
-            << c.m << "x" << c.k << "x" << c.n;
         EXPECT_EQ(fast.cycles, golden.cycles);
         EXPECT_EQ(fast.sweeps, golden.sweeps);
         EXPECT_EQ(fast.subscriptions, golden.subscriptions);
@@ -243,12 +198,6 @@ TEST(VlpGemmSweepAccumulator, ExactZerosMatchBaselineSignBitsIncluded)
         EXPECT_FALSE(std::signbit(mugi.out.at(0, c))) << c;
         EXPECT_FALSE(std::signbit(mugi.out.at(1, c))) << c;
     }
-
-    const VlpGemmResult carat = vlp_gemm_carat(codes, values, 8, 8);
-    const VlpGemmResult carat_golden =
-        vlp_gemm_carat_baseline(codes, values, 8, 8);
-    EXPECT_TRUE(same_bits(carat.out, carat_golden.out));
-    EXPECT_EQ(carat.subscriptions, carat_golden.subscriptions);
 }
 
 TEST(VlpGemmSweep, PartialKRangesComposeToTheFullGemm)
@@ -283,7 +232,9 @@ TEST(VlpGemm, MugiMappingUtilizationAdvantageAtSmallBatch)
     const support::MatrixF x = random_bf16(k, b, rng);
     const VlpGemmResult mugi = vlp_gemm_mugi(w, x, 64, 8);
 
-    // Carat maps the batch (8) across its 64 rows: 56 idle rows.
+    // Carat maps the batch (8) across its 64 rows: 56 idle rows.  Its
+    // mapping is Mugi's with the operands in the other order, the
+    // batch's INT4 codes as the temporal operand.
     Int4Matrix acts_t(b, k);
     support::MatrixF w_t(k, n);
     std::uniform_int_distribution<int> dist(-7, 7);
@@ -292,7 +243,7 @@ TEST(VlpGemm, MugiMappingUtilizationAdvantageAtSmallBatch)
             acts_t.at(i, j) = numerics::Int4::from_int(dist(rng));
     for (std::size_t i = 0; i < k; ++i)
         for (std::size_t j = 0; j < n; ++j) w_t.at(i, j) = 1.0f;
-    const VlpGemmResult carat = vlp_gemm_carat(acts_t, w_t, 64, 8);
+    const VlpGemmResult carat = vlp_gemm_mugi(acts_t, w_t, 64, 8);
 
     // Same MAC count; Mugi needs strictly fewer sweeps (cycles).
     EXPECT_LT(mugi.cycles, carat.cycles);
